@@ -14,8 +14,8 @@ The engine's only all-to-all shuffles live here (SURVEY.md §7.3):
 Scale shape: (1) every batch is pre-aggregated in ``map_batches`` before
 the shuffle (partial count + partial evidence list per key), so a hot key
 ships at most ONE row per input batch; (2) the final reduction is a
-bucketed shuffle (see stages/bucketed.py) with a VECTORIZED merge per
-bucket — no per-group Python dispatch. Evidence lists are capped at
+bucketed shuffle (see stages/bucketed.py) with one VECTORIZED merge per
+shuffled block — no per-group Python dispatch. Evidence lists are capped at
 ``EVIDENCE_CAP`` with an explicit ``evidence_truncated`` flag (never a
 silent cap).
 """
@@ -33,6 +33,47 @@ from .bucketed import bucketed_group_apply
 EDGE_KEYS = ["src", "dst", "rel"]
 
 
+def _fold_evidence(head: pa.Table, ev: pa.Table) -> pa.Table:
+    """One row per edge key (in no particular order): summed ``weight``,
+    any ``ptrunc``, the sorted distinct non-null evidence urls capped at
+    ``EVIDENCE_CAP`` (``pages``) and their uncapped count (``n_pages``).
+
+    ``head`` holds (src, dst, rel, weight, ptrunc) rows, at least one per
+    key; ``ev`` holds (src, dst, rel, url) evidence rows, duplicates and
+    nulls allowed. The head rows ride as url-null rows, so one hash
+    group_by on (key, url) both dedups the urls and folds every key's
+    weight into exactly one null-url row. Sorting with nulls first then
+    puts that row at the head of each key's run, and an ordered
+    (single-threaded) ``hash_list`` collects the run; slicing from 1 drops
+    the null. No join: pyarrow cannot carry a list column through one."""
+    n, m = head.num_rows, ev.num_rows
+    rows = pa.concat_tables([
+        pa.table({**{k: head[k] for k in EDGE_KEYS},
+                  "url": pa.nulls(n, type=pa.string()),
+                  "weight": head["weight"], "ptrunc": head["ptrunc"]}),
+        # zeros, not nulls: pyarrow 16's hash_any miscounts groups that
+        # hold nulls (checked against a Python fold)
+        pa.table({**{k: ev[k] for k in EDGE_KEYS}, "url": ev["url"],
+                  "weight": pa.repeat(pa.scalar(0, pa.int64()), m),
+                  "ptrunc": pa.repeat(False, m)}),
+    ])
+    keys_url = EDGE_KEYS + ["url"]
+    d = (rows.group_by(keys_url)
+         .aggregate([("weight", "sum"), ("ptrunc", "any")])
+         .sort_by([(k, "ascending") for k in keys_url],
+                  null_placement="at_start"))
+    g = d.group_by(EDGE_KEYS, use_threads=False).aggregate(
+        [("weight_sum", "sum"), ("ptrunc_any", "any"), ("url", "list"),
+         ("url", "count")])
+    return pa.table({
+        **{k: g[k].cast(pa.string()) for k in EDGE_KEYS},
+        "weight": g["weight_sum_sum"],
+        "ptrunc": g["ptrunc_any_any"],
+        "pages": pc.list_slice(g["url_list"], 1, 1 + EVIDENCE_CAP),
+        "n_pages": g["url_count"],
+    })
+
+
 def partial_edge_agg(batch: pa.Table) -> pa.Table:
     """In-batch combiner: pair observations -> one row per (src,dst,rel)
     with partial weight + partial (sorted DISTINCT, capped) evidence list.
@@ -43,54 +84,30 @@ def partial_edge_agg(batch: pa.Table) -> pa.Table:
     merged union happens to land at exactly ``EVIDENCE_CAP`` entries.
     Deduping before the cap keeps the final pages list independent of how
     duplicate observations are batched (duplicates possible when
-    ``dedup_pages`` is disabled)."""
-    g = batch.group_by(EDGE_KEYS).aggregate([("url", "list"), ("url", "count")])
-    distinct = [sorted(set(u)) for u in g["url_list"].to_pylist()]
-    urls = [d[:EVIDENCE_CAP] for d in distinct]
-    ptrunc = [len(d) > EVIDENCE_CAP for d in distinct]
-    return pa.table(
-        {
-            "src": g["src"],
-            "dst": g["dst"],
-            "rel": g["rel"],
-            "weight": g["url_count"].cast(pa.int64()),
-            "pages": pa.array(urls, type=pa.list_(pa.string())),
-            "ptrunc": pa.array(ptrunc, type=pa.bool_()),
-        }
-    )
+    ``dedup_pages`` is disabled). The weight counts non-null urls; a null
+    url adds no evidence."""
+    head = batch.select(EDGE_KEYS).append_column(
+        "weight", pc.is_valid(batch["url"]).cast(pa.int64())).append_column(
+        "ptrunc", pa.repeat(False, batch.num_rows))
+    f = _fold_evidence(head, batch.select(EDGE_KEYS + ["url"]))
+    return f.select(EDGE_KEYS + ["weight", "pages"]).append_column(
+        "ptrunc", pc.greater(f["n_pages"], EVIDENCE_CAP))
 
 
 def _merge_edges_bucket(t: pa.Table) -> pa.Table:
-    """Vectorized merge of all edge keys in one bucket.
+    """Vectorized merge of the edge partials of one or more buckets.
 
     Truncation flag is exact: union-of-partials exceeding the cap, OR any
     partial having been capped (in which case the true distinct count is
     above the cap regardless of the union size) — never inferred from
     weight, which over-counts when duplicate url observations exist."""
-    df = t.to_pandas()
-    w = df.groupby(EDGE_KEYS, sort=True)["weight"].sum()
-    pt = df.groupby(EDGE_KEYS, sort=True)["ptrunc"].any()
-    ex = df[EDGE_KEYS + ["pages"]].explode("pages").dropna(subset=["pages"])
-    ex = ex.drop_duplicates().sort_values(EDGE_KEYS + ["pages"])
-    pages = ex.groupby(EDGE_KEYS, sort=True)["pages"].agg(list)
-    out = w.to_frame().join(pages, how="left").join(pt).reset_index()
-    out["pages"] = out["pages"].map(
-        lambda v: v if isinstance(v, list) else [])
-    out["evidence_truncated"] = [
-        (len(p) > EVIDENCE_CAP) or bool(pflag)
-        for p, pflag in zip(out["pages"], out["ptrunc"])
-    ]
-    out["pages"] = out["pages"].map(lambda p: p[:EVIDENCE_CAP])
-    return pa.table(
-        {
-            "src": pa.array(out["src"], type=pa.string()),
-            "dst": pa.array(out["dst"], type=pa.string()),
-            "rel": pa.array(out["rel"], type=pa.string()),
-            "weight": pa.array(out["weight"], type=pa.int64()),
-            "pages": pa.array(out["pages"].tolist(), type=pa.list_(pa.string())),
-            "evidence_truncated": pa.array(out["evidence_truncated"], type=pa.bool_()),
-        }
-    )
+    pages = t["pages"].combine_chunks()
+    ev = t.select(EDGE_KEYS).take(pc.list_parent_indices(pages)) \
+        .append_column("url", pc.list_flatten(pages))
+    f = _fold_evidence(t.select(EDGE_KEYS + ["weight", "ptrunc"]), ev)
+    return f.select(EDGE_KEYS + ["weight", "pages"]).append_column(
+        "evidence_truncated",
+        pc.or_(pc.greater(f["n_pages"], EVIDENCE_CAP), f["ptrunc"]))
 
 
 def partial_edge_count(batch: pa.Table) -> pa.Table:
@@ -102,7 +119,7 @@ def partial_edge_count(batch: pa.Table) -> pa.Table:
 
 
 def merge_edge_counts(t: pa.Table) -> pa.Table:
-    """Arrow-kernel merge of count partials within one bucket."""
+    """Arrow-kernel merge of count partials (one or more buckets)."""
     g = t.group_by(EDGE_KEYS).aggregate([("weight", "sum")])
     return pa.table({"src": g["src"], "dst": g["dst"], "rel": g["rel"],
                      "weight": g["weight_sum"]})
@@ -115,7 +132,7 @@ def aggregate_edges(pairs_ds, *, batch_size: int = 8192, num_buckets: int = 64,
                     source: str | None = None,
                     pre_filter=None):
     """pairs -> edges: partial combine per batch, then ONE bucketed shuffle
-    over the (much smaller) partials with a vectorized per-bucket merge.
+    over the (much smaller) partials with a vectorized per-block merge.
 
     ``collect_evidence=False`` skips the ``pages`` evidence lists entirely —
     the shuffle then moves only (key, int) partials, a large win when the
@@ -239,7 +256,7 @@ def _partial_nodes(t: pa.Table) -> pa.Table:
 
 
 def _merge_nodes_bucket(t: pa.Table) -> pa.Table:
-    """Vectorized LWW merge of all entity PARTIALS in one bucket.
+    """Vectorized LWW merge of the entity PARTIALS of one or more buckets.
 
     The reference's node upsert overwrites ALL provided keys per record
     (SET p += full attrs dict), so the merged attrs record is the attrs of

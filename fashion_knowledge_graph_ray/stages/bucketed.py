@@ -3,13 +3,14 @@
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
 dispatch dominates. The idiomatic fix at scale is to shuffle by a BUCKET of
-the key (``crc32(key) % B``) and run ONE vectorized function per bucket
-that does the per-key work with Arrow/pandas groupby kernels inside.
+the key (``crc32(key) % B``) and run ONE vectorized function per shuffled
+block — each block holds one or more whole buckets — that does the per-key
+work with Arrow/pandas groupby kernels inside.
 
 All rows of a key always land in the same bucket, so per-key semantics are
-exact; ``B`` bounds both the shuffle fan-in and per-task memory (pick
-``B ≈ 4 × total cores`` on a real cluster). crc32 is process-stable, so
-bucket assignment is deterministic (never use builtin ``hash``).
+exact; ``B`` bounds the shuffle fan-in (pick ``B ≈ 4 × total cores`` on a
+real cluster). crc32 is process-stable, so bucket assignment is
+deterministic (never use builtin ``hash``).
 
 Skewed keys: a single hot KEY cannot be split below one bucket, but every
 caller here pre-aggregates per input batch first (partial combine), so a
@@ -155,18 +156,31 @@ def salted_group_apply(ds, keys: list[str], partial_fn, merge_fn, *,
 def bucketed_group_apply(ds, keys: list[str], bucket_fn, *,
                          num_buckets: int = 64, batch_size: int = 16384):
     """Shuffle ``ds`` by hash-bucket of ``keys`` and apply ``bucket_fn``
-    (pa.Table -> pa.Table, vectorized, must handle ALL keys in the bucket)
-    once per bucket. ``bucket_fn`` receives the table without the bucket
-    column."""
+    (pa.Table -> pa.Table, vectorized) once per shuffled block.
+
+    Contract: each call receives ALL rows of one or more whole buckets —
+    so all rows of every key it sees — never part of a bucket. Which
+    buckets share a call depends on the block layout, so ``bucket_fn``
+    must be keyed (per-key results independent of the other keys in the
+    table). ``bucket_fn`` receives the table without the bucket column;
+    empty blocks are skipped."""
 
     up = _polars_hash_ok()  # driver decision, captured in the closure
 
     def tag(batch: pa.Table) -> pa.Table:
         return add_bucket_column(batch, keys, num_buckets, use_polars=up)
 
-    def apply(t: pa.Table) -> pa.Table:
-        return bucket_fn(t.drop_columns([BUCKET_COL]))
+    def apply(t: pa.Table):
+        if t.num_rows:
+            yield bucket_fn(t.drop_columns([BUCKET_COL]))
 
     tagged = ds.map_batches(tag, batch_format="pyarrow",
                             batch_size=batch_size, zero_copy_batch=True)
-    return tagged.groupby(BUCKET_COL).map_groups(apply, batch_format="pyarrow")
+    # Ray's range-partitioned sort never splits one key value across
+    # output blocks, and batch_size=None hands each block to ``apply``
+    # whole — the same two guarantees ``map_groups`` is built on (it is
+    # ``sort`` + ``map_batches(batch_size=None)``, ray/data/grouped_data.py),
+    # minus its per-group split, which cost one ``bucket_fn`` set-up per
+    # bucket inside a single serial task.
+    return tagged.sort(BUCKET_COL).map_batches(
+        apply, batch_format="pyarrow", batch_size=None)

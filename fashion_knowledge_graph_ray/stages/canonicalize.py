@@ -217,11 +217,14 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
        in some candidate pair;
     3. verification: exact shingle-Jaccard per distinct pair.
 
-    Two-regime routing on the candidate count: up to
-    ``max_broadcast_pairs`` the involved texts are fetched with a
-    broadcast id-set filter and the verification runs against a broadcast
-    id->shingles map (one pass, no extra shuffles). A larger candidate set
-    routes to ``_verify_pairs_shuffle`` — a fully bucketed semi-join +
+    Two-regime routing on the RAW pair count of phase 1 — pairs deduped
+    only within each bucket-function call, never across calls, so an
+    upper bound on the distinct candidate count: up to
+    ``max_broadcast_pairs`` raw pairs the involved texts are fetched with
+    a broadcast id-set filter and the verification runs against a
+    broadcast id->shingles map (one pass, no extra shuffles). A larger raw
+    count routes to ``_verify_pairs_shuffle`` (even when the distinct
+    count would fit the gate) — a fully bucketed semi-join +
     two-sided attach that never materializes anything on the driver, so a
     duplicate-heavy crawl cannot OOM the coordinator."""
     import ray
@@ -249,7 +252,7 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
     raw = bucketed_group_apply(band_rows_ds, ["band_key"], pairs_in_buckets,
                                num_buckets=num_buckets).materialize()
 
-    # Regime gate on the RAW per-bucket pair count (>= the distinct count,
+    # Regime gate on the RAW per-call pair count (>= the distinct count,
     # so it routes to the bucketed path no later than before). Dense: a
     # distinct exchange + fully bucketed semi-join verify, nothing on the
     # driver. Sparse: the candidates fit the driver by construction (the

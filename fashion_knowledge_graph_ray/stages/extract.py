@@ -78,7 +78,7 @@ def _dedup_urls_bucket(t: pa.Table) -> pa.Table:
 def dedup_pages(ds, *, num_buckets: int = 64):
     """Exact dedup by ``url``, keep earliest ``warc_ts`` (G7 analog).
 
-    Hash-bucket shuffle on the key + vectorized first-of-run per bucket —
+    Hash-bucket shuffle on the key + vectorized first-of-run per block —
     the exact-dedup shape at scale (see stages/bucketed.py)."""
     from .bucketed import bucketed_group_apply
 

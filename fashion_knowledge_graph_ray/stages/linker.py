@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.vectors import DEFAULT_DIM, cosine_top1, hash_embed
 from ..vocab import LINK_SIMILARITY_THRESHOLD, UNKNOWN
@@ -48,7 +49,10 @@ def _linked_struct(mention_struct: pa.StructType) -> pa.StructType:
 
 class GazetteerLinker:
     """Exact form -> entity link; score 1.0. Broadcast-small-side join
-    (taxonomy << pages), no shuffle (SURVEY.md §2.5 J1)."""
+    (taxonomy << pages), no shuffle (SURVEY.md §2.5 J1): the gazetteer is
+    held as parallel (form, entity_id) Arrow arrays and each batch
+    resolves with one ``pc.index_in`` probe + ``pc.take``, as
+    ``relational.broadcast_join`` does."""
 
     def __init__(self, taxonomy_ref):
         tax = taxonomy_ref
@@ -58,15 +62,19 @@ class GazetteerLinker:
             tax = ray.get(taxonomy_ref)
         from .mentions import build_gazetteer
 
-        self.gaz = build_gazetteer(tax)
+        gaz = build_gazetteer(tax)
+        self.forms = pa.array(list(gaz), type=pa.string())
+        self.entity_ids = pa.array([e for e, _ in gaz.values()],
+                                   type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .attributes import flat_mentions
 
         col, vals = flat_mentions(batch)
-        hits = [self.gaz.get(f) for f in vals.field("form").to_pylist()]
-        ent = pa.array([h[0] if h else None for h in hits], type=pa.string())
-        sc = pa.array([1.0 if h else None for h in hits], type=pa.float64())
+        idx = pc.index_in(vals.field("form"), value_set=self.forms)
+        ent = pc.take(self.entity_ids, idx)
+        sc = pc.if_else(pc.is_valid(idx), 1.0,
+                        pa.scalar(None, type=pa.float64()))
         return _rebuild_flat(batch, col, vals, ent, sc)
 
 
@@ -380,7 +388,16 @@ class EnrichmentStage:
 def enrich_pages(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
                  single_product_mode: bool = False, concurrency=(1, 8),
                  batch_size: int = 512, **link_kw):
-    """pages(text) -> linked page-mentions via the fused actor pool."""
+    """pages(text) -> linked page-mentions via the fused actor pool.
+
+    Each actor reserves one CPU, except on a one-CPU cluster: there the
+    pool (sized ``CPUs - 1`` but at least one actor) would hold the only
+    CPU and the read tasks feeding it could never be scheduled, so the
+    actor runs without a reservation and shares the CPU with them."""
+    import ray
+
+    one_cpu = (ray.is_initialized()
+               and ray.cluster_resources().get("CPU", 0) < 2)
     return pages_ds.map_batches(
         EnrichmentStage,
         fn_constructor_args=(taxonomy_ref,),
@@ -390,6 +407,7 @@ def enrich_pages(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
+        num_cpus=0 if one_cpu else 1,
     )
 
 

@@ -101,8 +101,9 @@ def _dedup_vectorized(batch: pa.Table) -> pa.Table:
 
 def dedup_triples(triples_ds, *, batch_size: int = 16384, num_buckets: int = 64):
     """Distinct (subj,pred,obj,url), keeping min warc_ts. In-batch partial
-    dedup first, then one bucketed shuffle with a vectorized per-bucket
-    dedup (see stages/bucketed.py for why not per-group map_groups)."""
+    dedup first, then one bucketed shuffle with one vectorized dedup per
+    shuffled block (see stages/bucketed.py for why not one call per
+    group or per bucket)."""
     from .bucketed import bucketed_group_apply
 
     partials = triples_ds.map_batches(

@@ -102,6 +102,164 @@ def test_partial_edge_agg_dedups_within_batch():
     assert r["ptrunc"] is False
 
 
+# ── Arrow edge kernels vs the former pandas kernels ─────────────────────
+
+def _oracle_partial(batch: pa.Table) -> pa.Table:
+    """The former per-key Python combiner, kept as the parity oracle."""
+    g = batch.group_by(["src", "dst", "rel"]).aggregate(
+        [("url", "list"), ("url", "count")])
+    distinct = [sorted(set(u)) for u in g["url_list"].to_pylist()]
+    return pa.table({
+        "src": g["src"], "dst": g["dst"], "rel": g["rel"],
+        "weight": g["url_count"].cast(pa.int64()),
+        "pages": pa.array([d[:EVIDENCE_CAP] for d in distinct],
+                          type=pa.list_(pa.string())),
+        "ptrunc": pa.array([len(d) > EVIDENCE_CAP for d in distinct],
+                           type=pa.bool_()),
+    })
+
+
+def _oracle_merge(t: pa.Table) -> pa.Table:
+    """The former pandas explode/drop_duplicates merge (parity oracle)."""
+    keys = ["src", "dst", "rel"]
+    df = t.to_pandas()
+    w = df.groupby(keys, sort=True)["weight"].sum()
+    pt = df.groupby(keys, sort=True)["ptrunc"].any()
+    ex = df[keys + ["pages"]].explode("pages").dropna(subset=["pages"])
+    ex = ex.drop_duplicates().sort_values(keys + ["pages"])
+    pages = ex.groupby(keys, sort=True)["pages"].agg(list)
+    out = w.to_frame().join(pages, how="left").join(pt).reset_index()
+    out["pages"] = out["pages"].map(
+        lambda v: v if isinstance(v, list) else [])
+    out["evidence_truncated"] = [
+        (len(p) > EVIDENCE_CAP) or bool(pflag)
+        for p, pflag in zip(out["pages"], out["ptrunc"])
+    ]
+    out["pages"] = out["pages"].map(lambda p: p[:EVIDENCE_CAP])
+    return pa.table({
+        "src": pa.array(out["src"], type=pa.string()),
+        "dst": pa.array(out["dst"], type=pa.string()),
+        "rel": pa.array(out["rel"], type=pa.string()),
+        "weight": pa.array(out["weight"], type=pa.int64()),
+        "pages": pa.array(out["pages"].tolist(), type=pa.list_(pa.string())),
+        "evidence_truncated": pa.array(out["evidence_truncated"],
+                                       type=pa.bool_()),
+    })
+
+
+def _by_key(t: pa.Table) -> pa.Table:
+    return t.sort_by([("src", "ascending"), ("dst", "ascending"),
+                      ("rel", "ascending")])
+
+
+def _assert_kernels_match(batches: list[pa.Table], *,
+                          same_partials: bool = True):
+    """Per-batch partials then one merge, new kernels vs the oracle: the
+    merged edges must be equal row for row, both end to end and with both
+    merges fed the same partials; so must the partials themselves unless
+    ``same_partials`` is off."""
+    new_parts = [partial_edge_agg(b) for b in batches]
+    old_parts = [_oracle_partial(b) for b in batches]
+    for n, o in zip(new_parts, old_parts):
+        assert n.schema == o.schema
+        if same_partials:
+            assert _by_key(n).to_pylist() == _by_key(o).to_pylist()
+    parts = pa.concat_tables(new_parts)
+    got = _by_key(_merge_edges_bucket(parts))
+    for want in (_oracle_merge(parts),
+                 _oracle_merge(pa.concat_tables(old_parts))):
+        assert got.schema == want.schema
+        assert got.to_pylist() == want.to_pylist()
+    return got
+
+
+@pytest.mark.parametrize("n_urls", [EVIDENCE_CAP, EVIDENCE_CAP + 1])
+def test_edge_kernels_match_oracle_at_cap(n_urls):
+    # urls listed out of order and split over two batches, so the merge
+    # has to union, sort and cap two partials
+    urls = [f"u{i:03d}" for i in reversed(range(n_urls))]
+    rows = [("a", "b", "worn_with", u) for u in urls]
+    out = _assert_kernels_match([_pairs_table(rows[:7]),
+                                 _pairs_table(rows[7:])])
+    r = out.to_pylist()[0]
+    assert len(r["pages"]) == min(n_urls, EVIDENCE_CAP)
+    assert r["evidence_truncated"] is (n_urls > EVIDENCE_CAP)
+
+
+def test_edge_kernels_capped_partial_union_at_cap():
+    # one partial was capped; the union of the shipped lists is exactly
+    # EVIDENCE_CAP entries, so only the partial's flag proves truncation
+    over = [f"u{i:03d}" for i in range(EVIDENCE_CAP + 1)]
+    batches = [_pairs_table([("a", "b", "worn_with", u) for u in over]),
+               _pairs_table([("a", "b", "worn_with", over[0])])]
+    out = _assert_kernels_match(batches)
+    r = out.to_pylist()[0]
+    assert len(r["pages"]) == EVIDENCE_CAP
+    assert r["evidence_truncated"] is True
+
+
+def test_edge_kernels_duplicate_observations():
+    # dedup_pages disabled: the same url is observed several times, in one
+    # batch and across batches; weight counts them all, pages stay distinct
+    rows = ([("a", "b", "worn_with", "u1")] * 3
+            + [("a", "b", "worn_with", "u2"), ("b", "a", "worn_with", "u1")])
+    out = _assert_kernels_match([_pairs_table(rows), _pairs_table(rows[:2])])
+    r = out.to_pylist()[0]
+    assert r["weight"] == 6 and r["pages"] == ["u1", "u2"]
+
+
+def test_edge_kernels_null_url():
+    # a key seen only with a null url: weight 0, no evidence. The oracle's
+    # partial ships that null as [None] and its merge drops it; the Arrow
+    # partial drops it at once, so only the merged edges are compared.
+    # (The oracle's Python sort cannot order None against a string, so a
+    # null next to a real url is checked on the merge alone, below.)
+    rows = [("a", "b", "worn_with", None), ("a", "c", "worn_with", "u1")]
+    out = _assert_kernels_match([_pairs_table(rows)], same_partials=False)
+    assert [(r["weight"], r["pages"]) for r in out.to_pylist()] == \
+        [(0, []), (1, ["u1"])]
+    partials = pa.table({
+        "src": ["a", "a"], "dst": ["b", "b"], "rel": ["worn_with"] * 2,
+        "weight": pa.array([2, 1], type=pa.int64()),
+        "pages": pa.array([["u2", None], []], type=pa.list_(pa.string())),
+        "ptrunc": pa.array([False, False], type=pa.bool_()),
+    })
+    assert _by_key(_merge_edges_bucket(partials)).to_pylist() == \
+        _oracle_merge(partials).to_pylist()
+
+
+def test_edge_kernels_empty_table_keeps_schema():
+    empty = _pairs_table([("a", "b", "worn_with", "u1")]).slice(0, 0)
+    _assert_kernels_match([empty])
+    out = _merge_edges_bucket(partial_edge_agg(empty))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([
+        ("src", pa.string()), ("dst", pa.string()), ("rel", pa.string()),
+        ("weight", pa.int64()), ("pages", pa.list_(pa.string())),
+        ("evidence_truncated", pa.bool_())])
+
+
+@pytest.mark.parametrize("n_ents,n_rows", [(6, 3000), (80, 60000)])
+def test_edge_kernels_random_batches_match_oracle(n_ents, n_rows):
+    # few keys with long evidence lists, and thousands of keys (most with a
+    # short list, some capped in one partial) over many batches
+    import random
+
+    rng = random.Random(n_ents)
+    ents = [f"e{i}" for i in range(n_ents)]
+    # five hot keys open the first batch with 25 distinct urls each
+    rows = [(f"e{k}", "hot", "worn_with", f"u{i:02d}")
+            for k in range(5) for i in range(25)]
+    rows += [(rng.choice(ents), rng.choice(ents),
+              rng.choice(["worn_with", "complemented_by"]),
+              f"u{rng.randrange(40):02d}") for _ in range(n_rows)]
+    cuts = sorted(rng.sample(range(126, len(rows)), 9))
+    batches = [_pairs_table(rows[a:b])
+               for a, b in zip([0] + cuts, cuts + [len(rows)])]
+    out = _assert_kernels_match(batches)
+    assert any(r["evidence_truncated"] for r in out.to_pylist())
+
+
 def test_same_pair_k_pages_weight_k(ray_session, tmp_path):
     """FIXTURES.md §4: same pair on k pages -> weight k (per direction)."""
     import ray.data as rd

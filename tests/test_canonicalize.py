@@ -137,9 +137,10 @@ def test_minhash_signatures_batch_parity():
 
 
 def test_candidate_pairs_no_candidates(ray_session):
-    # all-distinct corpus: no LSH bucket collides, the sparse regime's
-    # driver-side dedup sees zero rows, and the verify stage must still
-    # return an empty (a, b) string-typed dataset
+    # all-distinct corpus: incidental LSH band collisions (English
+    # sentences share char shingles) may still yield candidates, but
+    # exact-Jaccard verification at 0.9 rejects every one of them, so the
+    # output is empty and must still be an (a, b) string-typed dataset
     import ray.data as rd
 
     from fashion_knowledge_graph_ray.stages.canonicalize import (

@@ -157,6 +157,28 @@ def test_gazetteer_linker_exact(tax):
     assert out["entity_id"] == "prod-000000" and out["link_score"] == 1.0
 
 
+def test_gazetteer_linker_matches_dict_lookup(tax, gaz_pat):
+    # every gazetteer form (surfaces and aliases), misses and a null form,
+    # spread over pages with 0..3 mentions: entity and score must equal a
+    # per-form dict lookup
+    gaz, _ = gaz_pat
+    forms = sorted(gaz) + ["no such product", "BLACK BLOUSE", None]
+    pages, i = [], 0
+    while i < len(forms):
+        n = len(pages) % 4
+        pages.append([{"mention_id": f"p{len(pages)}#m{j}", "form": f}
+                      for j, f in enumerate(forms[i:i + n])])
+        i += n
+    batch = pa.table({"url": [f"p{k}" for k in range(len(pages))],
+                      "mentions": pages})
+    seen = [m["form"] for p in batch["mentions"].to_pylist() for m in p]
+    assert seen == forms
+    out = GazetteerLinker(tax)(batch)["mentions"].to_pylist()
+    got = [(m["entity_id"], m["link_score"]) for p in out for m in p]
+    assert got == [(gaz[f][0], 1.0) if f in gaz else (None, None)
+                   for f in forms]
+
+
 def test_embedding_linker_exact_surface_scores_1(tax):
     lk = EmbeddingLinker(tax)
     batch = pa.table(_mention_row("u", "black blouse", "top",
