@@ -91,12 +91,8 @@ def _build_kg(sf_dir: str, link_mode: str, *, canonicalize: bool = False):
         return hit
     tax = gen_taxonomy(42)
     pages = pages_from_documents(sf_dir)  # text=None -> extract from html
-    # small fixed pools: the sf inputs here are 500-5000 docs, where
-    # auto-sized pools (up to 24 actors at 32 cpus) spend more wall time
-    # spawning actors than linking
     res = build_graph(pages, tax, _kg_outdir(sf_dir, tag),
-                      link_mode=link_mode, canonicalize=canonicalize,
-                      concurrency=(2, 4))
+                      link_mode=link_mode, canonicalize=canonicalize)
     _KG_CACHE[key] = res
     return res
 

@@ -148,8 +148,7 @@ def run_headline(num_cpus: int) -> dict:
     # blocks per core; default 128 MiB blocks would give this ~65 MB corpus
     # only 1-2 tasks (observed serialized in ds.stats()).
     pages = rd.read_parquet(pages_dir, override_num_blocks=4 * num_cpus)
-    # concurrency=None -> fixed actor pools auto-sized from cluster CPUs
-    # (autoscaling (1, n) pools ramped so slowly the linker ran near-serial)
+    # concurrency=None -> enrichment tasks capped from cluster CPUs
     res = build_graph(pages, tax, out_dir, link_mode="embedding")
     dt = time.time() - t0
     n_triples = sum(

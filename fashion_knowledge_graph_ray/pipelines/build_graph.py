@@ -6,8 +6,9 @@ triples/nodes/edges (the KG-build core; reference entry point
 Shape:
 
     pages = read_parquet(...)                 # S4
-      -> EnrichmentStage actor pool          # FUSED extract+detect+attrs+link
-                                             # (M13 + M6/T1 + M8/M9 + J1/T8)
+      -> EnrichmentStage task stage          # FUSED extract+detect+attrs+link
+                                             # (M13 + M6/T1 + M8/M9 + J1/T8),
+                                             # state memoized per worker
       -> dedup by url                        # G7 (narrow rows, keep-first)
       [-> apply_canonical_map]               # north-rule canonicalization
       -> materialize (in-memory blocks)
@@ -29,6 +30,15 @@ and ``pairs/`` parquet checkpoints remain the per-partition resume
 artifacts — final aggregations are always recomputed from them, never
 incrementally updated, so a resumed run can never double-count (fixes the
 reference's re-run weight inflation, SURVEY.md §4.4).
+
+Enrichment is a task stage, not an actor pool. Its state (detector and
+linker over the broadcast taxonomy and the driver-built ANN index) takes
+milliseconds to build and is memoized per worker process, so a build
+starts and tears down no pool, and warm task workers carry over between
+builds and resumed partitions. A task also holds its CPU only until its
+input bundle is done, so the read and shuffle tasks are always scheduled;
+a fixed pool holding every CPU slot used to deadlock the streaming
+executor (see ``resolve_pool_sizes``).
 """
 
 from __future__ import annotations
@@ -176,43 +186,36 @@ class GraphBuildResult:
 
 
 def resolve_pool_sizes(concurrency=None) -> int:
-    """Size of the FUSED enrichment actor pool (detect+attrs+link in one
-    actor class — see stages/linker.EnrichmentStage for why one pool
-    instead of two: an integer split of a small cluster between two pools
-    sets a serial floor under whichever stage gets one actor).
+    """Cap on concurrent enrichment tasks (the fused extract+detect+
+    attrs+link stage — see stages/linker.EnrichmentStage for why one
+    stage instead of two: an integer split of a small cluster between two
+    stages sets a serial floor under whichever gets one worker).
 
-    Fixed size, not an autoscaling ``(min, max)`` range: measured on the
-    50k-page corpus at 32 CPUs, the autoscaling pool ramped so
-    conservatively the linker ran near-serial (27.3s vs 12.4s fixed).
-    The pool claims ~13/16 of the cluster — NEVER all of it: task
-    operators (read, extract, shuffle) must keep CPUs or the streaming
-    executor deadlocks (observed at num_cpus=4 with over-sized pools).
-
-    ``concurrency``: None auto-sizes; an int pins the pool size; a
-    (detector, linker) tuple from the old two-pool API sums. Either way
-    the result is clamped to cluster CPUs - 1: a pool claiming EVERY CPU
-    slot starves the task operators (read, shuffle) and deadlocks the
-    streaming executor — observed with entry()'s pinned 6-actor pool on
-    a ``ray.init(num_cpus=4)`` session."""
+    ``concurrency``: None auto-sizes from the cluster CPU count; an int
+    pins the cap. No CPUs - 1 clamp: it existed because a fixed actor
+    pool holding EVERY CPU slot starved the read and shuffle tasks and
+    deadlocked the streaming executor (observed at ``num_cpus=4``).
+    An enrichment task holds its CPU only until its input bundle is
+    done, so the executor always schedules the other operators' tasks;
+    measured on 4 CPUs, a cap of CPUs ran both benchmark workloads faster
+    than CPUs - 1 (CHANGES.md)."""
     import ray
 
+    if concurrency is not None:
+        return max(1, int(concurrency))
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
-    cap = max(1, ncpu - 1)
-    if concurrency is not None:
-        if isinstance(concurrency, tuple):
-            return min(cap, max(1, sum(concurrency)))
-        return min(cap, max(1, int(concurrency)))
-    # measured optima on the 800k-page bench: small clusters want almost
-    # everything in the pool (8 cpus: 7 actors beat 6 by 18%); larger ones
-    # settle at 3/4 of the cluster — once the output branches lost their
-    # heavy shuffles (page-local triples, node partial combine), the task
-    # side needs fewer reserved CPUs than the earlier 11/16 (measured:
-    # 24 actors at 32 cpus 17.1 s vs 22 actors 18.0 s; 12 at 16 cpus
-    # matches 11 within noise and equalizes the pool FRACTION across
+    # measured optima: small clusters want every CPU enriching (as an
+    # actor pool at 8 cpus, 7 actors beat 6 by 18% on the 800k-page bench;
+    # as tasks at 4 cpus, a cap of 4 beat 3 on both benchmark workloads);
+    # larger ones settle at 3/4 of the cluster — once the output branches
+    # lost their heavy shuffles (page-local triples, node partial
+    # combine), the other operators need fewer CPUs than the earlier 11/16
+    # (measured with actors: 24 at 32 cpus 17.1 s vs 22 at 18.0 s; 12 at
+    # 16 cpus matches 11 within noise and equalizes the FRACTION across
     # cluster sizes, which the N-vs-4N scaling ratio depends on)
     if ncpu <= 8:
-        return max(1, ncpu - 1)
+        return max(1, ncpu)
     return max(8, ncpu * 3 // 4)
 
 
@@ -221,15 +224,15 @@ def build_linked(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
                  concurrency=None, prebuilt_index: dict | None = None):
     """pages -> linked page-mentions Dataset (the narrow one-pass chain).
 
-    ``concurrency``: None (recommended) auto-sizes the fused enrichment
-    pool from the cluster CPU count via ``resolve_pool_sizes``; an int (or
-    legacy tuple, summed) pins it."""
+    ``concurrency``: None (recommended) caps concurrent enrichment tasks
+    from the cluster CPU count via ``resolve_pool_sizes``; an int pins the
+    cap."""
     from ..stages.linker import enrich_pages
 
-    pool = resolve_pool_sizes(concurrency)
+    cap = resolve_pool_sizes(concurrency)
     # Enrich FIRST, dedup the narrow linked rows after. Two scale wins
     # over dedup-first: (a) no sort barrier between the read and the
-    # actor pool, so enrichment streams while blocks are still being
+    # enrichment tasks, so enrichment streams while blocks are still being
     # read; (b) the dedup shuffle moves (url, warc_ts, lang, mentions)
     # instead of raw html — the "shuffle narrow, not wide" rule. The
     # output is identical (keep-earliest-warc_ts per url; enrichment is a
@@ -241,8 +244,8 @@ def build_linked(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
     if link_mode == "embedding":
         # build the ANN index ONCE on the driver and broadcast it: the
         # float matrix rides zero-copy from the object store into every
-        # actor instead of each actor re-embedding the taxonomy in
-        # __init__ (taxonomy-sized work x pool size)
+        # worker instead of each worker re-embedding the taxonomy when it
+        # builds its EnrichmentStage (taxonomy-sized work x workers)
         import ray
 
         from ..stages.linker import EmbeddingLinker
@@ -255,7 +258,7 @@ def build_linked(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
         link_kw["index_ref"] = ray.put(idx) if ray.is_initialized() else idx
     ds = enrich_pages(pages_ds, taxonomy_ref, link_mode=link_mode,
                       single_product_mode=single_product_mode,
-                      concurrency=pool, **link_kw)
+                      concurrency=cap, **link_kw)
     return dedup_pages(ds) if dedup else ds
 
 
@@ -293,7 +296,7 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
     for p in paths.values():
         shutil.rmtree(p, ignore_errors=True)
 
-    # the taxonomy embeds ONCE per build: this idx feeds the actor-pool
+    # the taxonomy embeds ONCE per build: this idx feeds the enrichment
     # broadcast (build_linked) AND the persisted index/ artifact
     # (_embeddings), instead of each path re-running build_index
     prebuilt_index = None

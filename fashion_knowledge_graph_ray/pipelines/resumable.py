@@ -109,8 +109,8 @@ def _build_partition(files: list[str], part: int, taxonomy_ref, out_dir: str,
         link_mode=config["link_mode"],
         single_product_mode=config["single_product_mode"],
         dedup=config["dedup"],
-        concurrency=(tuple(config["concurrency"])
-                     if config["concurrency"] != "auto" else None),
+        concurrency=(None if config["concurrency"] == "auto"
+                     else config["concurrency"]),
     )
     if canonical_map is not None:
         from ..stages.canonicalize import apply_canonical_map
@@ -162,7 +162,8 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
     ``canonicalize=True`` applies the taxonomy canonical-id map inside
     every partition's narrow chain (the map is taxonomy-derived, identical
     across partitions, and part of the manifest config so toggling it
-    invalidates prior partitions)."""
+    invalidates prior partitions). ``concurrency`` is None or an int, as
+    for ``build_graph``; an int is stored in the manifest config as is."""
     import ray
     import ray.data as rd
 
@@ -173,7 +174,7 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
         "canonicalize": canonicalize,
         # "auto" (not resolved sizes) so manifests stay valid when a resume
         # runs on a different cluster size
-        "concurrency": "auto" if concurrency is None else list(concurrency),
+        "concurrency": "auto" if concurrency is None else int(concurrency),
     }
     cmap = None
     if canonicalize:

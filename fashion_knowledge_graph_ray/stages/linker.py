@@ -1,4 +1,4 @@
-"""Stage 4: entity linking (J1/T8) — the ANN-lookup join, actor-pool hosted.
+"""Stage 4: entity linking (J1/T8) — the ANN-lookup join, with per-worker state.
 
 Reference semantics being re-expressed (call site
 `/root/reference/src/engine/process_social_media_images.py:67-111`, query
@@ -16,9 +16,11 @@ Two interchangeable linkers:
 - ``GazetteerLinker`` — exact surface-form lookup (form -> entity). The
   deterministic fast path; SQL-expressible, used by the oracle-checked
   queries.
-- ``EmbeddingLinker`` — the reference-shaped path: a **stateful actor
-  pool**. Each actor builds, ONCE in ``__init__`` from a broadcast
-  ``ray.put`` taxonomy handle, a matrix of hash-embedded PRIMARY surfaces
+- ``EmbeddingLinker`` — the reference-shaped path, **stateful**: a
+  matrix of hash-embedded PRIMARY surfaces, built ONCE on the driver
+  (``build_index``) and broadcast with ``ray.put``; each worker process
+  adopts it zero-copy once per build, inside the memoized
+  ``EnrichmentStage`` that ``enrich_pages`` runs as a task stage
   (aliases are deliberately not indexed: alias mentions must link through
   vector similarity, exercising the threshold). Per batch it embeds all
   mention surfaces at once and does one masked matmul top-k. Swap point
@@ -30,6 +32,8 @@ Both operate on the page-mentions list column, adding ``entity_id``
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -79,16 +83,16 @@ class GazetteerLinker:
 
 
 class EmbeddingLinker:
-    """ANN linking actor: hash-embed index over primary taxonomy surfaces,
+    """ANN linker: hash-embed index over primary taxonomy surfaces,
     metadata-filtered cosine top-k, threshold accept.
 
     Index lifecycle (the reference persists its index in Pinecone,
     `/root/reference/scripts/setup_pinecone.py:22-72`; this engine's
     analog): ``build_index`` computes the numeric artifact ONCE —
     embedding matrix + int filter codes — which ``build_graph`` both
-    broadcasts to the actor pool via ``ray.put`` (``index_ref``; the
-    float matrix rides zero-copy from the object store, so actors skip
-    the per-``__init__`` rebuild) and persists as the ``index/`` output
+    broadcasts to the enrichment workers via ``ray.put`` (``index_ref``;
+    the float matrix rides zero-copy from the object store, so workers
+    skip the per-``__init__`` rebuild) and persists as the ``index/`` output
     table (``linker_index_table``); a later query session reconstructs
     the linker from that table with ``from_index_table`` without the
     taxonomy or the embedding function."""
@@ -354,16 +358,20 @@ def linker_index_table(tax: pa.Table, *, dim: int = DEFAULT_DIM,
 
 
 class EnrichmentStage:
-    """FUSED detect -> attrs -> link actor (M6 + M8/M9 + J1 in one pool).
+    """FUSED extract -> detect -> attrs -> link (M13 + M6 + M8/M9 + J1 in
+    one callable), built once per worker process per build.
 
-    Why fused: with separate detector and linker pools, the integer split
-    of a small cluster's CPUs between them sets a serial floor — at 8 CPUs
+    Why fused: with separate detector and linker stages, the integer split
+    of a small cluster's CPUs between them set a serial floor — at 8 CPUs
     a 1-actor detector pool put a hard 40s floor under the 800k-page bench
     no matter how fast the linker ran (measured; the reason the 8->32
-    scaling ratio collapsed after the per-kernel optimizations). One pool
-    holding BOTH states lets every actor do all three steps, so the work
-    balances itself at ANY pool size and one batch never crosses the
-    object store between stages."""
+    scaling ratio collapsed after the per-kernel optimizations). One
+    callable holding BOTH states lets every worker do all the steps, so
+    the work balances itself at any parallelism and one batch never
+    crosses the object store between stages. Construction is cheap
+    (10-40 ms: the ANN index arrives pre-built through ``index_ref``), so
+    ``enrich_pages`` runs it as a task stage with a per-process memo
+    rather than an actor pool."""
 
     def __init__(self, taxonomy_ref, *, link_mode: str = "embedding",
                  single_product_mode: bool = False, **link_kw):
@@ -376,53 +384,81 @@ class EnrichmentStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if "html" in batch.schema.names:
-            # extraction (M13) folded into the pool too: it is pure
-            # per-page CPU, and leaving it as a task stage starves it of
-            # cores once the pool claims its 13/16 share
+            # extraction (M13) is fused in too: it is pure per-page CPU,
+            # and one batch then goes html -> linked mentions in a single
+            # call with no object-store hop between steps
             from .extract import extract_text_batch
 
             batch = extract_text_batch(batch)
         return self.linker(attrs_batch(self.detector(batch)))
 
 
-def enrich_pages(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
-                 single_product_mode: bool = False, concurrency=(1, 8),
-                 batch_size: int = 512, **link_kw):
-    """pages(text) -> linked page-mentions via the fused actor pool.
+# The worker process's EnrichmentStage for the build it last served.
+# One entry: a new build (new broadcast refs or link config) replaces it,
+# so warm workers reused across builds never grow it or serve stale
+# state. The stored task handle keeps every non-ref key object alive, so
+# an ``id()`` in the key cannot be recycled while the entry stands; the
+# entry (and the broadcast objects it reads zero-copy) is released when
+# the worker serves its next build or exits.
+_STAGE_CACHE: dict = {}
+_STAGE_LOCK = threading.Lock()
 
-    Each actor reserves one CPU, except on a one-CPU cluster: there the
-    pool (sized ``CPUs - 1`` but at least one actor) would hold the only
-    CPU and the read tasks feeding it could never be scheduled, so the
-    actor runs without a reservation and shares the CPU with them."""
+
+def _arg_key(v):
     import ray
 
-    one_cpu = (ray.is_initialized()
-               and ray.cluster_resources().get("CPU", 0) < 2)
+    if isinstance(v, ray.ObjectRef):
+        return v.hex()
+    return v if isinstance(v, (str, int, float, bool, type(None))) else id(v)
+
+
+class EnrichmentStageTask:
+    """Picklable task-side handle of one build's enrichment config: each
+    call runs the worker's memoized ``EnrichmentStage`` for that config,
+    building it on the first batch the worker sees."""
+
+    def __init__(self, taxonomy_ref, link_mode: str,
+                 single_product_mode: bool, link_kw: dict):
+        self.taxonomy_ref = taxonomy_ref
+        self.link_mode = link_mode
+        self.single_product_mode = single_product_mode
+        self.link_kw = link_kw
+
+    def stage(self) -> EnrichmentStage:
+        key = (_arg_key(self.taxonomy_ref), self.link_mode,
+               self.single_product_mode,
+               tuple(sorted((k, _arg_key(v))
+                            for k, v in self.link_kw.items())))
+        with _STAGE_LOCK:
+            hit = _STAGE_CACHE.get(key)
+            if hit is None:
+                hit = (self, EnrichmentStage(
+                    self.taxonomy_ref, link_mode=self.link_mode,
+                    single_product_mode=self.single_product_mode,
+                    **self.link_kw))
+                _STAGE_CACHE.clear()
+                _STAGE_CACHE[key] = hit
+        return hit[1]
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.stage()(batch)
+
+
+def enrich_pages(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
+                 single_product_mode: bool = False, concurrency=None,
+                 batch_size: int = 512, **link_kw):
+    """pages(html or text) -> linked page-mentions, as a task stage.
+
+    Each task runs ``EnrichmentStage`` from its worker's one-entry memo
+    (``EnrichmentStageTask``), so a build starts no actor pool: Ray Data
+    reuses warm task workers across builds, and a task holds its CPU only
+    until its input bundle is done, so the read tasks feeding it always
+    get scheduled — on a one-CPU cluster too. ``concurrency``: None lets Ray Data size
+    the stage; an int caps concurrent enrichment tasks
+    (``pipelines.build_graph.resolve_pool_sizes`` picks it for builds)."""
     return pages_ds.map_batches(
-        EnrichmentStage,
-        fn_constructor_args=(taxonomy_ref,),
-        fn_constructor_kwargs={"link_mode": link_mode,
-                               "single_product_mode": single_product_mode,
-                               **link_kw},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=0 if one_cpu else 1,
-    )
-
-
-def link_mentions(page_mentions_ds, taxonomy_ref, *, mode: str = "embedding",
-                  concurrency=(1, 8), batch_size: int = 512, **kw):
-    """page_mentions (with attrs) -> linked page_mentions.
-
-    ``mode="embedding"`` is the reference-shaped ANN actor pool;
-    ``mode="gazetteer"`` is the exact fast path.
-    """
-    cls = EmbeddingLinker if mode == "embedding" else GazetteerLinker
-    return page_mentions_ds.map_batches(
-        cls,
-        fn_constructor_args=(taxonomy_ref,),
-        fn_constructor_kwargs=kw,
+        EnrichmentStageTask(taxonomy_ref, link_mode, single_product_mode,
+                            link_kw),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -12,18 +12,18 @@ Reference semantics being re-expressed
 - ``single_product_mode`` keeps only the top-1 item by salience
   (image_processor.py:138-142).
 
-The detector is a callable CLASS (actor pool): the matcher over all
-surface forms is built ONCE per actor in ``__init__`` (reference analog:
+The detector is a callable CLASS: the matcher over all surface forms is
+built ONCE per worker process per build in ``__init__`` (reference analog:
 model load in ModelManager, model_manager.py:109). Two matcher regimes,
 identical semantics, switched on the form count:
 
 - ≤ ``AC_FORM_GATE`` forms: a character-trie REGEX — Python's C regex
   engine scans tries in one pass and wins on scan speed (measured
   2.9 vs 1.7 MB/s at 10^6 forms) while compile time stays amortizable
-  (3.4 s at 10^5 forms, once per actor);
+  (3.4 s at 10^5 forms, once per worker);
 - above the gate (true web-scale gazetteers): ``TrieScanner``, an
   Aho-Corasick-style longest-match automaton walked in pure Python —
-  at 10^6 forms ``re.compile`` measures 49 s PER ACTOR (a pool-wide
+  at 10^6 forms ``re.compile`` measures 49 s PER WORKER (a cluster-wide
   startup tax that grows superlinearly and eventually exhausts memory)
   while the automaton builds in 6 s; match-for-match identical to the
   regex (equivalence-tested at 10^6 forms: same hits).
@@ -121,7 +121,7 @@ def compile_pattern(forms) -> re.Pattern:
 
 
 # Above this form count the automaton replaces the regex: measured
-# breakeven — regex compile is 3.4 s at 1e5 forms (fine once per actor)
+# breakeven — regex compile is 3.4 s at 1e5 forms (fine once per worker)
 # but 49 s at 1e6; the automaton builds 8x faster and scans within 2x.
 AC_FORM_GATE = 200_000
 
@@ -176,10 +176,10 @@ class TrieScanner:
     resumes at the match end (non-overlapping, left-to-right).
 
     Build: O(Σ form chars) dict trie — measured 6 s at 10^6 forms where
-    ``re.compile`` of the equivalent pattern takes 49 s (per actor!).
+    ``re.compile`` of the equivalent pattern takes 49 s (per worker!).
     Scan: O(len(text) × avg trie walk), independent of form count
     (measured 1.7-2.0 MB/s/core at 10^5-10^6 forms vs the regex's
-    2.9 — the trade is per-actor startup for a bounded scan slowdown).
+    2.9 — the trade is per-worker startup for a bounded scan slowdown).
     ``casefold=True`` walks the ORIGINAL text lowering characters on the
     fly (the rare length-changing-Unicode fallback, mirroring
     ``compile_pattern_ci``); spans always index the scanned string.
@@ -505,12 +505,12 @@ def _mentions_from_spans(text: str, scanned: str, url: str,
 
 
 class MentionDetector:
-    """Actor-pool stage: pages(text) -> page rows with a mentions list column.
+    """Batch callable: pages(text) -> page rows with a mentions list column.
 
-    Use as ``ds.map_batches(MentionDetector, fn_constructor_args=(tax_ref,),
-    concurrency=N, batch_format="pyarrow")`` where ``tax_ref`` is a
-    ``ray.put`` handle of the taxonomy Arrow table (broadcast once, not
-    re-shipped per batch), or the table itself for local/test use.
+    Built once per worker inside ``linker.EnrichmentStage`` from
+    ``tax_ref``, a ``ray.put`` handle of the taxonomy Arrow table
+    (broadcast once, not re-shipped per batch), or the table itself for
+    local/test use.
     """
 
     def __init__(self, taxonomy_ref, single_product_mode: bool = False,
@@ -585,14 +585,3 @@ class MentionDetector:
             }
         )
 
-
-def detect_mentions(pages_ds, taxonomy_ref, *, single_product_mode=False,
-                    concurrency=(1, 8), batch_size: int = 512):
-    """pages (url, warc_ts, text, lang) -> page_mentions Dataset."""
-    return pages_ds.map_batches(
-        MentionDetector,
-        fn_constructor_args=(taxonomy_ref, single_product_mode),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )

@@ -1,5 +1,6 @@
-"""A build on a one-CPU Ray cluster completes: the enrichment actor pool
-must not hold the only CPU its read tasks need."""
+"""A build on a one-CPU Ray cluster completes: the enrichment stage must
+not hold the only CPU its read and shuffle tasks need (its tasks release
+the CPU between batches)."""
 
 from __future__ import annotations
 

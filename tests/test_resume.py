@@ -176,6 +176,24 @@ def test_config_change_invalidates(ray_session, sharded_pages, tmp_path):
     assert metrics["partitions_skipped"] == 0
 
 
+def test_int_concurrency_builds_and_resumes(ray_session, sharded_pages,
+                                            tmp_path):
+    # build_graph takes an int cap; the resumable build must too, store it
+    # in the manifest config, and skip every partition on an identical call
+    shards, tax = sharded_pages
+    out = str(tmp_path / "kg")
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer", concurrency=2)
+    assert mf.load_manifest(out, 0).config["concurrency"] == 2
+    first = _table_sets(out)
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer", concurrency=2)
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_skipped"] == 2
+    got = _table_sets(out)
+    assert all(got[k].equals(first[k]) for k in first)
+
+
 def test_stage_version_bump_invalidates(ray_session, sharded_pages, tmp_path,
                                         monkeypatch):
     shards, tax = sharded_pages

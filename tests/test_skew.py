@@ -78,7 +78,7 @@ def test_skewed_corpus_edges_deterministic(ray_session):
     def edges_at(nblocks: int):
         ds = rd.from_arrow(pages).repartition(nblocks)
         linked = build_linked(ds, tax_ref, link_mode="gazetteer",
-                              concurrency=(1, 2))
+                              concurrency=2)
         e = aggregate_edges(generate_pairs(linked, tax_ref), num_buckets=8)
         return sorted(
             ((r["src"], r["dst"], r["rel"], r["weight"],
