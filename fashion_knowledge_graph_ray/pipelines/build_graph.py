@@ -3,33 +3,38 @@ triples/nodes/edges (the KG-build core; reference entry point
 `/root/reference/src/engine/process_social_media_images.py:13-149` +
 `process_catalog.py:15-84`, re-expressed per SURVEY.md §3.2).
 
-Shape:
+One narrow chain and one KG writer, shared by ``build_graph`` and the
+partitioned ``build_graph_resumable`` (pipelines/resumable.py):
 
-    pages = read_parquet(...)                 # S4
-      -> EnrichmentStage task stage          # FUSED extract+detect+attrs+link
+    narrow_chain:
+      pages = read_parquet(...)               # S4
+        -> EnrichmentStage task stage        # FUSED extract+detect+attrs+link
                                              # (M13 + M6/T1 + M8/M9 + J1/T8),
                                              # state memoized per worker
-      -> dedup by url                        # G7 (narrow rows, keep-first)
-      [-> apply_canonical_map]               # north-rule canonicalization
-      -> materialize (in-memory blocks)
-    pairs  = linked -> pair flat-map          # G1  -> materialize
-    then SIX concurrent branches off the shared blocks:
-      linked -> write linked/ parquet         # resume checkpoint
-      pairs  -> write pairs/ parquet          # resume checkpoint
-      edges  = pairs groupby(src,dst,rel)     # G2/G3 (partial-combined)
-      nodes  = linked explode -> groupby(eid) # G4
-      triples= attr ∪ rel triples (dedup in-kernel, page-local — zero
-               shuffle when pages are url-unique; see
-               stages/triples.page_local_triples)
-      embeddings = taxonomy dual-profile table  # K2/T2/T3
+        -> dedup by url                      # G7 (narrow rows, keep-first)
+        [-> apply_canonical_map]             # north-rule canonicalization
+        -> materialize (in-memory blocks)
+      pairs = linked -> pair flat-map         # G1, a plan over those blocks
+    write_kg, two waves of branches off the shared blocks:
+      wave 1: nodes = linked explode -> groupby(eid)     # G4
+              embeddings + index/ = taxonomy tables      # K2/T2/T3/K6
+              [linked -> write linked/ parquet]          # plain build only
+              pairs -> materialize
+      wave 2: edges = pairs groupby(src,dst,rel)         # G2/G3 (partial-combined)
+              triples = attr ∪ rel triples (dedup in-kernel, page-local —
+                        zero shuffle when pages are url-unique; see
+                        stages/triples.page_local_triples — else bucketed)
+              [pairs -> write pairs/ parquet]            # plain build only
 
 The expensive extraction/link pass runs ONCE into the in-memory
-materialization (no write-then-reread round-trip — removing it raised
-8->32-CPU scaling efficiency 0.73 -> 0.85, BASELINE.md). The ``linked/``
-and ``pairs/`` parquet checkpoints remain the per-partition resume
-artifacts — final aggregations are always recomputed from them, never
-incrementally updated, so a resumed run can never double-count (fixes the
-reference's re-run weight inflation, SURVEY.md §4.4).
+materialization, and pairs derive from those blocks (no write-then-reread
+round-trip — removing it raised 8->32-CPU scaling efficiency 0.73 -> 0.85,
+BASELINE.md). The ``linked/`` and ``pairs/`` parquet tables are the
+(per-partition) resume checkpoints — final aggregations are always
+recomputed from them, never incrementally updated, so a resumed run can
+never double-count (fixes the reference's re-run weight inflation,
+SURVEY.md §4.4). The taxonomy-derived state (broadcast ref, ANN index,
+canonical map) is computed once per build, however many partitions run.
 
 Enrichment is a task stage, not an actor pool. Its state (detector and
 linker over the broadcast taxonomy and the driver-built ANN index) takes
@@ -93,11 +98,13 @@ def _settle_fsspec_http() -> None:
     sys.modules[name] = stub
 
 
-def _ensure_nonempty(path: str, schema: pa.Schema) -> None:
-    """An empty Dataset writes no files; leave a valid empty-parquet marker
-    so downstream ``read_parquet`` of the directory always works."""
+def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
+    """Write ``ds`` as parquet under ``path``. An empty Dataset writes no
+    files; leave a valid empty-parquet marker so downstream
+    ``read_parquet`` of the directory always works."""
     import pyarrow.parquet as pq
 
+    ds.write_parquet(path)
     os.makedirs(path, exist_ok=True)
     if not any(f.endswith(".parquet") for f in os.listdir(path)):
         pq.write_table(schema.empty_table(), os.path.join(path, "empty.parquet"))
@@ -105,7 +112,7 @@ def _ensure_nonempty(path: str, schema: pa.Schema) -> None:
 
 from ..schemas import ATTRS_STRUCT, NODES_SCHEMA, TRIPLES_SCHEMA  # noqa: E402
 from ..stages.mentions import MENTION_STRUCT  # noqa: E402
-from ..stages.pairs import PAIRS_SCHEMA as _PAIRS_EMPTY  # noqa: E402
+from ..stages.pairs import PAIRS_SCHEMA  # noqa: E402
 
 _LINKED_SCHEMA = pa.schema(
     [
@@ -262,6 +269,129 @@ def build_linked(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
     return dedup_pages(ds) if dedup else ds
 
 
+def taxonomy_state(taxonomy: pa.Table, canonicalize: bool):
+    """What a build derives from the taxonomy, computed ONCE per build
+    (not per partition or per output table): the broadcast taxonomy ref,
+    the ANN index — it feeds the enrichment broadcast in embedding mode
+    and the persisted ``index/`` table in both link modes — and, with
+    ``canonicalize``, the canonical-id map (else None)."""
+    import ray
+
+    from ..stages.linker import EmbeddingLinker
+
+    tax_ref = ray.put(taxonomy) if ray.is_initialized() else taxonomy
+    cmap = None
+    if canonicalize:
+        from ..stages.canonicalize import canonicalize_taxonomy
+
+        cmap = canonicalize_taxonomy(taxonomy)
+    return tax_ref, EmbeddingLinker.build_index(taxonomy), cmap
+
+
+def narrow_chain(pages_ds, tax_ref, index: dict, canonical_map, *,
+                 link_mode: str, single_product_mode: bool, dedup: bool,
+                 concurrency):
+    """pages -> (linked, pairs), the narrow chain of both builds:
+    ``build_linked`` -> ``apply_canonical_map`` (when ``canonical_map`` is
+    not None) -> materialize. ``linked`` is materialized in memory;
+    ``pairs`` is a plan over those blocks, so no caller writes ``linked``
+    and reads it back to make pairs."""
+    linked = build_linked(pages_ds, tax_ref, link_mode=link_mode,
+                          single_product_mode=single_product_mode,
+                          dedup=dedup, concurrency=concurrency,
+                          prebuilt_index=index)
+    if canonical_map is not None:
+        from ..stages.canonicalize import apply_canonical_map
+
+        linked = apply_canonical_map(linked, canonical_map)
+    linked = linked.materialize()
+    return linked, generate_pairs(linked, tax_ref)
+
+
+def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
+             *, page_local: bool, branches: int,
+             checkpoints: bool) -> GraphBuildResult:
+    """Write the KG tables of one build under ``out_dir`` — edges, nodes,
+    triples and the embeddings and ``index/`` tables — and return them.
+
+    ``linked``/``pairs`` are Datasets of all of the build's linked rows
+    and pairs. ``checkpoints``: they are this run's in-memory results (the
+    plain build), so also write them as ``linked/`` and ``pairs/``;
+    otherwise they are reads of the checkpoints the partitioned build has
+    written. ``page_local``: every url appears in one linked row, so
+    triples dedup page-locally with no shuffle; otherwise by one bucketed
+    exchange. ``branches``: how many output branches run at once, in
+    submission order (the plain build runs them all; the resume finals
+    run one at a time, where concurrent branches over parquet reads
+    started more Ray workers and raised peak RSS by 45% on 4 CPUs,
+    CHANGES.md)."""
+    import concurrent.futures as cf
+
+    import pyarrow.parquet as pq
+
+    from ..stages.linker import linker_index_table
+
+    names = ["triples", "nodes", "edges", "embeddings", "index"]
+    if checkpoints:
+        names += ["linked", "pairs"]
+    paths = {k: os.path.join(out_dir, k) for k in names}
+    # Outputs must be overwrite-semantics: Ray's write_parquet APPENDS part
+    # files into an existing directory, which would double-count on re-run —
+    # the exact reference bug (SURVEY.md §4.4) this pipeline exists to fix.
+    for p in paths.values():
+        shutil.rmtree(p, ignore_errors=True)
+
+    def taxonomy_tables():
+        # taxonomy-sized (small side) — driver-side table writes. index/ is
+        # the persisted ANN index artifact (K6/Pinecone analog): a query
+        # session reconstructs the linker via
+        # EmbeddingLinker.from_index_table without re-embedding
+        for name, tbl in (("embeddings", taxonomy_embeddings_table(taxonomy)),
+                          ("index", linker_index_table(taxonomy, idx=index))):
+            os.makedirs(paths[name])
+            pq.write_table(tbl, os.path.join(paths[name], "part-0.parquet"))
+
+    _settle_fsspec_http()
+    # Plans are BUILT on this thread (Dataset plan construction is not
+    # guaranteed thread-safe); the pool threads only execute them, each
+    # reading shared immutable block refs. Two waves: the linked-only
+    # branches are submitted first and, in the plain build, overlap with
+    # the pairs materialization — the pairs barrier was a measured slice
+    # of the idle time on the critical path.
+    with cf.ThreadPoolExecutor(max_workers=branches) as ex:
+        futs = [ex.submit(taxonomy_tables),
+                ex.submit(_write_parquet,
+                          merge_nodes(explode_mentions(linked)),
+                          paths["nodes"], NODES_SCHEMA)]
+        if checkpoints:
+            futs.append(ex.submit(_write_parquet, linked, paths["linked"],
+                                  _LINKED_SCHEMA))
+            # pairs made from the in-memory rows feed three branches:
+            # materialize them once. Pairs read from the partition
+            # checkpoints are read per branch instead: materializing that
+            # read started two more Ray workers and raised the resume's
+            # peak RSS by 25-35% on 4 CPUs.
+            pairs = ex.submit(pairs.materialize).result()
+        triples = (page_local_triples(linked, pairs) if page_local
+                   else dedup_triples(
+                       emit_attr_triples(explode_mentions(linked))
+                       .union(emit_rel_triples(pairs))))
+        futs += [ex.submit(_write_parquet, aggregate_edges(pairs),
+                           paths["edges"], _EDGES_OUT_SCHEMA),
+                 ex.submit(_write_parquet, triples, paths["triples"],
+                           TRIPLES_SCHEMA)]
+        if checkpoints:
+            futs.append(ex.submit(_write_parquet, pairs, paths["pairs"],
+                                  PAIRS_SCHEMA))
+        for f in futs:
+            f.result()
+
+    return GraphBuildResult(out_dir=out_dir, **{
+        f"{k}_path": os.path.join(out_dir, k)
+        for k in ("linked", "pairs", "triples", "nodes", "edges",
+                  "embeddings")})
+
+
 def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
                 link_mode: str = "embedding",
                 single_product_mode: bool = False,
@@ -275,122 +405,23 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
     canonical entity ids, and every downstream table (pairs, edges, nodes,
     triples) is built over the canonical ids.
 
-    Execution shape: the expensive extract->detect->attrs->link chain runs
-    ONCE into an in-memory materialization; pairs derive from it in-memory;
-    then FIVE independent branches consume the materialized blocks
-    concurrently — the two parquet checkpoints (``linked/``, ``pairs/``,
-    the per-partition resume artifacts) plus edges/nodes/triples. Earlier
+    Execution shape: ``narrow_chain`` runs the expensive
+    extract->detect->attrs->link chain ONCE into an in-memory
+    materialization, with pairs derived from it in memory; then
+    ``write_kg`` runs every output branch concurrently off the
+    materialized blocks — the two parquet checkpoints (``linked/``,
+    ``pairs/``) plus edges/nodes/triples and the taxonomy tables. Earlier
     rounds wrote linked/pairs to parquet and re-read them before fan-out;
     that extra parquet round-trip was a measured slice of the 8->32-CPU
     scaling loss (BASELINE.md history)."""
-    import ray
-
-    tax_ref = ray.put(taxonomy) if ray.is_initialized() else taxonomy
-
-    paths = {k: os.path.join(out_dir, k)
-             for k in ("linked", "pairs", "triples", "nodes", "edges",
-                       "embeddings")}
-    # Outputs must be overwrite-semantics: Ray's write_parquet APPENDS part
-    # files into an existing directory, which would double-count on re-run —
-    # the exact reference bug (SURVEY.md §4.4) this pipeline exists to fix.
-    for p in paths.values():
-        shutil.rmtree(p, ignore_errors=True)
-
-    # the taxonomy embeds ONCE per build: this idx feeds the enrichment
-    # broadcast (build_linked) AND the persisted index/ artifact
-    # (_embeddings), instead of each path re-running build_index
-    prebuilt_index = None
-    if link_mode == "embedding":
-        from ..stages.linker import EmbeddingLinker
-
-        prebuilt_index = EmbeddingLinker.build_index(taxonomy)
-
-    linked = build_linked(pages_ds, tax_ref, link_mode=link_mode,
-                          single_product_mode=single_product_mode,
-                          dedup=dedup, concurrency=concurrency,
-                          prebuilt_index=prebuilt_index)
-    if canonicalize:
-        from ..stages.canonicalize import (
-            apply_canonical_map,
-            canonicalize_taxonomy,
-        )
-
-        cmap = canonicalize_taxonomy(taxonomy)
-        linked = apply_canonical_map(linked, cmap)
-    linked = linked.materialize()
-
-    # Plans are BUILT on the driver thread (Dataset plan construction is
-    # not guaranteed thread-safe); the threads below only execute them.
-    # Each branch reads shared immutable block refs. Two waves, started
-    # as soon as their input exists: the linked-only branches (nodes,
-    # linked checkpoint, embeddings) launch IMMEDIATELY and overlap with
-    # the pairs materialization on this thread — the pairs barrier was a
-    # measured slice of the idle time on the critical path.
-    nodes_ds = merge_nodes(explode_mentions(linked))
-
-    def _linked_ckpt():
-        linked.write_parquet(paths["linked"])
-        _ensure_nonempty(paths["linked"], _LINKED_SCHEMA)
-
-    def _nodes():
-        nodes_ds.write_parquet(paths["nodes"])
-        _ensure_nonempty(paths["nodes"], NODES_SCHEMA)
-
-    def _embeddings():
-        # taxonomy-sized (small side) — a single driver-side table write
-        import pyarrow.parquet as pq
-
-        from ..stages.linker import linker_index_table
-
-        os.makedirs(paths["embeddings"], exist_ok=True)
-        pq.write_table(taxonomy_embeddings_table(taxonomy),
-                       os.path.join(paths["embeddings"], "part-0.parquet"))
-        # persisted ANN index artifact (K6/Pinecone analog): a query
-        # session reconstructs the linker via
-        # EmbeddingLinker.from_index_table without re-embedding
-        idx_dir = os.path.join(out_dir, "index")
-        shutil.rmtree(idx_dir, ignore_errors=True)
-        os.makedirs(idx_dir, exist_ok=True)
-        pq.write_table(linker_index_table(taxonomy, idx=prebuilt_index),
-                       os.path.join(idx_dir, "part-0.parquet"))
-
-    import concurrent.futures as cf
-
-    _settle_fsspec_http()
-
-    with cf.ThreadPoolExecutor(max_workers=6) as ex:
-        wave1 = [ex.submit(f) for f in (_nodes, _linked_ckpt, _embeddings)]
-
-        pairs = generate_pairs(linked, tax_ref).materialize()
-        edges_ds = aggregate_edges(pairs)
-        # dedup=True guarantees url-unique linked rows, which makes every
-        # triple-duplicate group page-local — the shuffle-free path.
-        # dedup=False keeps the general bucketed dedup (url collisions can
-        # then span blocks).
-        triples_ds = (page_local_triples(linked, pairs) if dedup
-                      else dedup_triples(
-                          emit_attr_triples(explode_mentions(linked))
-                          .union(emit_rel_triples(pairs))))
-
-        def _pairs_ckpt():
-            pairs.write_parquet(paths["pairs"])
-            _ensure_nonempty(paths["pairs"], _PAIRS_EMPTY)
-
-        def _edges():
-            edges_ds.write_parquet(paths["edges"])
-            _ensure_nonempty(paths["edges"], _EDGES_OUT_SCHEMA)
-
-        def _triples():
-            triples_ds.write_parquet(paths["triples"])
-            _ensure_nonempty(paths["triples"], TRIPLES_SCHEMA)
-
-        wave2 = [ex.submit(f) for f in (_edges, _triples, _pairs_ckpt)]
-        for f in wave1 + wave2:
-            f.result()
-
-    return GraphBuildResult(out_dir=out_dir, linked_path=paths["linked"],
-                            pairs_path=paths["pairs"],
-                            triples_path=paths["triples"],
-                            nodes_path=paths["nodes"],
-                            edges_path=paths["edges"],
-                            embeddings_path=paths["embeddings"])
+    tax_ref, index, cmap = taxonomy_state(taxonomy, canonicalize)
+    linked, pairs = narrow_chain(pages_ds, tax_ref, index, cmap,
+                                 link_mode=link_mode,
+                                 single_product_mode=single_product_mode,
+                                 dedup=dedup, concurrency=concurrency)
+    # dedup=True guarantees url-unique linked rows, which makes every
+    # triple-duplicate group page-local — the shuffle-free path.
+    # dedup=False keeps the general bucketed dedup (url collisions can
+    # then span blocks).
+    return write_kg(out_dir, taxonomy, index, linked, pairs,
+                    page_local=dedup, branches=6, checkpoints=True)

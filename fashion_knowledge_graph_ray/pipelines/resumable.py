@@ -3,12 +3,16 @@
 The north-rule obligation the plain ``build_graph`` does not cover:
 ``resumable from checkpoint with per-partition lineage + metrics``. This
 pipeline splits the input file list into P partitions, runs the narrow
-chain (extract → detect → attrs → link → pairs) per partition writing
-``out/linked/part=i`` + ``out/pairs/part=i`` + a lineage manifest
-(state/manifests.py), then recomputes the wide aggregations (edges, nodes,
-triples) from ALL partition outputs. Resume = re-invoke with the same
+chain (extract → detect → attrs → link → pairs) per partition — the same
+``narrow_chain`` as ``build_graph``, pairs made from the in-memory linked
+rows — writing ``out/linked/part=i`` + ``out/pairs/part=i`` + a lineage
+manifest (state/manifests.py), then hands the union of ALL partition
+outputs to the same ``write_kg`` writer as ``build_graph``, which
+recomputes the wide aggregations (edges, nodes, triples) and writes the
+embeddings and ``index/`` tables. Resume = re-invoke with the same
 arguments: partitions whose manifest validates are skipped; everything
-else recomputes. Finals are always recomputed from the partials — cheap
+else recomputes; partitions of an earlier run that this run does not
+have are deleted. Finals are always recomputed from the partials — cheap
 relative to extraction — so a resumed run can never double-count (the
 reference's re-run bug, `/root/reference/src/database/graph_database.py:196-197`,
 SURVEY.md §4.4).
@@ -24,7 +28,8 @@ Scale shape (100 TB / 256 nodes):
 - exact page dedup is WITHIN-partition here (urls are assumed
   shard-unique, which a Common-Crawl-style layout provides). When
   cross-shard duplicate urls matter, run the global ``dedup_pages`` pass
-  once as its own partitioned job and feed its output here.
+  once as its own partitioned job and feed its output here. The finals
+  therefore dedup triples with the bucketed exchange, not page-locally.
 
 Metrics: ``out/metrics.json`` aggregates per-partition row counts, wall
 times and triples/sec — derived from manifests, as the north rule asks.
@@ -41,24 +46,23 @@ import uuid
 import pyarrow as pa
 
 from .. import __version__
-from ..stages.aggregate import aggregate_edges, merge_nodes
-from ..stages.pairs import PAIRS_SCHEMA, explode_mentions, generate_pairs
-from ..stages.triples import dedup_triples, emit_attr_triples, emit_rel_triples
-from ..schemas import NODES_SCHEMA, TRIPLES_SCHEMA
+from ..stages.pairs import PAIRS_SCHEMA
 from ..state.manifests import (
     STAGE_VERSIONS,
     PartitionManifest,
     describe_inputs,
+    dir_parquet_rows,
     url_fingerprint,
     validate_manifest,
     write_manifest,
 )
 from .build_graph import (
     GraphBuildResult,
-    _ensure_nonempty,
-    _EDGES_OUT_SCHEMA,
     _LINKED_SCHEMA,
-    build_linked,
+    _write_parquet,
+    narrow_chain,
+    taxonomy_state,
+    write_kg,
 )
 
 
@@ -81,51 +85,34 @@ def list_parquet_files(path: str) -> list[str]:
             if f.endswith(".parquet")]
 
 
-def _dir_rows(path: str) -> int:
-    import pyarrow.parquet as pq
-
-    return sum(pq.read_metadata(os.path.join(path, f)).num_rows
-               for f in sorted(os.listdir(path)) if f.endswith(".parquet"))
-
-
-def _build_partition(files: list[str], part: int, taxonomy_ref, out_dir: str,
-                     config: dict, run_id: str,
-                     canonical_map: dict | None = None) -> PartitionManifest:
-    """Run the narrow chain for one partition and write its manifest.
+def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
+                     run_id: str, tax_ref, index: dict,
+                     canonical_map: dict | None) -> PartitionManifest:
+    """Run the shared narrow chain for one partition, write its
+    ``linked/`` and ``pairs/`` from the in-memory rows, then its manifest.
     Output dirs are rebuilt from scratch (tmp + swap) so a partition is
     either fully present or absent — never half-appended."""
     import ray.data as rd
 
     t0 = time.time()
-    linked_dir = os.path.join(out_dir, "linked", f"part={part}")
-    pairs_dir = os.path.join(out_dir, "pairs", f"part={part}")
-    for d in (linked_dir, pairs_dir):
+    dirs = {t: os.path.join(out_dir, t, f"part={part}")
+            for t in ("linked", "pairs")}
+    for d in dirs.values():
         shutil.rmtree(d, ignore_errors=True)
         shutil.rmtree(d + ".tmp", ignore_errors=True)
 
-    linked = build_linked(
-        rd.read_parquet(files),
-        taxonomy_ref,
+    linked, pairs = narrow_chain(
+        rd.read_parquet(files), tax_ref, index, canonical_map,
         link_mode=config["link_mode"],
         single_product_mode=config["single_product_mode"],
         dedup=config["dedup"],
         concurrency=(None if config["concurrency"] == "auto"
                      else config["concurrency"]),
     )
-    if canonical_map is not None:
-        from ..stages.canonicalize import apply_canonical_map
-
-        linked = apply_canonical_map(linked, canonical_map)
-    linked.write_parquet(linked_dir + ".tmp")
-    _ensure_nonempty(linked_dir + ".tmp", _LINKED_SCHEMA)
-    os.replace(linked_dir + ".tmp", linked_dir)
-
-    # partitioning=None: the `part=i` path component must not hive-inject
-    pairs = generate_pairs(rd.read_parquet(linked_dir, partitioning=None),
-                           taxonomy_ref)
-    pairs.write_parquet(pairs_dir + ".tmp")
-    _ensure_nonempty(pairs_dir + ".tmp", PAIRS_SCHEMA)
-    os.replace(pairs_dir + ".tmp", pairs_dir)
+    for name, ds, schema in (("linked", linked, _LINKED_SCHEMA),
+                             ("pairs", pairs, PAIRS_SCHEMA)):
+        _write_parquet(ds, dirs[name] + ".tmp", schema)
+        os.replace(dirs[name] + ".tmp", dirs[name])
 
     from ..stages.metrics import mention_label_counts
 
@@ -134,17 +121,34 @@ def _build_partition(files: list[str], part: int, taxonomy_ref, out_dir: str,
         inputs=describe_inputs(files),
         stage_versions=dict(STAGE_VERSIONS),
         config=config,
-        rows={"linked": _dir_rows(linked_dir), "pairs": _dir_rows(pairs_dir)},
-        linked_url_fingerprint=url_fingerprint(linked_dir),
+        rows={t: dir_parquet_rows(d) for t, d in dirs.items()},
+        linked_url_fingerprint=url_fingerprint(dirs["linked"]),
         wall_sec=round(time.time() - t0, 3),
         engine_version=__version__,
         run_id=run_id,
         # G9: per-partition mention-label histogram (segmentation mask
         # stats analog, segmentation_model.py:173-206)
-        extra={"label_counts": mention_label_counts(linked_dir)},
+        extra={"label_counts": mention_label_counts(dirs["linked"])},
     )
     write_manifest(out_dir, m)
     return m
+
+
+def _drop_stale_partitions(out_dir: str, num_parts: int) -> None:
+    """Leave only this run's partitions under ``linked/``, ``pairs/`` and
+    ``manifests/``. Anything else there — the partitions of an earlier run
+    with more of them, a killed write's ``.tmp`` dir — would otherwise be
+    read by the finals and by ``GraphBuildResult.dataset`` and count its
+    pages twice."""
+    for sub, ext in (("linked", ""), ("pairs", ""), ("manifests", ".json")):
+        root = os.path.join(out_dir, sub)
+        keep = {f"part={i}{ext}" for i in range(num_parts)}
+        for name in set(os.listdir(root)) - keep:
+            path = os.path.join(root, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            else:
+                os.remove(path)
 
 
 def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
@@ -164,7 +168,6 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
     across partitions, and part of the manifest config so toggling it
     invalidates prior partitions). ``concurrency`` is None or an int, as
     for ``build_graph``; an int is stored in the manifest config as is."""
-    import ray
     import ray.data as rd
 
     config = {
@@ -176,13 +179,8 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
         # runs on a different cluster size
         "concurrency": "auto" if concurrency is None else int(concurrency),
     }
-    cmap = None
-    if canonicalize:
-        from ..stages.canonicalize import canonicalize_taxonomy
-
-        cmap = canonicalize_taxonomy(taxonomy)
     parts = assign_partitions(list_parquet_files(pages_path), num_partitions)
-    tax_ref = ray.put(taxonomy) if ray.is_initialized() else taxonomy
+    tax_ref, index, cmap = taxonomy_state(taxonomy, canonicalize)
     run_id = uuid.uuid4().hex[:12]
 
     manifests: list[PartitionManifest] = []
@@ -192,59 +190,20 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
         if m is not None:
             skipped += 1
         else:
-            m = _build_partition(files, i, tax_ref, out_dir, config, run_id,
-                                 canonical_map=cmap)
+            m = _build_partition(files, i, out_dir, config, run_id, tax_ref,
+                                 index, cmap)
         manifests.append(m)
+    _drop_stale_partitions(out_dir, len(parts))
 
-    # Finals: ALWAYS recomputed from all partition outputs (never merged
-    # incrementally) — overwrite semantics, same rationale as build_graph.
-    paths = {k: os.path.join(out_dir, k)
-             for k in ("triples", "nodes", "edges", "embeddings")}
-    for p in paths.values():
-        shutil.rmtree(p, ignore_errors=True)
-
-    # K2 analog, same contract as build_graph: the dual-profile taxonomy
-    # embeddings table, so outfit_from_text/outfit_from_page work on
-    # resumable builds too. Taxonomy-sized — a single driver-side write.
-    import pyarrow.parquet as pq
-
-    from ..stages.linker import linker_index_table
-    from .build_graph import taxonomy_embeddings_table
-
-    os.makedirs(paths["embeddings"], exist_ok=True)
-    pq.write_table(taxonomy_embeddings_table(taxonomy),
-                   os.path.join(paths["embeddings"], "part-0.parquet"))
-    # persisted ANN index artifact — same contract as build_graph
-    idx_dir = os.path.join(out_dir, "index")
-    shutil.rmtree(idx_dir, ignore_errors=True)
-    os.makedirs(idx_dir, exist_ok=True)
-    pq.write_table(linker_index_table(taxonomy),
-                   os.path.join(idx_dir, "part-0.parquet"))
-
-    # partitioning=None: the part=i layout must NOT hive-inject a `part`
-    # column — partition lineage lives in the manifests, not the schema.
-    def read_root(p):
-        return rd.read_parquet(p, partitioning=None)
-
-    linked_root = os.path.join(out_dir, "linked")
-    pairs_root = os.path.join(out_dir, "pairs")
-    linked = read_root(linked_root)
-    pairs = read_root(pairs_root)
-
-    edges = aggregate_edges(pairs)
-    edges.write_parquet(paths["edges"])
-    _ensure_nonempty(paths["edges"], _EDGES_OUT_SCHEMA)
-
-    nodes = merge_nodes(explode_mentions(linked))
-    nodes.write_parquet(paths["nodes"])
-    _ensure_nonempty(paths["nodes"], NODES_SCHEMA)
-
-    triples = dedup_triples(
-        emit_attr_triples(explode_mentions(read_root(linked_root)))
-        .union(emit_rel_triples(read_root(pairs_root)))
-    )
-    triples.write_parquet(paths["triples"])
-    _ensure_nonempty(paths["triples"], TRIPLES_SCHEMA)
+    # Finals over the union of all partitions. partitioning=None: the
+    # part=i layout must NOT hive-inject a `part` column — partition
+    # lineage lives in the manifests, not the schema. Urls are unique only
+    # within a partition, so triples take the bucketed dedup.
+    linked, pairs = (rd.read_parquet(os.path.join(out_dir, t),
+                                     partitioning=None)
+                     for t in ("linked", "pairs"))
+    res = write_kg(out_dir, taxonomy, index, linked, pairs,
+                   page_local=False, branches=1, checkpoints=False)
 
     built = [m for m in manifests if m.run_id == run_id]
     label_counts: dict[str, int] = {}
@@ -259,9 +218,9 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
         "partitions_built": len(built),
         "linked_rows": sum(m.rows["linked"] for m in manifests),
         "pairs_rows": sum(m.rows["pairs"] for m in manifests),
-        "triples_rows": _dir_rows(paths["triples"]),
-        "edges_rows": _dir_rows(paths["edges"]),
-        "nodes_rows": _dir_rows(paths["nodes"]),
+        "triples_rows": dir_parquet_rows(res.triples_path),
+        "edges_rows": dir_parquet_rows(res.edges_path),
+        "nodes_rows": dir_parquet_rows(res.nodes_path),
         "narrow_wall_sec_built": round(sum(m.wall_sec for m in built), 3),
         "per_partition": [
             {"part": m.part, "rows": m.rows, "wall_sec": m.wall_sec,
@@ -273,10 +232,4 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
             metrics["triples_rows"] / narrow, 2)
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=1, sort_keys=True)
-
-    return GraphBuildResult(out_dir=out_dir, linked_path=linked_root,
-                            pairs_path=pairs_root,
-                            triples_path=paths["triples"],
-                            nodes_path=paths["nodes"],
-                            edges_path=paths["edges"],
-                            embeddings_path=paths["embeddings"])
+    return res

@@ -72,7 +72,7 @@ def describe_inputs(paths: list[str]) -> list[dict]:
     return out
 
 
-def _dir_parquet_rows(path: str) -> int:
+def dir_parquet_rows(path: str) -> int:
     """Total rows across a directory's parquet files, from footers only.
     Raises on a truncated/corrupt file — that is the validation working."""
     import pyarrow.parquet as pq
@@ -140,7 +140,7 @@ def validate_manifest(out_dir: str, part: int, input_paths: list[str],
             return None
         for table in ("linked", "pairs"):
             part_dir = os.path.join(out_dir, table, f"part={part}")
-            if _dir_parquet_rows(part_dir) != m.rows[table]:
+            if dir_parquet_rows(part_dir) != m.rows[table]:
                 return None
         linked_dir = os.path.join(out_dir, "linked", f"part={part}")
         if url_fingerprint(linked_dir) != m.linked_url_fingerprint:

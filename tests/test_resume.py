@@ -5,7 +5,8 @@ Invariants under test:
 - resume skips validated partitions and recomputes killed ones, with
   byte-identical final outputs;
 - a tampered manifest or deleted part file forces recompute;
-- a stage-version bump invalidates every manifest.
+- a stage-version bump invalidates every manifest;
+- a rerun with fewer partitions leaves only its own partitions on disk.
 """
 
 import json
@@ -20,6 +21,7 @@ from fashion_knowledge_graph_ray.pipelines.build_graph import build_graph
 from fashion_knowledge_graph_ray.pipelines.resumable import (
     assign_partitions,
     build_graph_resumable,
+    list_parquet_files,
 )
 from fashion_knowledge_graph_ray.state import manifests as mf
 
@@ -41,7 +43,7 @@ def sharded_pages(tmp_path_factory):
 
 
 def _canon(path, sort_cols):
-    t = pq.read_table(path)
+    t = pq.read_table(path, partitioning=None)
     t = t.sort_by([(c, "ascending") for c in sort_cols])
     return t
 
@@ -64,24 +66,50 @@ def test_assign_partitions_deterministic():
     assert sorted(sum(a, [])) == sorted(files)
 
 
-def test_partitioned_matches_monolithic(ray_session, sharded_pages, tmp_path):
+def _linked_rows(out_dir):
+    """linked rows by url, with every mention's link_score split out: the
+    embedding linker's score moves by float32 ulps with the batch it is
+    scored in, so scores are compared within a tolerance and everything
+    else exactly."""
+    rows = sorted(pq.read_table(os.path.join(out_dir, "linked"),
+                                partitioning=None).to_pylist(),
+                  key=lambda r: r["url"])
+    scores = [[m.pop("link_score") for m in r["mentions"] or []]
+              for r in rows]
+    return rows, scores
+
+
+@pytest.mark.parametrize("link_mode", ["gazetteer", "embedding"])
+def test_partitioned_matches_monolithic(ray_session, sharded_pages, tmp_path,
+                                        link_mode):
     import ray.data as rd
 
     shards, tax = sharded_pages
     out_p = str(tmp_path / "part")
     out_m = str(tmp_path / "mono")
     build_graph_resumable(shards, tax, out_p, num_partitions=N_PARTS,
-                          link_mode="gazetteer")
-    build_graph(rd.read_parquet(shards), tax, out_m, link_mode="gazetteer")
+                          link_mode=link_mode)
+    build_graph(rd.read_parquet(shards), tax, out_m, link_mode=link_mode)
     got, want = _table_sets(out_p), _table_sets(out_m)
     for name in got:
         assert got[name].equals(want[name]), name
-    # K2 parity: the resumable build must ship the same dual-profile
-    # embeddings table the monolithic build guarantees (the query layer's
-    # outfit_from_text/outfit_from_page consume res.embeddings_path)
-    emb_p = pq.read_table(os.path.join(out_p, "embeddings"))
-    emb_m = pq.read_table(os.path.join(out_m, "embeddings"))
-    assert emb_p.equals(emb_m) and emb_p.num_rows == tax.num_rows
+    pairs_cols = ["src", "dst", "rel", "url", "warc_ts"]
+    assert _canon(os.path.join(out_p, "pairs"), pairs_cols).equals(
+        _canon(os.path.join(out_m, "pairs"), pairs_cols))
+    (rows_p, scores_p), (rows_m, scores_m) = (_linked_rows(out_p),
+                                              _linked_rows(out_m))
+    assert rows_p == rows_m and len(rows_p) > 0
+    for sp, sm in zip(scores_p, scores_m):
+        assert sp == pytest.approx(sm, abs=1e-5)
+    # K2/K6 parity: the resumable build must ship the same dual-profile
+    # embeddings table and persisted ANN index the monolithic build
+    # guarantees (the query layer's outfit_from_text/outfit_from_page
+    # consume res.embeddings_path; EmbeddingLinker.from_index_table
+    # reads index/)
+    for table in ("embeddings", "index"):
+        t_p = pq.read_table(os.path.join(out_p, table))
+        t_m = pq.read_table(os.path.join(out_m, table))
+        assert t_p.equals(t_m) and t_p.num_rows == tax.num_rows, table
     metrics = json.load(open(os.path.join(out_p, "metrics.json")))
     assert metrics["partitions"] == N_PARTS
     assert metrics["partitions_built"] == N_PARTS
@@ -200,17 +228,38 @@ def test_stage_version_bump_invalidates(ray_session, sharded_pages, tmp_path,
     out = str(tmp_path / "kg")
     build_graph_resumable(shards, tax, out, num_partitions=2,
                           link_mode="gazetteer")
+    files = assign_partitions(list_parquet_files(shards), 2)[0]
+    config = mf.load_manifest(out, 0).config
+    assert mf.validate_manifest(out, 0, files, config) is not None
     bumped = dict(mf.STAGE_VERSIONS, extract=mf.STAGE_VERSIONS["extract"] + 1)
     monkeypatch.setattr(mf, "STAGE_VERSIONS", bumped)
-    assert mf.validate_manifest(out, 0,
-                                assign_partitions(
-                                    sorted(os.path.join(shards, f)
-                                           for f in os.listdir(shards)
-                                           if f.endswith(".parquet")), 2)[0],
-                                {"link_mode": "gazetteer",
-                                 "single_product_mode": False,
-                                 "dedup": True,
-                                 "concurrency": [1, 8]}) is None
+    assert mf.validate_manifest(out, 0, files, config) is None
+
+
+def test_rerun_with_fewer_partitions_drops_stale_ones(ray_session,
+                                                      sharded_pages, tmp_path):
+    # a rerun into the same out_dir with fewer partitions must not leave
+    # the old partitions on disk for the finals (or dataset()) to read:
+    # that double-counted their pages in linked and inflated edge weights
+    shards, tax = sharded_pages
+    out, fresh = str(tmp_path / "kg"), str(tmp_path / "fresh")
+    build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    res = build_graph_resumable(shards, tax, out, num_partitions=2,
+                                link_mode="gazetteer")
+    build_graph_resumable(shards, tax, fresh, num_partitions=2,
+                          link_mode="gazetteer")
+    for sub in ("linked", "pairs"):
+        assert sorted(os.listdir(os.path.join(out, sub))) == \
+            ["part=0", "part=1"], sub
+    assert sorted(os.listdir(os.path.join(out, "manifests"))) == \
+        ["part=0.json", "part=1.json"]
+    assert res.dataset("linked").count() == \
+        pq.read_table(os.path.join(fresh, "linked"),
+                      partitioning=None).num_rows
+    got, want = _table_sets(out), _table_sets(fresh)
+    for name in got:
+        assert got[name].equals(want[name]), name
 
 
 def test_no_part_column_leaks(ray_session, sharded_pages, tmp_path):
