@@ -159,12 +159,16 @@ def _order_pairs(sf_dir: str, only_partkey: int | None = None):
     one pruned scan collects those orderkeys (bounded by the part's
     popularity — ~|lineitem|/|part| rows), broadcasts the set, and the
     pair self-merge runs over that sliver instead of every order."""
+    import pandas as pd
     import ray
 
     from fashion_knowledge_graph_ray.stages.bucketed import bucketed_group_apply
-    from fashion_knowledge_graph_ray.stages.pairs import rel_type
+    from fashion_knowledge_graph_ray.stages.pairs import (
+        group_pairs,
+        pair_relations,
+    )
 
-    cat = _part_cat_map(sf_dir)
+    cat = pd.Series(_part_cat_map(sf_dir))
     ref = ray.put(cat) if ray.is_initialized() else cat
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
@@ -194,19 +198,14 @@ def _order_pairs(sf_dir: str, only_partkey: int | None = None):
                               zero_copy_batch=True)
 
     def pairs_bucket(t: pa.Table) -> pa.Table:
-        # Vectorized per-order pairing: self-merge on orderkey + pk_x<pk_y
-        # mask (no Python loop over orders — the groupby-loop version was
-        # the single hottest spot in the sf0.1 bench).
-        import pandas as pd
-
-        m = ray.get(ref) if not isinstance(ref, dict) else ref
-        df = pd.DataFrame({"ok": t["l_orderkey"].to_pandas(),
-                           "pk": t["l_partkey"].to_pandas()}).drop_duplicates()
-        j = df.merge(df, on="ok")
-        j = j[j["pk_x"] < j["pk_y"]]
-        if len(j) == 0:
-            # a bucket of single-part orders: .map on an empty int64
-            # Series keeps int64, so the typed string arrays below would
+        # the package's G1 kernel and relation rule per order bucket
+        m = ray.get(ref) if not isinstance(ref, pd.Series) else ref
+        ok, pk_a, pk_b = group_pairs(
+            t["l_orderkey"].to_numpy(zero_copy_only=False),
+            t["l_partkey"].to_numpy(zero_copy_only=False))
+        if len(ok) == 0:
+            # a bucket of single-part orders: _pad6 over an empty int64
+            # array keeps int64, so the typed string arrays below would
             # raise — emit the empty table with the declared schema
             return pa.table({
                 "src": pa.array([], type=pa.string()),
@@ -215,16 +214,11 @@ def _order_pairs(sf_dir: str, only_partkey: int | None = None):
                 "url": pa.array([], type=pa.string()),
                 "warc_ts": pa.array([], type=pa.timestamp("us", tz="UTC")),
             })
-        # rel_type vectorized: equal non-null categories -> complemented_by,
-        # different or either missing -> worn_with (NaN != NaN keeps the
-        # missing-category rule; p_type is never empty-string in TPC-H).
-        cat = pd.Series(m)
-        same = (j["pk_x"].map(cat).values == j["pk_y"].map(cat).values)
-        rel = np.where(same, rel_type("x", "x"), rel_type("x", "y"))
-        sa = j["pk_x"].map(_pad6).values
-        sb = j["pk_y"].map(_pad6).values
-        ok = j["ok"].astype(str).values
-        n = 2 * len(j)
+        rel = pair_relations(pk_a, pk_b, m)
+        sa = pd.Series(pk_a).map(_pad6).values
+        sb = pd.Series(pk_b).map(_pad6).values
+        ok = ok.astype(str)
+        n = 2 * len(ok)
         return pa.table({
             "src": pa.array(np.concatenate([sa, sb]), type=pa.string()),
             "dst": pa.array(np.concatenate([sb, sa]), type=pa.string()),
@@ -1320,6 +1314,7 @@ def _q_triangles_parts(sf_dir: str):
         bucketed_group_apply,
     )
     from fashion_knowledge_graph_ray.stages.graph import triangle_counts
+    from fashion_knowledge_graph_ray.stages.pairs import group_pairs
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"], blocks=16)
 
@@ -1333,13 +1328,11 @@ def _q_triangles_parts(sf_dir: str):
     def pair_bucket(t: pa.Table) -> pa.Table:
         import pandas as pd
 
-        df = pd.DataFrame({"ok": t["l_orderkey"].to_pandas(),
-                           "pk": t["l_partkey"].to_pandas()}) \
-            .drop_duplicates()
-        j = df.merge(df, on="ok")
-        j = j[j["pk_x"] < j["pk_y"]][["pk_x", "pk_y"]].drop_duplicates()
-        return pa.table({"src": pa.array(j["pk_x"], type=pa.int64()),
-                         "dst": pa.array(j["pk_y"], type=pa.int64())})
+        _, a, b = group_pairs(t["l_orderkey"].to_numpy(zero_copy_only=False),
+                              t["l_partkey"].to_numpy(zero_copy_only=False))
+        j = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
+        return pa.table({"src": pa.array(j["a"], type=pa.int64()),
+                         "dst": pa.array(j["b"], type=pa.int64())})
 
     edges = bucketed_group_apply(sub, ["l_orderkey"], pair_bucket,
                                  num_buckets=16)

@@ -196,11 +196,6 @@ def list_to_matrix(col, dtype=np.float64) -> np.ndarray:
                .astype(dtype, copy=False).reshape(n, d)
 
 
-def cosine_sim_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cosine of two equal-shape (k, d) matrices (both normalized)."""
-    return np.einsum("ij,ij->i", a, b)
-
-
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise L2 distance of two equal-shape (k, d) matrices (F2,
     `/root/reference/src/utils/tools.py:25-26` — scalar there, batched

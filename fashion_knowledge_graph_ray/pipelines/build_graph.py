@@ -48,6 +48,7 @@ executor (see ``resolve_pool_sizes``).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 from dataclasses import dataclass
@@ -316,9 +317,10 @@ def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
 
     ``linked``/``pairs`` are Datasets of all of the build's linked rows
     and pairs. ``checkpoints``: they are this run's in-memory results (the
-    plain build), so also write them as ``linked/`` and ``pairs/``;
-    otherwise they are reads of the checkpoints the partitioned build has
-    written. ``page_local``: every url appears in one linked row, so
+    plain build), so also write them as ``linked/`` and ``pairs/`` and
+    delete an earlier partitioned build's ``manifests/`` and
+    ``metrics.json``; otherwise they are reads of the checkpoints the
+    partitioned build has written. ``page_local``: every url appears in one linked row, so
     triples dedup page-locally with no shuffle; otherwise by one bucketed
     exchange. ``branches``: how many output branches run at once, in
     submission order (the plain build runs them all; the resume finals
@@ -340,6 +342,12 @@ def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
     # the exact reference bug (SURVEY.md §4.4) this pipeline exists to fix.
     for p in paths.values():
         shutil.rmtree(p, ignore_errors=True)
+    if checkpoints:
+        # the plain build owns the whole directory: a partitioned build's
+        # manifests and metrics.json left behind would describe another KG
+        shutil.rmtree(os.path.join(out_dir, "manifests"), ignore_errors=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "metrics.json"))
 
     def taxonomy_tables():
         # taxonomy-sized (small side) — driver-side table writes. index/ is

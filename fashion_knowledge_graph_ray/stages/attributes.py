@@ -197,9 +197,3 @@ def attrs_batch(batch: pa.Table) -> pa.Table:
     new_vals = pa.StructArray.from_arrays(arrays, fields=fields)
     return rewrap_mentions(batch, col, new_vals)
 
-
-def extract_attributes(page_mentions_ds, *, batch_size: int = 512):
-    return page_mentions_ds.map_batches(
-        attrs_batch, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    )

@@ -14,8 +14,10 @@ deterministic (never use builtin ``hash``).
 
 Skewed keys: a single hot KEY cannot be split below one bucket, but every
 caller here pre-aggregates per input batch first (partial combine), so a
-hot key arrives as at most one row per upstream batch — the salted
-two-phase design of SURVEY.md §4.3.
+hot key arrives as at most one row per upstream batch. There is no salted
+two-phase path (SURVEY.md §4.3): it never beat this on any measured skew
+fixture. Split a key only where a measured hot bucket calls for it
+(*FP-Hadoop*, VLDB 2015).
 """
 
 from __future__ import annotations
@@ -90,67 +92,6 @@ def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
             dtype=np.int64, count=len(vals),
         )
     return batch.append_column(BUCKET_COL, pa.array(b))
-
-
-def salted_group_apply(ds, keys: list[str], partial_fn, merge_fn, *,
-                       salt: int = 16, num_buckets: int = 64,
-                       batch_size: int = 16384):
-    """Explicit salted two-phase aggregation for HOT keys (SURVEY.md §4.3).
-
-    ``bucketed_group_apply`` relies on callers pre-combining per input
-    batch, which bounds a hot key to one row per upstream block. When the
-    per-key reduction itself is heavy (large collect-lists, wide merges), a
-    hot key's phase-2 work can still dominate one task. This operator
-    splits it: phase 1 shuffles on ``(bucket(keys), salt)`` — the hot key's
-    rows spread across ``salt`` tasks, each applying ``partial_fn`` — and
-    phase 2 re-shuffles the (tiny) partials on ``bucket(keys)`` alone,
-    applying ``merge_fn``. Both fns are vectorized pa.Table -> pa.Table
-    over ALL keys in their slice; ``merge_fn`` must be able to merge
-    ``partial_fn`` outputs (associative/commutative reduction).
-
-    The salt is derived from a row-content hash (crc32 of the row index
-    within batch + batch id is NOT stable, so we hash the whole key row
-    set position-independently: salt = crc32(serialized row) % salt) —
-    deterministic given the data, independent of partitioning.
-    """
-
-    up = _polars_hash_ok()  # driver decision, captured in the closures
-
-    def tag(batch: pa.Table) -> pa.Table:
-        t = add_bucket_column(batch, keys, num_buckets, use_polars=up)
-        if t.num_rows == 0:
-            return t.append_column("__salt", pa.array([], type=pa.int64()))
-        # row-content salt: hash of ALL columns so identical rows co-locate
-        # deterministically but a hot key's rows spread uniformly
-        if up:
-            import polars as pl
-
-            df = pl.from_arrow(t)
-            h = df.select(pl.concat_str(
-                [pl.col(c).cast(pl.Utf8).fill_null("\x00")
-                 for c in t.column_names],
-                separator="\x1f").hash(seed=7).alias("h"))["h"].to_numpy()
-            s = (h % np.uint64(salt)).astype(np.int64)
-        else:
-            s = np.fromiter(
-                (zlib.crc32(repr(r).encode()) % salt
-                 for r in t.to_pylist()),
-                dtype=np.int64, count=t.num_rows)
-        return t.append_column("__salt", pa.array(s))
-
-    def apply_partial(t: pa.Table) -> pa.Table:
-        out = partial_fn(t.drop_columns([BUCKET_COL, "__salt"]))
-        return add_bucket_column(out, keys, num_buckets, use_polars=up)
-
-    def apply_merge(t: pa.Table) -> pa.Table:
-        return merge_fn(t.drop_columns([BUCKET_COL]))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            batch_size=batch_size, zero_copy_batch=True)
-    partials = tagged.groupby([BUCKET_COL, "__salt"]).map_groups(
-        apply_partial, batch_format="pyarrow")
-    return partials.groupby(BUCKET_COL).map_groups(
-        apply_merge, batch_format="pyarrow")
 
 
 def bucketed_group_apply(ds, keys: list[str], bucket_fn, *,

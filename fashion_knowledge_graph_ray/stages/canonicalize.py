@@ -29,6 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .bucketed import bucketed_group_apply
+from .pairs import group_pairs
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _NUM_PERM = 64
@@ -231,23 +232,16 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
     import ray.data
 
     def pairs_in_buckets(t: pa.Table) -> pa.Table:
-        # Vectorized bucket kernel (was a Python double loop over sorted
-        # bucket members): per-bucket cap by id order, pandas self-merge
-        # for the pair fan-out. Pair set identical — same cap rule
-        # (first ``max_bucket_size`` distinct ids per bucket, sorted),
-        # same a<b ordering; within-task (a, b) dedup preserves the old
-        # ``seen``-set shuffle volume.
+        # capped G1 fan-out per bucket; the within-call (a, b) dedup
+        # trims the shuffle and is what the raw-count gate below counts
         import pandas as pd
 
-        df = pd.DataFrame({"band_key": t["band_key"].to_pandas(),
-                           "id": t["id"].to_pandas()})
-        df = (df.drop_duplicates(["band_key", "id"])
-              .sort_values(["band_key", "id"], kind="mergesort"))
-        df = df[df.groupby("band_key").cumcount() < max_bucket_size]
-        m = df.merge(df, on="band_key", suffixes=("_a", "_b"))
-        m = m[m["id_a"] < m["id_b"]].drop_duplicates(["id_a", "id_b"])
-        return pa.table({"a": pa.array(m["id_a"], type=pa.string()),
-                         "b": pa.array(m["id_b"], type=pa.string())})
+        _, a, b = group_pairs(t["band_key"].to_numpy(zero_copy_only=False),
+                              t["id"].to_numpy(zero_copy_only=False),
+                              cap=max_bucket_size)
+        m = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
+        return pa.table({"a": pa.array(m["a"], type=pa.string()),
+                         "b": pa.array(m["b"], type=pa.string())})
 
     raw = bucketed_group_apply(band_rows_ds, ["band_key"], pairs_in_buckets,
                                num_buckets=num_buckets).materialize()
@@ -488,10 +482,19 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
                                 num_buckets=num_buckets)
 
 
-def _distinct_pairs(pairs_ds, *, num_buckets: int = 64):
+def _distinct_pairs(pairs_ds, *, num_buckets: int = 64,
+                    min_of: str | None = None):
+    """Distinct ``(a, b)`` rows of ``pairs_ds``: a per-batch partial, then
+    one bucketed exchange on ``(a, b)``. ``min_of`` names a column kept
+    as its minimum over each pair's duplicates."""
+    aggs = [] if min_of is None else [(min_of, "min")]
+
     def dd(t: pa.Table) -> pa.Table:
-        g = t.group_by(["a", "b"]).aggregate([])
-        return g
+        g = t.group_by(["a", "b"]).aggregate(aggs)
+        if min_of is None:
+            return g
+        return pa.table({"a": g["a"], "b": g["b"],
+                         min_of: g[f"{min_of}_min"]})
 
     partial = pairs_ds.map_batches(dd, batch_format="pyarrow",
                                    zero_copy_batch=True)

@@ -564,7 +564,7 @@ def bm25_topk(docs_ds, query_tokens: list[str], k: int, *,
 
 def inverted_index(docs_ds, *, text_col: str = "text",
                    id_col: str = "doc_id", num_buckets: int = 16,
-                   postings_cap: int = 100_000, salt: int = 0):
+                   postings_cap: int = 100_000):
     """Distributed inverted-index construction: one row per distinct
     token with its document frequency and a sorted postings string.
 
@@ -578,25 +578,13 @@ def inverted_index(docs_ds, *, text_col: str = "text",
     ONCE per batch — the shuffle carries one row per distinct token per
     block, not one per occurrence. Token frequencies are Zipfian; a stop
     word's merge (concat + sort of its FULL postings) is the heaviest
-    per-key reduction in this engine, so this operator is where
-    ``salted_group_apply`` plugs in: with ``salt > 0`` phase 1 splits
-    each token's runs across ``salt`` tasks, each sorting/capping its
-    slice, and phase 2 merges the (pre-capped, pre-sorted) slices.
-    Output is IDENTICAL to the unsalted path (equivalence-tested): every
-    id in the global first-``postings_cap`` prefix is by construction in
-    its slice's first-``postings_cap`` prefix, and ``df``/truncation
-    derive from summed counts, not list lengths.
-
-    ``salt=0`` is the DEFAULT on measured evidence, not assumption:
-    hash-bucketing already spreads distinct hot tokens across buckets,
-    and per-batch partials bound any token to one row per block, so
-    salting paid in none of three skew benches (120k docs x 5 universal
-    stop words: 1.6 vs 2.4 s; 400k docs x 16 universal tokens: 1.7 vs
-    2.9 s; ONE 12M-posting mega-token: 3.4 vs 3.9 s) — the extra
-    exchange always cost more than the spread saved. Flip ``salt>0``
-    when a single token's postings exceed one task's MEMORY budget
-    (df ≳ 10^8 at web scale): phase 1 bounds per-task postings to
-    ``df/salt``, which is a safety valve, not a speedup.
+    per-key reduction in this engine. A salted two-phase merge (split a
+    token's runs across tasks, then merge the pre-capped slices) paid in
+    none of three skew benches (120k docs x 5 universal stop words: 1.6
+    vs 2.4 s; 400k docs x 16 universal tokens: 1.7 vs 2.9 s; ONE
+    12M-posting mega-token: 3.4 vs 3.9 s): hash-bucketing already spreads
+    distinct hot tokens across buckets and per-batch partials bound any
+    token to one row per block, so the merge is not salted.
 
     Postings ride as comma-joined strings (Arrow large-binary friendly,
     and the driver never sees them). The hottest token's FINAL postings
@@ -638,17 +626,6 @@ def inverted_index(docs_ds, *, text_col: str = "text",
             per_tok[tok] = (n + df, runs + [run])
         return per_tok
 
-    def mid_merge(t: pa.Table) -> pa.Table:
-        per_tok = _fold(t)
-        keys = sorted(per_tok)
-        return pa.table({
-            "token": pa.array(keys, type=pa.string()),
-            "df": pa.array([per_tok[k][0] for k in keys], type=pa.int64()),
-            "postings": pa.array(
-                [",".join(map(str, _sorted_cap(per_tok[k][1])))
-                 for k in keys], type=pa.string()),
-        })
-
     def merge(t: pa.Table) -> pa.Table:
         per_tok = _fold(t)
         keys = sorted(per_tok)
@@ -665,11 +642,6 @@ def inverted_index(docs_ds, *, text_col: str = "text",
 
     partials = docs_ds.map_batches(partial, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    if salt > 0:
-        from .bucketed import salted_group_apply
-
-        return salted_group_apply(partials, ["token"], mid_merge, merge,
-                                  salt=salt, num_buckets=num_buckets)
     return bucketed_group_apply(partials, ["token"], merge,
                                 num_buckets=num_buckets)
 

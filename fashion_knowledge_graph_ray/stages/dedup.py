@@ -32,7 +32,13 @@ from ..functions.textstats import (
 )
 from ..functions.vectors import list_to_matrix
 from .bucketed import bucketed_group_apply
-from .canonicalize import candidate_pairs, connected_components, lsh_band_rows
+from .canonicalize import (
+    _distinct_pairs,
+    candidate_pairs,
+    connected_components,
+    lsh_band_rows,
+)
+from .pairs import group_pairs
 
 
 # ── exact dedup ──────────────────────────────────────────────────────────
@@ -138,6 +144,59 @@ def chunk_dedup(ds, *, chunk_tokens: int = 20, text_col: str = "text",
                                 num_buckets=num_buckets)
 
 
+# ── Bloom gate: shared by incremental_dedup and lsh_neardup_pairs ───────
+
+def _bloom_slots(h: np.ndarray, bits: int, k: int):
+    for i in range(k):
+        # i-th derived hash: splitmix-style remix, vectorized
+        hk = (h ^ np.uint64((0x9E3779B97F4A7C15 * (i + 1))
+                            & 0xFFFFFFFFFFFFFFFF))
+        yield (hk * np.uint64(0xBF58476D1CE4E5B9)) % np.uint64(bits)
+
+
+def _bloom_filter(ds, hashes, *, bits: int, k: int):
+    """Bloom filter of every uint64 ``hashes(batch)`` yields over ``ds``:
+    one narrow pass ORs per-batch bitmap partials into ``bits`` bits on
+    the driver (``bits/8`` bytes, never rows), broadcast once via
+    ``ray.put``. Test membership with ``_bloom_hits``."""
+    import ray
+
+    # bitmap words are uint64; a bits that is not a multiple of 64 would
+    # make slot indices (mod bits) point past the truncated word array —
+    # round UP so every slot has a word
+    bits = ((bits + 63) // 64) * 64
+
+    def partial(t: pa.Table) -> pa.Table:
+        bm = np.zeros(bits // 64, dtype=np.uint64)
+        for s in _bloom_slots(hashes(t), bits, k):
+            np.bitwise_or.at(bm, (s // np.uint64(64)).astype(np.int64),
+                             np.uint64(1) << (s % np.uint64(64)))
+        return pa.table({"bitmap": pa.array([bm.tobytes()],
+                                            type=pa.binary())})
+
+    bloom = np.zeros(bits // 64, dtype=np.uint64)
+    for b in ds.map_batches(partial, batch_format="pyarrow",
+                            zero_copy_batch=True) \
+            .iter_batches(batch_format="pyarrow"):
+        for raw in b["bitmap"].to_pylist():
+            bloom |= np.frombuffer(raw, dtype=np.uint64)
+    return ray.put(bloom) if ray.is_initialized() else bloom
+
+
+def _bloom_hits(bloom_ref, h: np.ndarray, k: int) -> np.ndarray:
+    """Membership mask of uint64 hashes ``h`` in a ``_bloom_filter``
+    built with the same ``k`` (false positives, never false negatives)."""
+    import ray
+
+    bm = bloom_ref if isinstance(bloom_ref, np.ndarray) \
+        else ray.get(bloom_ref)
+    hit = np.ones(len(h), dtype=bool)
+    for s in _bloom_slots(h, bm.size * 64, k):
+        word = bm[(s // np.uint64(64)).astype(np.int64)]
+        hit &= (word >> (s % np.uint64(64))) & np.uint64(1) != 0
+    return hit
+
+
 # ── incremental (bloom-gated) dedup against a reference corpus ───────────
 
 def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
@@ -164,14 +223,7 @@ def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
     FP. Hash collisions (distinct texts, equal 64-bit md5 prefix) are
     the usual 2^-64 caveat, same as every content-hash dedup here.
     """
-    import ray
-
     from .relational import anti_join_shuffle
-
-    # bitmap words are uint64; a bloom_bits that is not a multiple of 64
-    # would make slot indices (mod bloom_bits) point past the truncated
-    # word array — round UP so every slot has a word
-    bloom_bits = ((bloom_bits + 63) // 64) * 64
 
     def to_hash64(t: pa.Table, col: str) -> np.ndarray:
         # first 8 md5 digest bytes big-endian == int(hexdigest[:16], 16),
@@ -184,16 +236,6 @@ def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
                             "big") for x in t[col].to_pylist()),
             dtype=np.uint64, count=t.num_rows)
 
-    mask_words = bloom_bits // 64
-
-    def _bloom_slots(h: np.ndarray):
-        for k in range(bloom_hashes):
-            # k-th derived hash: splitmix-style remix, vectorized
-            hk = (h ^ np.uint64((0x9E3779B97F4A7C15 * (k + 1))
-                                & 0xFFFFFFFFFFFFFFFF))
-            yield (hk * np.uint64(0xBF58476D1CE4E5B9)) \
-                % np.uint64(bloom_bits)
-
     # ref text is scanned and hashed ONCE; the (tiny) hash column is
     # materialized and reused for both the bloom build and the verify
     # anti-join's right side
@@ -202,31 +244,15 @@ def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
                                               type=pa.uint64())}),
         batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    def bloom_partial(t: pa.Table) -> pa.Table:
-        bm = np.zeros(mask_words, dtype=np.uint64)
-        h = t["__h64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        for hk in _bloom_slots(h):
-            np.bitwise_or.at(bm, (hk // np.uint64(64)).astype(np.int64),
-                             np.uint64(1) << (hk % np.uint64(64)))
-        return pa.table({"bitmap": pa.array([bm.tobytes()],
-                                            type=pa.binary())})
-
-    bloom = np.zeros(mask_words, dtype=np.uint64)
-    for b in ref_hashes.map_batches(
-            bloom_partial, batch_format="pyarrow",
-            zero_copy_batch=True).iter_batches(batch_format="pyarrow"):
-        for raw in b["bitmap"].to_pylist():
-            bloom |= np.frombuffer(raw, dtype=np.uint64)
-    bloom_ref = ray.put(bloom) if ray.is_initialized() else bloom
+    bloom_ref = _bloom_filter(
+        ref_hashes,
+        lambda t: t["__h64"].to_numpy(zero_copy_only=False)
+        .astype(np.uint64),
+        bits=bloom_bits, k=bloom_hashes)
 
     def bloom_test(t: pa.Table) -> pa.Table:
-        bm = bloom_ref if isinstance(bloom_ref, np.ndarray) \
-            else ray.get(bloom_ref)
         h = to_hash64(t, text_col)
-        hit = np.ones(len(h), dtype=bool)
-        for hk in _bloom_slots(h):
-            word = bm[(hk // np.uint64(64)).astype(np.int64)]
-            hit &= (word >> (hk % np.uint64(64))) & np.uint64(1) != 0
+        hit = _bloom_hits(bloom_ref, h, bloom_hashes)
         return t.append_column("__h64", pa.array(h, type=pa.uint64())) \
                 .append_column("__bloom_hit", pa.array(hit))
 
@@ -285,47 +311,31 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                               zero_copy_batch=True)
 
     def pairs_in_buckets(t: pa.Table) -> pa.Table:
-        # Fully vectorized bucket kernel (was a Python double loop over
-        # bucket members): per-group cap by id order, pandas self-merge
-        # for the candidate fan-out, one XOR + unpackbits popcount pass
-        # for the Hamming verify. Pair set identical — same cap rule
-        # (first ``max_bucket_size`` ids per bucket), same a<b ordering;
-        # within-task (a, b) dedup keeps the shuffle volume of the old
-        # ``seen``-set behavior.
+        # capped G1 fan-out per bucket, then one XOR + unpackbits popcount
+        # pass for the Hamming verify; the within-call (a, b) dedup trims
+        # the shuffle. An id's simhash is a function of its text, so it is
+        # looked up by id.
         import pandas as pd
 
-        df = pd.DataFrame({"band_key": t["band_key"].to_pandas(),
-                           "id": t["id"].to_pandas(),
-                           "simhash": t["simhash"].to_pandas()})
-        df = (df.drop_duplicates(["band_key", "id"])
-              .sort_values(["band_key", "id"], kind="mergesort"))
-        df = df[df.groupby("band_key").cumcount() < max_bucket_size]
-        m = df.merge(df, on="band_key", suffixes=("_a", "_b"))
-        m = m[m["id_a"] < m["id_b"]]
-        if len(m):
-            x = (m["simhash_a"].to_numpy(dtype=np.uint64)
-                 ^ m["simhash_b"].to_numpy(dtype=np.uint64))
-            d = np.unpackbits(x.view(np.uint8)).reshape(-1, 64).sum(axis=1)
-            m = m.assign(hamming=d.astype(np.int64))
-            m = m[m["hamming"] <= max_hamming]
-            m = m.drop_duplicates(["id_a", "id_b"])
-        else:
-            m = m.assign(hamming=np.empty(0, dtype=np.int64))
-        return pa.table({"a": pa.array(m["id_a"], type=pa.string()),
-                         "b": pa.array(m["id_b"], type=pa.string()),
+        ids = t["id"].to_numpy(zero_copy_only=False)
+        _, a, b = group_pairs(t["band_key"].to_numpy(zero_copy_only=False),
+                              ids, cap=max_bucket_size)
+        sh = pd.Series(t["simhash"].to_numpy(zero_copy_only=False),
+                       index=ids)
+        sh = sh[~sh.index.duplicated()]
+        x = (sh.reindex(a).to_numpy(dtype=np.uint64)
+             ^ sh.reindex(b).to_numpy(dtype=np.uint64))
+        d = np.unpackbits(x.view(np.uint8)).reshape(-1, 64).sum(axis=1)
+        m = pd.DataFrame({"a": a, "b": b, "hamming": d.astype(np.int64)})
+        m = m[m["hamming"] <= max_hamming].drop_duplicates(["a", "b"])
+        return pa.table({"a": pa.array(m["a"], type=pa.string()),
+                         "b": pa.array(m["b"], type=pa.string()),
                          "hamming": pa.array(m["hamming"],
                                              type=pa.int64())})
 
     raw = bucketed_group_apply(bands_ds, ["band_key"], pairs_in_buckets,
                                num_buckets=num_buckets)
-
-    def dd(t: pa.Table) -> pa.Table:
-        g = t.group_by(["a", "b"]).aggregate([("hamming", "min")])
-        return pa.table({"a": g["a"], "b": g["b"], "hamming": g["hamming_min"]})
-
-    partial = raw.map_batches(dd, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed_group_apply(partial, ["a", "b"], dd,
-                                num_buckets=num_buckets)
+    return _distinct_pairs(raw, num_buckets=num_buckets, min_of="hamming")
 
 
 # ── exact n-gram Jaccard similarity join (prefix filtering) ─────────────
@@ -442,9 +452,8 @@ def jaccard_ngram_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                            (np.asarray(g, dtype=np.uint64)
                             for g in first["grams"])))
         sizes = {i: g.size for i, g in gram_of.items()}
-        m = df[["gram", "id"]].drop_duplicates()
-        j = m.merge(m, on="gram")
-        j = j[j["id_x"] < j["id_y"]][["id_x", "id_y"]].drop_duplicates()
+        _, a, b = group_pairs(df["gram"].to_numpy(), df["id"].to_numpy())
+        j = pd.DataFrame({"id_x": a, "id_y": b}).drop_duplicates()
         if len(j) == 0:
             return pa.table({"a": pa.array([], type=pa.int64()),
                              "b": pa.array([], type=pa.int64()),
@@ -474,14 +483,7 @@ def jaccard_ngram_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     raw = bucketed_group_apply(blocks, ["gram"], verify,
                                num_buckets=num_buckets,
                                batch_size=prefix_batch_size)
-
-    def dd(t: pa.Table) -> pa.Table:
-        g = t.group_by(["a", "b"]).aggregate([("jac", "min")])
-        return pa.table({"a": g["a"], "b": g["b"], "jac": g["jac_min"]})
-
-    partial = raw.map_batches(dd, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed_group_apply(partial, ["a", "b"], dd,
-                                num_buckets=num_buckets)
+    return _distinct_pairs(raw, num_buckets=num_buckets, min_of="jac")
 
 
 # ── embedding-cosine near-dup ────────────────────────────────────────────
@@ -563,63 +565,28 @@ def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
     def pairs_in_bucket(t: pa.Table) -> pa.Table:
         import pandas as pd
 
-        df = pd.DataFrame({
-            "bkey": t["bkey"].to_numpy(zero_copy_only=False),
-            "id": t["id"].to_numpy(zero_copy_only=False),
-        }).drop_duplicates()
-        m = df.merge(df, on="bkey")
-        m = m[m["id_x"] < m["id_y"]][["id_x", "id_y"]].drop_duplicates()
-        return pa.table({"a": pa.array(m["id_x"], type=pa.int64()),
-                         "b": pa.array(m["id_y"], type=pa.int64())})
+        _, a, b = group_pairs(t["bkey"].to_numpy(zero_copy_only=False),
+                              t["id"].to_numpy(zero_copy_only=False))
+        m = pd.DataFrame({"a": a, "b": b}).drop_duplicates()
+        return pa.table({"a": pa.array(m["a"], type=pa.int64()),
+                         "b": pa.array(m["b"], type=pa.int64())})
 
-    def dd_pairs(t: pa.Table) -> pa.Table:
-        return t.group_by(["a", "b"]).aggregate([])
-
-    cand = bucketed_group_apply(rows, ["bkey"], pairs_in_bucket,
-                                num_buckets=num_buckets)
-    cand = bucketed_group_apply(
-        cand.map_batches(dd_pairs, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        ["a", "b"], dd_pairs, num_buckets=num_buckets).materialize()
+    cand = _distinct_pairs(
+        bucketed_group_apply(rows, ["bkey"], pairs_in_bucket,
+                             num_buckets=num_buckets),
+        num_buckets=num_buckets).materialize()
 
     # ── Bloom gate: prune the vector table to involved ids ± FP ─────────
-    bloom_bits = ((bloom_bits + 63) // 64) * 64
-
-    def _slots(h: np.ndarray):
-        for k in range(4):
-            hk = (h ^ np.uint64((0x9E3779B97F4A7C15 * (k + 1))
-                                & 0xFFFFFFFFFFFFFFFF))
-            yield (hk * np.uint64(0xBF58476D1CE4E5B9)) \
-                % np.uint64(bloom_bits)
-
-    def bloom_partial(t: pa.Table) -> pa.Table:
-        bm = np.zeros(bloom_bits // 64, dtype=np.uint64)
-        h = np.unique(np.concatenate([
+    bloom_ref = _bloom_filter(
+        cand,
+        lambda t: np.unique(np.concatenate([
             t["a"].to_numpy(zero_copy_only=False),
-            t["b"].to_numpy(zero_copy_only=False)])).astype(np.uint64)
-        for hk in _slots(h):
-            np.bitwise_or.at(bm, (hk // np.uint64(64)).astype(np.int64),
-                             np.uint64(1) << (hk % np.uint64(64)))
-        return pa.table({"bitmap": pa.array([bm.tobytes()],
-                                            type=pa.binary())})
-
-    bloom = np.zeros(bloom_bits // 64, dtype=np.uint64)
-    for b in cand.map_batches(bloom_partial, batch_format="pyarrow",
-                              zero_copy_batch=True) \
-            .iter_batches(batch_format="pyarrow"):
-        for raw in b["bitmap"].to_pylist():
-            bloom |= np.frombuffer(raw, dtype=np.uint64)
-    bloom_ref = ray.put(bloom) if ray.is_initialized() else bloom
+            t["b"].to_numpy(zero_copy_only=False)])).astype(np.uint64),
+        bits=bloom_bits, k=4)
 
     def vec_prune(t: pa.Table) -> pa.Table:
-        bm = bloom_ref if isinstance(bloom_ref, np.ndarray) \
-            else ray.get(bloom_ref)
         h = t[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        hit = np.ones(len(h), dtype=bool)
-        for hk in _slots(h):
-            word = bm[(hk // np.uint64(64)).astype(np.int64)]
-            hit &= (word >> (hk % np.uint64(64))) & np.uint64(1) != 0
-        return t.filter(pa.array(hit))
+        return t.filter(pa.array(_bloom_hits(bloom_ref, h, 4)))
 
     # BOTH gathers consume the pruned vectors — materialize once
     # (object-store footprint = involved ids ± bloom FP, not the corpus)

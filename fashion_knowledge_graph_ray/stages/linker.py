@@ -44,13 +44,6 @@ from ..vocab import LINK_SIMILARITY_THRESHOLD, UNKNOWN
 from .attributes import attrs_batch  # noqa: F401  (pipeline composes these)
 
 
-def _linked_struct(mention_struct: pa.StructType) -> pa.StructType:
-    return pa.struct(
-        list(mention_struct)
-        + [pa.field("entity_id", pa.string()), pa.field("link_score", pa.float64())]
-    )
-
-
 class GazetteerLinker:
     """Exact form -> entity link; score 1.0. Broadcast-small-side join
     (taxonomy << pages), no shuffle (SURVEY.md §2.5 J1): the gazetteer is

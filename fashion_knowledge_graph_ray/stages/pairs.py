@@ -15,10 +15,16 @@ Pair generation is a flat-map over the page-mentions list column — all
 mentions of a page live in one row, so no shuffle and no cross-block
 hazard. The category lookup is a broadcast small-side join (taxonomy
 << pages).
+
+``group_pairs`` and ``pair_relations`` are the package's one G1 kernel
+and one relation rule: every co-group pair fan-out in the engine (LSH
+and SimHash buckets, prefix-gram blocks, the TPC-H order analog)
+composes them.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -41,12 +47,52 @@ def rel_type(cat_a: str | None, cat_b: str | None) -> str:
     return REL_WORN_WITH
 
 
-_CAT_CACHE: dict[int, dict] = {}
+def pair_relations(a, b, category) -> np.ndarray:
+    """``rel_type`` over arrays: one relation per pair ``(a[i], b[i])``.
+    ``category`` is a ``pd.Series`` id -> category; an id missing from
+    it, or a null or empty category, never counts as equal."""
+    import pandas as pd
+
+    ca = pd.Series(a).map(category)
+    cb = pd.Series(b).map(category).to_numpy()
+    same = (ca.notna().to_numpy() & (ca.to_numpy() != "")
+            & (ca.to_numpy() == cb))
+    return np.where(same, REL_COMPLEMENTED_BY, REL_WORN_WITH)
 
 
-def _category_map(taxonomy_ref) -> dict:
-    """id -> category lookup, memoized per worker process (``ray.get`` of a
-    broadcast ref is plasma-cached, but the dict build is also skipped)."""
+def group_pairs(groups, ids, *, cap: int | None = None):
+    """G1, the co-group pair kernel: every unordered pair ``a < b`` of
+    the distinct ids that share a group -> ``(group, a, b)`` numpy arrays.
+
+    ``groups``/``ids`` are parallel numpy arrays or pandas Series (a
+    page's entities, an LSH bucket's docs, an order's parts). Repeated
+    ``(group, id)`` rows count once. ``cap`` keeps only the ``cap``
+    smallest distinct ids of each group, so one huge bucket cannot fan
+    out O(n^2). A pandas self-merge on the group with an ``a < b`` mask,
+    all in C kernels: a per-page Python double loop measured 8.8 s of the
+    800k-page bench build. A pair shared by several groups comes out
+    once per group."""
+    import pandas as pd
+
+    df = pd.DataFrame({"g": np.asarray(groups),
+                       "id": np.asarray(ids)}).drop_duplicates()
+    if cap is not None:
+        df = df.sort_values(["g", "id"], kind="mergesort")
+        df = df[df.groupby("g").cumcount() < cap]
+    m = df.merge(df, on="g")
+    m = m[m["id_x"] < m["id_y"]]
+    return m["g"].to_numpy(), m["id_x"].to_numpy(), m["id_y"].to_numpy()
+
+
+_CAT_CACHE: dict = {}
+
+
+def _category_series(taxonomy_ref):
+    """id -> category ``pd.Series``, memoized per worker process (``ray.get``
+    of a broadcast ref is plasma-cached, but the Series build from a
+    |taxonomy|-entry dict is also skipped)."""
+    import pandas as pd
+
     key = (taxonomy_ref.hex() if hasattr(taxonomy_ref, "hex")
            else id(taxonomy_ref))
     hit = _CAT_CACHE.get(key)
@@ -57,40 +103,28 @@ def _category_map(taxonomy_ref) -> dict:
         import ray
 
         tax = ray.get(taxonomy_ref)
-    m = dict(zip(tax["entity_id"].to_pylist(), tax["category"].to_pylist()))
+    cat = pd.Series(dict(zip(tax["entity_id"].to_pylist(),
+                             tax["category"].to_pylist())))
     _CAT_CACHE.clear()
-    _CAT_CACHE[key] = m
-    return m
+    _CAT_CACHE[key] = cat
+    return cat
 
 
 class PairGenerator:
     """Callable stage: linked page_mentions -> pair rows (both directions).
 
     Deliberately run as a TASK stage, not an actor pool (see
-    ``generate_pairs``): its only state is the id->category dict, which is
-    memoized per worker process — a third actor pool here starved small
+    ``generate_pairs``): its only state is the id->category Series, which
+    is memoized per worker process — a third actor pool here starved small
     clusters of task CPUs (observed deadlock at num_cpus=4 with fixed-size
     detector+linker pools)."""
 
     def __init__(self, taxonomy_ref):
-        import pandas as pd
-
-        self.cat = _category_map(taxonomy_ref)
-        # built once: Series construction from a |taxonomy|-entry dict is
-        # not free on the per-batch hot path
-        self._cat_series = pd.Series(self.cat)
+        self._cat_series = _category_series(taxonomy_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # Vectorized per-page pairing: flatten the mentions column, keep
-        # linked entities, distinct (page, entity), then a pandas
-        # self-merge on the page index with an ``a < b`` mask — the same
-        # shape that removed the hottest Python loop from the
-        # co-occurrence query. The nested per-page loop version measured
-        # 8.8s of the 800k-page bench build; this runs the identical
-        # semantics in C kernels.
-        import numpy as np
-        import pandas as pd
-
+        # Flatten the mentions column, keep linked entities, then
+        # ``group_pairs`` on the page index.
         col = batch["mentions"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -99,30 +133,20 @@ class PairGenerator:
             return PAIRS_SCHEMA.empty_table()
         parent = pc.list_parent_indices(col).to_numpy(zero_copy_only=False)
         ents = flat.field("entity_id").to_pandas()
-        df = pd.DataFrame({"pi": parent, "e": ents})
         # reference drops unlinked mentions; '' never occurs but the old
         # truthiness check excluded it too
-        df = df[df["e"].notna() & (df["e"] != "")].drop_duplicates()
-        if len(df) == 0:
+        keep = (ents.notna() & (ents != "")).to_numpy()
+        pi, a, b = group_pairs(parent[keep], ents.to_numpy()[keep])
+        if len(pi) == 0:
             return PAIRS_SCHEMA.empty_table()
-        j = df.merge(df, on="pi")
-        j = j[j["e_x"] < j["e_y"]]
-        if len(j) == 0:
-            return PAIRS_SCHEMA.empty_table()
-        cat = self._cat_series
-        ca = j["e_x"].map(cat)
-        cb = j["e_y"].map(cat)
-        same = ca.notna().values & (ca.values == cb.values)
-        rel = np.where(same, REL_COMPLEMENTED_BY, REL_WORN_WITH)
+        rel = pair_relations(a, b, self._cat_series)
         urls = batch["url"]
         if isinstance(urls, pa.ChunkedArray):
             urls = urls.combine_chunks()
         tss = batch["warc_ts"]
         if isinstance(tss, pa.ChunkedArray):
             tss = tss.combine_chunks()
-        pi = pa.array(np.concatenate([j["pi"].values, j["pi"].values]))
-        a = j["e_x"].values
-        b = j["e_y"].values
+        pi = pa.array(np.concatenate([pi, pi]))
         return pa.table(
             {
                 "src": pa.array(np.concatenate([a, b]), type=pa.string()),

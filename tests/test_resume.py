@@ -6,7 +6,8 @@ Invariants under test:
   byte-identical final outputs;
 - a tampered manifest or deleted part file forces recompute;
 - a stage-version bump invalidates every manifest;
-- a rerun with fewer partitions leaves only its own partitions on disk.
+- a rerun with fewer partitions leaves only its own partitions on disk;
+- a plain build into a partitioned build's dir leaves no resume state.
 """
 
 import json
@@ -260,6 +261,23 @@ def test_rerun_with_fewer_partitions_drops_stale_ones(ray_session,
     got, want = _table_sets(out), _table_sets(fresh)
     for name in got:
         assert got[name].equals(want[name]), name
+
+
+def test_plain_build_drops_resume_state(ray_session, sharded_pages,
+                                        tmp_path):
+    # build_graph into a dir a partitioned build used owns the whole
+    # directory: the old manifests and metrics.json described another KG
+    import ray.data as rd
+
+    shards, tax = sharded_pages
+    out = str(tmp_path / "kg")
+    build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    assert os.path.exists(os.path.join(out, "metrics.json"))
+    build_graph(rd.read_parquet(list_parquet_files(shards)[0]), tax, out,
+                link_mode="gazetteer")
+    assert not os.path.exists(os.path.join(out, "manifests"))
+    assert not os.path.exists(os.path.join(out, "metrics.json"))
 
 
 def test_no_part_column_leaks(ray_session, sharded_pages, tmp_path):

@@ -1,6 +1,7 @@
-"""Skew handling: salted two-phase aggregation under a hot key, and the
-hot-key pages corpus end-to-end (datagen ``skew=True`` concentrates ~50% of
-pages on entity 0 — the 'hot brand' shape of SURVEY.md §4.3)."""
+"""Skew handling: the bucketed, per-batch pre-combined aggregation under
+a hot key, and the hot-key pages corpus end-to-end (datagen ``skew=True``
+concentrates ~50% of pages on entity 0 — the 'hot brand' shape of
+SURVEY.md §4.3)."""
 
 from __future__ import annotations
 
@@ -11,10 +12,7 @@ from fashion_knowledge_graph_ray.stages.aggregate import (
     merge_edge_counts,
     partial_edge_count,
 )
-from fashion_knowledge_graph_ray.stages.bucketed import (
-    bucketed_group_apply,
-    salted_group_apply,
-)
+from fashion_knowledge_graph_ray.stages.bucketed import bucketed_group_apply
 
 
 def _hot_pairs(n_hot: int, n_cold: int) -> pa.Table:
@@ -29,35 +27,20 @@ def _hot_pairs(n_hot: int, n_cold: int) -> pa.Table:
     })
 
 
-def test_salted_matches_unsalted_under_hot_key(ray_session):
+def test_hot_key_edge_weight_exact(ray_session):
+    # a hot key arrives as one pre-combined row per upstream batch and
+    # the bucketed merge sums those partials to the exact total
     import ray.data as rd
 
     t = _hot_pairs(5000, 200)
-    ds = rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow",
-                                      batch_size=256)
-    salted = salted_group_apply(ds, ["src", "dst", "rel"],
-                                partial_edge_count, merge_edge_counts,
-                                salt=8, num_buckets=4)
-    plain = bucketed_group_apply(
+    out = bucketed_group_apply(
         rd.from_arrow(t).map_batches(partial_edge_count,
                                      batch_format="pyarrow", batch_size=256),
         ["src", "dst", "rel"], merge_edge_counts, num_buckets=4)
-    got = {(r["src"], r["dst"]): r["weight"] for r in salted.take_all()}
-    want = {(r["src"], r["dst"]): r["weight"] for r in plain.take_all()}
-    assert got == want
+    got = {(r["src"], r["dst"]): r["weight"] for r in out.take_all()}
     assert got[("hot", "x")] == 5000
-
-
-def test_salted_single_hot_key_reduces_exactly(ray_session):
-    # one key, thousands of rows: phase-1 partials spread over salt slots
-    # (each slot sums its slice), phase 2 merges them to the exact total
-    import ray.data as rd
-
-    ds = rd.from_arrow(_hot_pairs(4096, 0))
-    out = salted_group_apply(ds, ["src", "dst", "rel"], partial_edge_count,
-                             merge_edge_counts, salt=8, num_buckets=2)
-    rows = out.take_all()
-    assert len(rows) == 1 and rows[0]["weight"] == 4096
+    assert len(got) == 201
+    assert all(w == 1 for k, w in got.items() if k != ("hot", "x"))
 
 
 def test_skewed_corpus_edges_deterministic(ray_session):
