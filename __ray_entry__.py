@@ -384,11 +384,11 @@ def _q_inverted_index_docs(sf_dir: str):
     return inverted_index(docs, num_buckets=16)
 
 
-def _clone_docs(docs, upto: int, offset: int = 10_000):
-    """Union ``docs`` with copies of rows ``doc_id < upto`` re-keyed to
-    ``doc_id + offset`` — the planted-duplicate fixture augmentation (same
-    device as ``_aug_embeddings``) so dedup queries exercise non-empty
-    removal paths."""
+def _clones(docs, upto: int, offset: int = 10_000):
+    """Copies of the rows ``doc_id < upto`` re-keyed to ``doc_id + offset``
+    — the planted-duplicate fixture augmentation (same device as
+    ``_aug_embeddings``) so dedup queries exercise non-empty removal
+    paths."""
     import pyarrow.compute as pc
 
     def clone(t: pa.Table) -> pa.Table:
@@ -396,8 +396,31 @@ def _clone_docs(docs, upto: int, offset: int = 10_000):
         return s.set_column(s.schema.get_field_index("doc_id"), "doc_id",
                             pc.add(s["doc_id"], pa.scalar(offset)))
 
-    return docs.union(docs.map_batches(clone, batch_format="pyarrow",
-                                       zero_copy_batch=True))
+    return docs.map_batches(clone, batch_format="pyarrow",
+                            zero_copy_batch=True)
+
+
+def _clone_docs(docs, upto: int, offset: int = 10_000):
+    """``docs`` plus ``_clones(docs, upto, offset)``."""
+    return docs.union(_clones(docs, upto, offset))
+
+
+def _double_fifth(docs):
+    """``docs`` with a second copy of its own text, on a new line, for
+    every ``doc_id % 5 == 0`` (mirrored in the oracle SQL): the fixture
+    corpus has no duplicate lines, so repetition signals would be
+    0-variance."""
+    import pyarrow.compute as pc
+
+    def aug(t: pa.Table) -> pa.Table:
+        # numpy modulo: pyarrow.compute has no mod kernel in this version
+        dup = pa.array(t["doc_id"].to_numpy(zero_copy_only=False) % 5 == 0)
+        doubled = pc.binary_join_element_wise(t["text"], t["text"], "\n")
+        return pa.table({"doc_id": t["doc_id"],
+                         "text": pc.if_else(dup, doubled, t["text"])})
+
+    return docs.map_batches(aug, batch_format="pyarrow",
+                            zero_copy_batch=True)
 
 
 def _q_chunk_dedup_docs(sf_dir: str):
@@ -411,19 +434,10 @@ def _q_chunk_dedup_docs(sf_dir: str):
 def _q_incremental_dedup_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.dedup import incremental_dedup
 
-    import pyarrow.compute as pc
-
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
     old = docs.filter(expr="doc_id < 250")
-
-    def clone(t: pa.Table) -> pa.Table:
-        s = t.filter(pc.less(t["doc_id"], pa.scalar(100)))
-        return s.set_column(s.schema.get_field_index("doc_id"), "doc_id",
-                            pc.add(s["doc_id"], pa.scalar(10_000)))
-
     # new shard = genuinely-new rows + planted exact copies of 100 old ones
-    new = docs.filter(expr="doc_id >= 250").union(
-        docs.map_batches(clone, batch_format="pyarrow", zero_copy_batch=True))
+    new = docs.filter(expr="doc_id >= 250").union(_clones(docs, 100))
     out = incremental_dedup(new, old, num_buckets=16)
     return out.map_batches(lambda t: t.select(["doc_id"]),
                            batch_format="pyarrow", zero_copy_batch=True)
@@ -439,26 +453,13 @@ def _q_token_count_docs(sf_dir: str):
 
 
 def _q_repetition_docs(sf_dir: str):
-    # Gopher repetition signals. The fixture corpus has no duplicate
-    # lines at all, so every 5th doc is augmented with a second copy of
-    # its own text (mirrored in the oracle SQL) — otherwise
-    # dup_line_frac would be a 0-variance column and the hash match
-    # would prove nothing, the same weakness as a 0-row query.
-    import pyarrow.compute as pc
-
+    # Gopher repetition signals over the ``_double_fifth`` corpus —
+    # otherwise dup_line_frac would be a 0-variance column and the hash
+    # match would prove nothing, the same weakness as a 0-row query.
     from fashion_knowledge_graph_ray.stages.textstats import repetition_stats
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-
-    def aug(t: pa.Table) -> pa.Table:
-        # numpy modulo: pyarrow.compute has no mod kernel in this version
-        dup = pa.array(t["doc_id"].to_numpy(zero_copy_only=False) % 5 == 0)
-        doubled = pc.binary_join_element_wise(t["text"], t["text"], "\n")
-        return pa.table({"doc_id": t["doc_id"],
-                         "text": pc.if_else(dup, doubled, t["text"])})
-
-    return repetition_stats(docs.map_batches(aug, batch_format="pyarrow",
-                                             zero_copy_batch=True))
+    return repetition_stats(_double_fifth(docs))
 
 
 def _q_pii_scrub_docs(sf_dir: str):
@@ -493,27 +494,10 @@ def _q_curate_docs(sf_dir: str):
     # for doc_id%5==0 (tripped by the dup-line gate) and a shifted-id
     # copy of doc_id<25 (tripped by the dedup keep-min rule) — both
     # mirrored in the oracle SQL.
-    import pyarrow.compute as pc
-
     from fashion_knowledge_graph_ray.pipelines.curate import curate_corpus
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-
-    def aug(t: pa.Table) -> pa.Table:
-        dup = pa.array(t["doc_id"].to_numpy(zero_copy_only=False) % 5 == 0)
-        doubled = pc.binary_join_element_wise(t["text"], t["text"], "\n")
-        return pa.table({"doc_id": t["doc_id"],
-                         "text": pc.if_else(dup, doubled, t["text"])})
-
-    def shift(t: pa.Table) -> pa.Table:
-        k = t.filter(pc.less(t["doc_id"], 25))
-        return pa.table({"doc_id": pc.add(k["doc_id"], 100000),
-                         "text": k["text"]})
-
-    a = docs.map_batches(aug, batch_format="pyarrow", zero_copy_batch=True)
-    full = a.union(a.map_batches(shift, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-    return curate_corpus(full)
+    return curate_corpus(_clone_docs(_double_fifth(docs), 25, 100_000))
 
 
 def _q_quality_docs(sf_dir: str):

@@ -1,4 +1,6 @@
-"""Bucketed group application — the scale-shape for keyed reductions.
+"""Bucketed group application — the scale-shape for keyed reductions and
+two-sided keyed exchanges (``bucketed_group_apply`` for one input,
+``bucketed_cogroup`` for two).
 
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
@@ -29,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 BUCKET_COL = "__bucket"
+_SIDE_COL = "__side"
 
 
 def _polars_hash_ok() -> bool:
@@ -124,4 +127,80 @@ def bucketed_group_apply(ds, keys: list[str], bucket_fn, *,
     # minus its per-group split, which cost one ``bucket_fn`` set-up per
     # bucket inside a single serial task.
     return tagged.sort(BUCKET_COL).map_batches(
+        apply, batch_format="pyarrow", batch_size=None)
+
+
+def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
+                     right_schema, right_keys: list[str] | None = None,
+                     num_buckets: int = 64):
+    """Two-sided ``bucketed_group_apply``: shuffle ``left`` and ``right``
+    by the SAME hash-bucket of their keys and call ``fn(l, r)`` (two
+    pa.Tables -> pa.Table) once per shuffled block.
+
+    ``l`` and ``r`` carry each side's own column names and the types of
+    ``left_schema`` / ``right_schema`` (anything with ``.names`` and
+    ``.types``; each side is projected to its schema's columns and cast to
+    its types). Either may be empty, never both. As in
+    ``bucketed_group_apply``, a call holds ALL rows of one or more whole
+    buckets from both sides, so ``fn`` must be keyed.
+
+    ``right_keys`` (default ``keys``) pair up with ``keys`` by position;
+    the right keys hash as the left key types, so equal keys share a
+    bucket. Right rows with a null in any key are dropped before the
+    exchange: a null key never matches (SQL semantics). Left rows keep
+    theirs — an anti- or outer join still owes them a row.
+
+    Layout: one union of both sides, each padded with typed nulls in the
+    other side's columns and tagged with a side flag, then one sort on the
+    bucket — the exchange is paid once for both inputs."""
+    lk, rk = list(keys), list(right_keys or keys)
+    if len(lk) != len(rk):
+        raise ValueError("right_keys must match keys in length")
+    ln, lt = list(left_schema.names), list(left_schema.types)
+    rn, rt = list(right_schema.names), list(right_schema.types)
+    key_types = [lt[ln.index(k)] for k in lk]
+    lcols = [f"__l{i}" for i in range(len(ln))]
+    rcols = [f"__r{i}" for i in range(len(rn))]
+    schema = pa.schema([(BUCKET_COL, pa.int64()), (_SIDE_COL, pa.int8())]
+                       + list(zip(lcols, lt)) + list(zip(rcols, rt)))
+    up = _polars_hash_ok()  # driver decision, captured in the closures
+
+    def tagger(side: int):
+        names, types, kn = (ln, lt, lk) if side == 0 else (rn, rt, rk)
+
+        def tag(t: pa.Table) -> pa.Table:
+            if side:
+                for k in kn:
+                    if t[k].null_count:
+                        t = t.filter(pc.is_valid(t[k]))
+            n = t.num_rows
+            # hash the right keys as the left key types (an int key and a
+            # float or string key hash apart); an unsafe cast can only
+            # co-locate keys that then fail to match
+            kt = pa.table([t[k].cast(typ, safe=False)
+                           for k, typ in zip(kn, key_types)], names=lk)
+            own = [t[c] if t[c].type == typ else t[c].cast(typ)
+                   for c, typ in zip(names, types)]
+            pad = [pa.nulls(n, type=typ)
+                   for typ in (rt if side == 0 else lt)]
+            cols = own + pad if side == 0 else pad + own
+            return pa.Table.from_arrays(
+                [add_bucket_column(kt, lk, num_buckets, use_polars=up)
+                 [BUCKET_COL], pa.array(np.full(n, side, np.int8))] + cols,
+                schema=schema)
+        return tag
+
+    def apply(t: pa.Table):
+        if t.num_rows:
+            is_l = pc.equal(t[_SIDE_COL], 0)
+            yield fn(t.select(lcols).filter(is_l).rename_columns(ln),
+                     t.select(rcols).filter(pc.invert(is_l))
+                     .rename_columns(rn))
+
+    both = left.map_batches(
+        tagger(0), batch_format="pyarrow", batch_size=16384,
+        zero_copy_batch=True).union(right.map_batches(
+            tagger(1), batch_format="pyarrow", batch_size=16384,
+            zero_copy_batch=True))
+    return both.sort(BUCKET_COL).map_batches(
         apply, batch_format="pyarrow", batch_size=None)

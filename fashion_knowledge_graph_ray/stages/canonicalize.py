@@ -28,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_cogroup, bucketed_group_apply
 from .pairs import group_pairs
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -218,9 +218,9 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
        in some candidate pair;
     3. verification: exact shingle-Jaccard per distinct pair.
 
-    Two-regime routing on the RAW pair count of phase 1 — pairs deduped
-    only within each bucket-function call, never across calls, so an
-    upper bound on the distinct candidate count: up to
+    Two-regime routing on the RAW per-bucket pair count of phase 1 (pairs
+    deduped only within each bucket-function call, never across calls),
+    an upper bound on the distinct candidate count: up to
     ``max_broadcast_pairs`` raw pairs the involved texts are fetched with
     a broadcast id-set filter and the verification runs against a
     broadcast id->shingles map (one pass, no extra shuffles). A larger raw
@@ -358,27 +358,11 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
         ["id"], dd_id, num_buckets=num_buckets)
 
     # 2. semi-join texts on involved ids; shingle in-bucket
-    def tag_inv(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({"id": t["id"], "kind": ["I"] * n,
-                         "text": pa.nulls(n, type=pa.string())})
-
-    def tag_text(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({"id": t[id_col].cast(pa.string()),
-                         "kind": ["T"] * n, "text": t[text_col]})
-
-    tagged = inv.map_batches(tag_inv, batch_format="pyarrow").union(
-        texts_ds.map_batches(tag_text, batch_format="pyarrow",
-                             zero_copy_batch=True))
-
-    def shingle_bucket(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"id": t["id"].to_pandas(),
-                           "kind": t["kind"].to_pandas(),
-                           "text": t["text"].to_pandas()})
-        wanted = set(df.loc[df["kind"] == "I", "id"])
-        hit = df[(df["kind"] == "T") & df["id"].isin(wanted)]
-        hit = hit.drop_duplicates("id")
+    def shingle_bucket(inv_t: pa.Table, texts: pa.Table) -> pa.Table:
+        df = pd.DataFrame({"id": texts[id_col].to_pandas(),
+                           "text": texts[text_col].to_pandas()})
+        wanted = set(inv_t["id"].to_pylist())
+        hit = df[df["id"].isin(wanted)].drop_duplicates("id")
         ids = hit["id"].tolist()
         # involved ids with NO text row still verify as _shingle_hashes("")
         # (broadcast-path parity: tm.get(i, ""))
@@ -392,29 +376,23 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
         })
 
     # shingles feed BOTH attach phases — materialize once, not recompute
-    shingles_ds = bucketed_group_apply(tagged, ["id"], shingle_bucket,
-                                       num_buckets=num_buckets).materialize()
+    sh_schema = pa.schema([("id", pa.string()),
+                           ("sh", pa.list_(pa.uint64()))])
+    shingles_ds = bucketed_cogroup(
+        inv, texts_ds, ["id"], shingle_bucket,
+        left_schema=pa.schema([("id", pa.string())]),
+        right_schema=pa.schema([(id_col, pa.string()),
+                                (text_col, pa.string())]),
+        right_keys=[id_col], num_buckets=num_buckets).materialize()
 
     # 3./4. attach shingles to each side, verify on the second attach
-    def tag_sh(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({"key": t["id"], "kind": ["S"] * n,
-                         "other": pa.nulls(n, type=pa.string()),
-                         "sh": t["sh"]})
-
-    def _split_sp(t: pa.Table):
-        """(S rows, P rows) of one mixed bucket."""
-        kind = t["kind"].to_numpy(zero_copy_only=False)
-        return (t.filter(pa.array(kind == "S")),
-                t.filter(pa.array(kind == "P")))
-
     def _gather_sh(s_tbl: pa.Table, pkeys: np.ndarray):
-        """Vectorized key join: each P key's shingle list from the bucket's
-        S rows via argsort + searchsorted; misses land on an appended
-        empty list (broadcast-path ``smap.get(k, [])`` parity). Returns
-        the gathered Arrow list column — lists never round-trip through
-        Python."""
-        skeys = s_tbl["key"].to_numpy(zero_copy_only=False)
+        """Vectorized key join: each pair key's shingle list from the
+        bucket's shingle rows via argsort + searchsorted; misses land on an
+        appended empty list (broadcast-path ``smap.get(k, [])`` parity).
+        Returns the gathered Arrow list column — lists never round-trip
+        through Python."""
+        skeys = s_tbl["id"].to_numpy(zero_copy_only=False)
         order = np.argsort(skeys)
         sh_sorted = s_tbl["sh"].combine_chunks().take(
             pa.array(order, type=pa.int64()))
@@ -429,24 +407,19 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
             idx = np.where(skeys[order][posc] == pkeys, posc, ns)
         return sh_all.take(pa.array(idx, type=pa.int64()))
 
-    def attach_a(t: pa.Table) -> pa.Table:
-        s_tbl, p_tbl = _split_sp(t)
-        pkeys = p_tbl["key"].to_numpy(zero_copy_only=False)
-        return pa.table({"a": p_tbl["key"], "b": p_tbl["other"],
-                         "sh_a": _gather_sh(s_tbl, pkeys)})
+    def attach_a(p_tbl: pa.Table, s_tbl: pa.Table) -> pa.Table:
+        pkeys = p_tbl["a"].to_numpy(zero_copy_only=False)
+        return p_tbl.append_column("sh_a", _gather_sh(s_tbl, pkeys))
 
-    step_a = bucketed_group_apply(
-        cand.map_batches(lambda t: pa.table(
-            {"key": t["a"], "kind": ["P"] * t.num_rows, "other": t["b"],
-             "sh": pa.nulls(t.num_rows, type=pa.list_(pa.uint64()))}),
-            batch_format="pyarrow").union(
-            shingles_ds.map_batches(tag_sh, batch_format="pyarrow")),
-        ["key"], attach_a, num_buckets=num_buckets)
+    pair_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
+    step_a = bucketed_cogroup(cand, shingles_ds, ["a"], attach_a,
+                              left_schema=pair_schema,
+                              right_schema=sh_schema, right_keys=["id"],
+                              num_buckets=num_buckets)
 
-    def attach_b_verify(t: pa.Table) -> pa.Table:
-        s_tbl, p_tbl = _split_sp(t)
-        bkeys = p_tbl["key"].to_numpy(zero_copy_only=False)
-        sh_a = p_tbl["sh"].combine_chunks()
+    def attach_b_verify(p_tbl: pa.Table, s_tbl: pa.Table) -> pa.Table:
+        bkeys = p_tbl["b"].to_numpy(zero_copy_only=False)
+        sh_a = p_tbl["sh_a"].combine_chunks()
         sh_b = _gather_sh(s_tbl, bkeys)
         # list columns as (offsets, values) — slices below are zero-copy
         off_a = sh_a.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -468,18 +441,13 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
             inter = np.intersect1d(sa, sb, assume_unique=True).size
             if inter / (la[i] + lb[i] - inter) >= threshold:
                 keep[i] = True
-        kept = p_tbl.filter(pa.array(keep))
-        return pa.table({"a": kept["other"].cast(pa.string()),
-                         "b": kept["key"].cast(pa.string())})
+        return p_tbl.filter(pa.array(keep)).select(["a", "b"])
 
-    step_b_in = step_a.map_batches(
-        lambda t: pa.table(
-            {"key": t["b"], "kind": ["P"] * t.num_rows, "other": t["a"],
-             "sh": t["sh_a"]}),
-        batch_format="pyarrow").union(
-        shingles_ds.map_batches(tag_sh, batch_format="pyarrow"))
-    return bucketed_group_apply(step_b_in, ["key"], attach_b_verify,
-                                num_buckets=num_buckets)
+    return bucketed_cogroup(
+        step_a, shingles_ds, ["b"], attach_b_verify,
+        left_schema=pa.schema(list(pair_schema)
+                              + [("sh_a", pa.list_(pa.uint64()))]),
+        right_schema=sh_schema, right_keys=["id"], num_buckets=num_buckets)
 
 
 def _distinct_pairs(pairs_ds, *, num_buckets: int = 64,
@@ -589,6 +557,8 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
         parts = label_ds.map_batches(cs, batch_format="pyarrow").take_all()
         return sum(r["v"] for r in parts)
 
+    label_schema = pa.schema([("id", pa.string()), ("label", pa.string())])
+    edge_schema = pa.schema([("key", pa.string()), ("nbr", pa.string())])
     prev = None
     converged = False
     for _ in range(max_iters):
@@ -596,37 +566,18 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
         # travels to `nbr`; plus each node keeps its own label. The
         # pointer edges (label[id] -> id) implement pointer-jumping:
         # label[label[id]] arrives at id within the SAME propagate pass.
-        def tag_label(t: pa.Table) -> pa.Table:
-            return pa.table({"key": t["id"], "kind": ["L"] * t.num_rows,
-                             "payload": t["label"]})
-
-        def tag_edge(t: pa.Table) -> pa.Table:
-            return pa.table({"key": t["key"], "kind": ["E"] * t.num_rows,
-                             "payload": t["nbr"]})
-
-        def tag_pointer(t: pa.Table) -> pa.Table:
+        def pointers(t: pa.Table) -> pa.Table:
             # skip self-pointers (label == id): they carry no information
-            m = pa.compute.invert(pa.compute.equal(t["label"], t["id"]))
-            t = t.filter(m)
-            return pa.table({"key": t["label"], "kind": ["E"] * t.num_rows,
-                             "payload": t["id"]})
+            t = t.filter(pc.invert(pc.equal(t["label"], t["id"])))
+            return pa.table({"key": t["label"], "nbr": t["id"]})
 
-        tagged = (labels.map_batches(tag_label, batch_format="pyarrow")
-                  .union(edges.map_batches(tag_edge, batch_format="pyarrow"))
-                  .union(labels.map_batches(tag_pointer,
-                                            batch_format="pyarrow")))
-
-        def propagate(t: pa.Table) -> pa.Table:
-            # Arrow-native bucket kernel (was pandas groupby+merge): hash
-            # group_by for the per-key label min, one pc.index_in probe +
-            # pc.take to attach labels to edge messages — the algorithm
-            # (min-label propagation + pointer jumping) is unchanged.
-            is_l = pc.equal(t["kind"], pa.scalar("L"))
-            lab = (t.filter(is_l).select(["key", "payload"])
-                   .group_by(["key"]).aggregate([("payload", "min")]))
-            lab_key = lab["key"].combine_chunks()
-            lab_min = lab["payload_min"].combine_chunks()
-            ed = t.filter(pc.invert(is_l))
+        def propagate(lab_t: pa.Table, ed: pa.Table) -> pa.Table:
+            # Arrow-native bucket kernel: hash group_by for the per-key
+            # label min, one pc.index_in probe + pc.take to attach labels
+            # to edge messages (min-label propagation + pointer jumping)
+            lab = lab_t.group_by(["id"]).aggregate([("label", "min")])
+            lab_key = lab["id"].combine_chunks()
+            lab_min = lab["label_min"].combine_chunks()
             # messages (nbr <- label of key); an edge whose key has no
             # label in this bucket contributes nothing (null filtered)
             idx = pc.index_in(ed["key"].combine_chunks(),
@@ -634,7 +585,7 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
             msg_lbl = pc.take(lab_min, idx)
             out = pa.table({
                 "id": pa.concat_arrays(
-                    [lab_key, ed["payload"].combine_chunks()]),
+                    [lab_key, ed["nbr"].combine_chunks()]),
                 "label": pa.concat_arrays([lab_min, msg_lbl]),
             }).filter(pc.is_valid(
                 pa.concat_arrays([lab_min, msg_lbl])))
@@ -642,8 +593,13 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
             return pa.table({"id": best["id"].combine_chunks(),
                              "label": best["label_min"].combine_chunks()})
 
-        propagated = bucketed_group_apply(tagged, ["key"], propagate,
-                                          num_buckets=num_buckets)
+        propagated = bucketed_cogroup(
+            labels,
+            edges.union(labels.map_batches(pointers,
+                                           batch_format="pyarrow")),
+            ["id"], propagate, left_schema=label_schema,
+            right_schema=edge_schema, right_keys=["key"],
+            num_buckets=num_buckets)
 
         # propagate emitted per-bucket minima; a node can appear in several
         # buckets' outputs only via messages — reduce to global min per id

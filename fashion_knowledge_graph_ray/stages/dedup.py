@@ -31,7 +31,7 @@ from ..functions.textstats import (
     simhash64_batch,
 )
 from ..functions.vectors import list_to_matrix
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_cogroup, bucketed_group_apply
 from .canonicalize import (
     _distinct_pairs,
     candidate_pairs,
@@ -595,89 +595,50 @@ def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
 
     # ── two bucketed gathers attach vectors; exact float64 verify ───────
     vec_t = pa.list_(pa.float64())
+    vec_schema = pa.schema([(id_col, pa.int64()), (emb_col, vec_t)])
 
-    def tag_pairs(key: str, other: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "key": t[key], "other": t[other],
-                "vec": pa.nulls(t.num_rows, type=vec_t),
-                "carry": (t["carry"] if "carry" in t.column_names
-                          else pa.nulls(t.num_rows, type=vec_t)),
-                "__side": pa.array([0] * t.num_rows, type=pa.int64())})
-        return f
-
-    def tag_vecs(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "key": t[id_col].cast(pa.int64()),
-            "other": pa.nulls(t.num_rows, type=pa.int64()),
-            "vec": t[emb_col].cast(vec_t),
-            "carry": pa.nulls(t.num_rows, type=vec_t),
-            "__side": pa.array([1] * t.num_rows, type=pa.int64())})
-
-    def _vec_lookup(v: pa.Table):
-        """(sorted ids, row-matrix) from a tagged vector side — the
-        in-bucket gather index, all Arrow->numpy vectorized."""
-        vid = v["key"].to_numpy(zero_copy_only=False)
-        col = v["vec"].combine_chunks()
-        flat = np.asarray(col.flatten(), dtype=np.float64)
-        mat = flat.reshape(len(vid), dim) if len(vid) else \
-            np.zeros((0, dim))
-        order = np.argsort(vid)
-        return vid[order], mat[order]
-
-    def _gather(vid: np.ndarray, mat: np.ndarray, keys: np.ndarray):
-        """Rows of ``mat`` for each key; miss mask for bloom FPs whose
-        id has no vector in this bucket (cannot happen for real ids —
-        only for pairs whose side never existed)."""
+    def _gather(v: pa.Table, keys: np.ndarray):
+        """Rows of the bucket's vectors ``v`` for each key (argsort +
+        searchsorted, all Arrow->numpy vectorized); miss mask for bloom
+        FPs whose id has no vector in this bucket (cannot happen for real
+        ids — only for pairs whose side never existed)."""
+        vid = v[id_col].to_numpy(zero_copy_only=False)
         if len(vid) == 0:
             return np.zeros((len(keys), dim)), np.zeros(len(keys), bool)
-        idx = np.searchsorted(vid, keys)
-        idx_c = np.clip(idx, 0, len(vid) - 1)
-        hit = vid[idx_c] == keys
-        return mat[idx_c], hit
+        flat = np.asarray(v[emb_col].combine_chunks().flatten(),
+                          dtype=np.float64)
+        order = np.argsort(vid)
+        vid, mat = vid[order], flat.reshape(len(vid), dim)[order]
+        idx_c = np.clip(np.searchsorted(vid, keys), 0, len(vid) - 1)
+        return mat[idx_c], vid[idx_c] == keys
 
-    def attach(t: pa.Table) -> pa.Table:
-        """Pairs keyed on one side pick up that side's vector; the
-        gathered vec_a rides to the second gather as ``carry``."""
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        p = t.filter(pa.array(side == 0))
-        v = t.filter(pa.array(side == 1))
-        vid, mat = _vec_lookup(v)
-        keys = p["key"].to_numpy(zero_copy_only=False)
-        rows, hit = _gather(vid, mat, keys)
+    def attach(p: pa.Table, v: pa.Table) -> pa.Table:
+        """Pairs keyed on ``a`` pick up vec_a, which rides to the second
+        gather (keyed on ``b``) as ``carry``."""
+        keys = p["a"].to_numpy(zero_copy_only=False)
+        rows, hit = _gather(v, keys)
         carry = pa.ListArray.from_arrays(
             pa.array(np.arange(len(keys) + 1) * dim, type=pa.int32()),
             pa.array(rows.ravel(), type=pa.float64())) \
             if len(keys) else pa.array([], type=vec_t)
-        out = pa.table({
-            "key": p["other"],          # next gather keys on the other id
-            "other": p["key"],
-            "vec": pa.nulls(p.num_rows, type=vec_t),
-            "carry": carry.cast(vec_t),
-            "__side": pa.array([0] * p.num_rows, type=pa.int64()),
-        })
+        out = p.append_column("carry", carry.cast(vec_t))
         return out.filter(pa.array(hit)) if not hit.all() else out
 
-    step_a = bucketed_group_apply(
-        cand.map_batches(tag_pairs("a", "b"), batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .union(pruned.map_batches(tag_vecs, batch_format="pyarrow",
-                                  zero_copy_batch=True)),
-        ["key"], attach, num_buckets=num_buckets)
+    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+    step_a = bucketed_cogroup(cand, pruned, ["a"], attach,
+                              left_schema=pair_schema,
+                              right_schema=vec_schema, right_keys=[id_col],
+                              num_buckets=num_buckets)
 
-    def verify(t: pa.Table) -> pa.Table:
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        p = t.filter(pa.array(side == 0))
-        v = t.filter(pa.array(side == 1))
+    def verify(p: pa.Table, v: pa.Table) -> pa.Table:
         empty = pa.table({"a": pa.array([], type=pa.int64()),
                           "b": pa.array([], type=pa.int64()),
                           "cosine": pa.array([], type=pa.float64())})
         if p.num_rows == 0:
             return empty
-        vid, mat = _vec_lookup(v)
-        b_ids = p["key"].to_numpy(zero_copy_only=False)
-        a_ids = p["other"].to_numpy(zero_copy_only=False)
-        vb, hit = _gather(vid, mat, b_ids)
+        b_ids = p["b"].to_numpy(zero_copy_only=False)
+        a_ids = p["a"].to_numpy(zero_copy_only=False)
+        vb, hit = _gather(v, b_ids)
         ca = p["carry"].combine_chunks()
         va = np.asarray(ca.flatten(), dtype=np.float64) \
             .reshape(p.num_rows, dim)
@@ -696,10 +657,11 @@ def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
                          "b": pa.array(hi, type=pa.int64()),
                          "cosine": pa.array(c_k, type=pa.float64())})
 
-    return bucketed_group_apply(
-        step_a.union(pruned.map_batches(tag_vecs, batch_format="pyarrow",
-                                        zero_copy_batch=True)),
-        ["key"], verify, num_buckets=num_buckets)
+    return bucketed_cogroup(
+        step_a, pruned, ["b"], verify,
+        left_schema=pa.schema(list(pair_schema) + [("carry", vec_t)]),
+        right_schema=vec_schema, right_keys=[id_col],
+        num_buckets=num_buckets)
 
 
 def embedding_neardup_pairs(ds, *, emb_col: str = "embedding",

@@ -38,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_cogroup, bucketed_group_apply
 
 
 def _distinct_ids(edges_ds, src_col: str, dst_col: str, num_buckets: int):
@@ -406,8 +406,6 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
 
     from .relational import shuffle_join
 
-    id_type = None
-
     def und_partial(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -536,34 +534,13 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
                                   num_buckets=num_buckets)
 
     # close wedges against oriented edges on the (v, w) pair key
-    def tag_wedge(t: pa.Table) -> pa.Table:
-        return pa.table({"v": t["v"], "w": t["w"], "cu": t["cu"],
-                         "__side": pa.array([0] * t.num_rows,
-                                            type=pa.int64())})
-
-    def tag_edge(t: pa.Table) -> pa.Table:
-        nulls = pa.nulls(t.num_rows, type=t["u"].type)
-        return pa.table({"v": t["u"], "w": t["v"], "cu": nulls,
-                         "__side": pa.array([1] * t.num_rows,
-                                            type=pa.int64())})
-
-    both = wedges.map_batches(tag_wedge, batch_format="pyarrow",
-                              zero_copy_batch=True).union(
-        oriented.map_batches(tag_edge, batch_format="pyarrow",
-                             zero_copy_batch=True))
-
-    def close_bucket(t: pa.Table) -> pa.Table:
+    def close_bucket(wt: pa.Table, et: pa.Table) -> pa.Table:
         import pandas as pd
 
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        wt = t.filter(pa.array(side == 0))
-        et = t.filter(pa.array(side == 1))
-        wdf = pd.DataFrame({"v": wt["v"].to_pandas(),
-                            "w": wt["w"].to_pandas(),
-                            "cu": wt["cu"].to_pandas()})
-        edf = pd.DataFrame({"v": et["v"].to_pandas(),
-                            "w": et["w"].to_pandas()})
-        m = wdf.merge(edf.drop_duplicates(), on=["v", "w"], how="inner")
+        edf = pd.DataFrame({"v": et["u"].to_pandas(),
+                            "w": et["v"].to_pandas()})
+        m = wt.to_pandas().merge(edf.drop_duplicates(), on=["v", "w"],
+                                 how="inner")
         # per-corner partial counts within the bucket
         s = pd.concat([m["cu"], m["v"], m["w"]])
         g = s.value_counts().reset_index()
@@ -572,8 +549,13 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
                          "triangles": pa.array(g["triangles"],
                                                type=pa.int64())})
 
-    partials = bucketed_group_apply(both, ["v", "w"], close_bucket,
-                                    num_buckets=num_buckets)
+    os_ = oriented.schema()  # materialized above: no re-execution
+    ut, vt = (dict(zip(os_.names, os_.types))[c] for c in ("u", "v"))
+    partials = bucketed_cogroup(
+        wedges, oriented, ["v", "w"], close_bucket,
+        left_schema=pa.schema([("cu", ut), ("v", vt), ("w", vt)]),
+        right_schema=pa.schema([("u", ut), ("v", vt)]),
+        right_keys=["u", "v"], num_buckets=num_buckets)
 
     def count_merge(t: pa.Table) -> pa.Table:
         g = t.group_by(["id"]).aggregate([("triangles", "sum")])

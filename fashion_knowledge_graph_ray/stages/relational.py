@@ -23,7 +23,7 @@ import hashlib
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_cogroup, bucketed_group_apply
 
 
 def filter_in(ds, col: str, values):
@@ -52,12 +52,18 @@ def filter_valid(ds, col: str, *, min_len: int = 1):
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _key_set(keys) -> pa.Array:
+    """Sorted distinct non-null ``keys``: a null key never matches."""
+    return pa.array(sorted({k for k in keys if k is not None}))
+
+
 def anti_join_keys(ds, col: str, keys):
     """Drop rows whose ``col`` is in ``keys`` (broadcast hash anti-join —
-    the small side travels once; no shuffle)."""
+    the small side travels once; no shuffle). A null ``col`` matches no
+    key, so its row is kept."""
     import ray
 
-    key_arr = pa.array(sorted(set(keys)))
+    key_arr = _key_set(keys)
     ref = ray.put(key_arr) if ray.is_initialized() else key_arr
 
     def f(t: pa.Table) -> pa.Table:
@@ -71,47 +77,29 @@ def anti_join_shuffle(left_ds, left_key: str, right_ds, right_key: str, *,
                       num_buckets: int = 64):
     """Shuffle anti-join for a LARGE key side (SURVEY.md §2.3 M2: "large
     side -> groupby anti"): rows of ``left_ds`` whose ``left_key`` has no
-    match in ``right_ds[right_key]``.
+    match in ``right_ds[right_key]`` (a null ``left_key`` has none).
 
     Both sides shuffle on the key bucket; within a bucket the right side
     reduces to a key set and the left rows filter against it — no driver
     materialization of either side. The right side pre-dedups per batch so
     a hot key ships one row per block."""
-    s = left_ds.schema()  # ray.data Schema wrapper: .names + arrow .types
-    left_names = list(s.names)
-    left_types = dict(zip(s.names, s.types))
+    ls = left_ds.schema()  # ray.data Schema wrapper: .names + arrow .types
+    key_type = dict(zip(ls.names, ls.types))[left_key]
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        return t.append_column("__side", pa.array([0] * t.num_rows,
-                                                  type=pa.int64()))
+    def right_keys(t: pa.Table) -> pa.Table:
+        return pa.table({right_key: pc.unique(
+            t[right_key].combine_chunks()).cast(key_type)})
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        keys = pc.unique(t[right_key].combine_chunks())
-        n = len(keys)
-        cols = {}
-        for name in left_names:
-            typ = left_types[name]
-            if name == left_key:
-                cols[name] = keys.cast(typ)
-            else:
-                cols[name] = pa.nulls(n, type=typ)
-        cols["__side"] = pa.array([1] * n, type=pa.int64())
-        return pa.table(cols)
+    def anti_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
+        return left.filter(pc.invert(pc.is_in(
+            left[left_key], value_set=right[right_key].combine_chunks())))
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow",
-                               zero_copy_batch=True).union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow",
-                             zero_copy_batch=True))
-
-    def anti_bucket(t: pa.Table) -> pa.Table:
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        right_keys = pc.unique(t.filter(pa.array(side == 1))[left_key])
-        left = t.filter(pa.array(side == 0))
-        keep = pc.invert(pc.is_in(left[left_key], value_set=right_keys))
-        return left.filter(keep).drop_columns(["__side"])
-
-    return bucketed_group_apply(both, [left_key], anti_bucket,
-                                num_buckets=num_buckets)
+    return bucketed_cogroup(
+        left_ds, right_ds.map_batches(right_keys, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+        [left_key], anti_bucket, left_schema=ls,
+        right_schema=pa.schema([(right_key, key_type)]),
+        right_keys=[right_key], num_buckets=num_buckets)
 
 
 def anti_join_auto(left_ds, left_key: str, right_ds, right_key: str, *,
@@ -134,7 +122,7 @@ def anti_join_auto(left_ds, left_key: str, right_ds, right_key: str, *,
 def semi_join_keys(ds, col: str, keys):
     import ray
 
-    key_arr = pa.array(sorted(set(keys)))
+    key_arr = _key_set(keys)
     ref = ray.put(key_arr) if ray.is_initialized() else key_arr
 
     def f(t: pa.Table) -> pa.Table:
@@ -214,62 +202,45 @@ def _pandas_to_arrow(m, names, out_types) -> pa.Table:
         {n: pa.Array.from_pandas(m[n], type=out_types[n]) for n in names})
 
 
+def _join_layout(ls, rs, suffix: str, merged: dict):
+    """Output layout of a two-sided join: the left columns, then the right
+    columns (``suffix`` appended on a collision with a left column) except
+    those in ``merged``, which maps right columns that merge into a left
+    column onto that column. Returns (output names, right column -> name
+    in the merged frame, output name -> type)."""
+    l_names = list(ls.names)
+    r_out = {n: (n + suffix if n in l_names else n)
+             for n in rs.names if n not in merged}
+    types = {**{r_out[n]: t for n, t in zip(rs.names, rs.types)
+                if n in r_out}, **dict(zip(ls.names, ls.types))}
+    return l_names + list(r_out.values()), {**r_out, **merged}, types
+
+
 def shuffle_join(left_ds, right_ds, left_key: str, right_key: str, *,
                  how: str = "inner", suffix: str = "_r",
                  num_buckets: int = 64):
     """Hash-shuffle equi-join for two LARGE sides — the exchange shape
     ``broadcast_join`` cannot take when neither side fits a broadcast.
 
-    Both sides shuffle on the key bucket (the right side's key values ride
-    in the LEFT key column so one bucket column covers both); within a
-    bucket the two sides merge with a vectorized pandas join. Output
-    columns = left columns + right non-key columns (renamed with
+    Both sides shuffle once on the key bucket (``bucketed_cogroup``);
+    within a bucket the two sides merge with a vectorized pandas join.
+    Output columns = left columns + right non-key columns (renamed with
     ``suffix`` on collision). ``how``: "inner" (drop-on-miss) or "left"
     (null-fill; an all-miss bucket keeps the declared right-column types).
+    A null key matches nothing.
     """
     ls, rs = left_ds.schema(), right_ds.schema()
-    l_names = list(ls.names)
-    l_types = dict(zip(ls.names, ls.types))
-    r_names = [n for n in rs.names if n != right_key]
-    r_types = dict(zip(rs.names, rs.types))
-    out_r = {n: (n + suffix if n in l_names else n) for n in r_names}
+    names, out_r, out_types = _join_layout(ls, rs, suffix,
+                                           {right_key: left_key})
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {n: t[n] for n in l_names}
-        for n in r_names:
-            cols[out_r[n]] = pa.nulls(t.num_rows, type=r_types[n])
-        cols["__side"] = pa.array([0] * t.num_rows, type=pa.int64())
-        return pa.table(cols)
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rdf = rt.rename_columns([out_r[n] for n in rt.column_names])
+        m = lt.to_pandas().merge(rdf.to_pandas(), on=left_key, how=how)
+        return _pandas_to_arrow(m, names, out_types)
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {}
-        for n in l_names:
-            cols[n] = (t[right_key].cast(l_types[left_key])
-                       if n == left_key
-                       else pa.nulls(t.num_rows, type=l_types[n]))
-        for n in r_names:
-            cols[out_r[n]] = t[n]
-        cols["__side"] = pa.array([1] * t.num_rows, type=pa.int64())
-        return pa.table(cols)
-
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow",
-                               zero_copy_batch=True).union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow",
-                             zero_copy_batch=True))
-    r_out_names = [out_r[n] for n in r_names]
-    out_types = {**{n: l_types[n] for n in l_names},
-                 **{out_r[n]: r_types[n] for n in r_names}}
-
-    def join_bucket(t: pa.Table) -> pa.Table:
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        lt = t.filter(pa.array(side == 0)).select(l_names)
-        rt = t.filter(pa.array(side == 1)).select([left_key] + r_out_names)
-        ldf, rdf = lt.to_pandas(), rt.to_pandas()
-        m = ldf.merge(rdf, on=left_key, how=how)
-        return _pandas_to_arrow(m, l_names + r_out_names, out_types)
-
-    return bucketed_group_apply(both, [left_key], join_bucket,
-                                num_buckets=num_buckets)
+    return bucketed_cogroup(left_ds, right_ds, [left_key], join_bucket,
+                            left_schema=ls, right_schema=rs,
+                            right_keys=[right_key], num_buckets=num_buckets)
 
 
 def union_upsert(base_ds, new_ds, key_col: str, *, num_buckets: int = 64):
@@ -374,15 +345,14 @@ def asof_join(left_ds, right_ds, *, key: str, right_key: str,
               num_buckets: int = 64):
     """As-of (backward) join: for each left row, attach the right row with
     the same key and the LARGEST ``right_time`` <= ``left_time``; left
-    rows with no prior right row are dropped (inner semantics).
+    rows with no prior right row (or a null key) are dropped (inner
+    semantics).
 
     Ray Data has no native as-of join; this composes it from the engine's
-    shuffle primitives: both sides hash-shuffle ONCE on the key (the
-    ``shuffle_join`` side-tag trick — the right key rides in the left key
-    column so one bucket column covers both), and each bucket resolves
-    locally with pandas ``merge_asof`` — a vectorized O(n log n) sorted
-    merge. No driver materialization; the only exchange is the one
-    bucketed shuffle both equi-join variants already pay.
+    shuffle primitives: both sides hash-shuffle ONCE on the key
+    (``bucketed_cogroup``, the exchange ``shuffle_join`` also pays), and
+    each bucket resolves locally with pandas ``merge_asof`` — a vectorized
+    O(n log n) sorted merge. No driver materialization.
 
     ``tie_col``: when several right rows share (key, right_time), keep the
     one with the max ``tie_col`` (bucket-local dedup, free — the rows are
@@ -393,46 +363,21 @@ def asof_join(left_ds, right_ds, *, key: str, right_key: str,
     (suffixed ``_r`` on collision). DuckDB mirror:
     ``FROM l ASOF JOIN r ON l.key = r.key AND l.t >= r.t``.
     """
+    import pandas as pd
+
     ls, rs = left_ds.schema(), right_ds.schema()
-    l_names = list(ls.names)
-    l_types = dict(zip(ls.names, ls.types))
-    r_names = [n for n in rs.names if n != right_key]
-    r_types = dict(zip(rs.names, rs.types))
-    out_r = {n: (n + "_r" if n in l_names else n) for n in r_names}
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {n: t[n] for n in l_names}
-        for n in r_names:
-            cols[out_r[n]] = pa.nulls(t.num_rows, type=r_types[n])
-        cols["__side"] = pa.array([0] * t.num_rows, type=pa.int64())
-        return pa.table(cols)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {}
-        for n in l_names:
-            cols[n] = (t[right_key].cast(l_types[key]) if n == key
-                       else pa.nulls(t.num_rows, type=l_types[n]))
-        for n in r_names:
-            cols[out_r[n]] = t[n]
-        cols["__side"] = pa.array([1] * t.num_rows, type=pa.int64())
-        return pa.table(cols)
-
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow",
-                               zero_copy_batch=True).union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow",
-                             zero_copy_batch=True))
-    r_out_names = [out_r[n] for n in r_names]
+    names, out_r, out_types = _join_layout(ls, rs, "_r", {right_key: key})
+    key_type = out_types[key]
     rt_out = out_r[right_time]
-    out_types = {**{n: l_types[n] for n in l_names},
-                 **{out_r[n]: r_types[n] for n in r_names}}
 
-    def join_bucket(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        lt = t.filter(pa.array(side == 0)).select(l_names)
-        rt = t.filter(pa.array(side == 1)).select([key] + r_out_names)
-        ldf, rdf = lt.to_pandas(), rt.to_pandas()
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lt = lt.filter(pc.is_valid(lt[key]))
+        # merge_asof's ``by`` needs one dtype on both sides
+        rt = rt.set_column(rt.schema.get_field_index(right_key), right_key,
+                           rt[right_key].cast(key_type))
+        ldf = lt.to_pandas()
+        rdf = rt.rename_columns([out_r[n] for n in rt.column_names]) \
+            .to_pandas()
         if tie_col is not None and len(rdf):
             rdf = (rdf.sort_values([key, rt_out, out_r[tie_col]])
                    .drop_duplicates([key, rt_out], keep="last"))
@@ -442,10 +387,11 @@ def asof_join(left_ds, right_ds, *, key: str, right_key: str,
                           by=key, direction="backward",
                           allow_exact_matches=True)
         m = m[m[rt_out].notna()]  # inner: drop left rows with no match
-        return _pandas_to_arrow(m, l_names + r_out_names, out_types)
+        return _pandas_to_arrow(m, names, out_types)
 
-    return bucketed_group_apply(both, [key], join_bucket,
-                                num_buckets=num_buckets)
+    return bucketed_cogroup(left_ds, right_ds, [key], join_bucket,
+                            left_schema=ls, right_schema=rs,
+                            right_keys=[right_key], num_buckets=num_buckets)
 
 
 def band_join(left_ds, right_ds, *, left_val: str, right_val: str,
@@ -454,7 +400,8 @@ def band_join(left_ds, right_ds, *, left_val: str, right_val: str,
               num_buckets: int = 64):
     """Range (band) join: left row L matches right row R when
     ``|L.left_val - R.right_val| <= eps`` (and the optional equi ``key``
-    columns agree). Inner semantics; rows with a null value are dropped.
+    columns agree; a null key matches nothing). Inner semantics; rows with
+    a null value are dropped.
 
     Ray Data has no inequality join; the scale shape is a VALUE-GRID
     shuffle: cells of width ``2*eps`` on a fixed grid, the LEFT side
@@ -480,20 +427,18 @@ def band_join(left_ds, right_ds, *, left_val: str, right_val: str,
         raise ValueError("right_keys must match key length")
     w = 2.0 * float(eps)
 
-    ls, rs = left_ds.schema(), right_ds.schema()
-    l_names = list(ls.names)
-    l_types = dict(zip(ls.names, ls.types))
-    r_names = list(rs.names)
-    r_types = dict(zip(rs.names, rs.types))
-    out_r = {n: (n + suffix if n in l_names else n) for n in r_names}
-    rk_map = dict(zip(rkey, key))  # right key col -> left key col name
     CELL = "__vcell"
+    ls, rs = left_ds.schema(), right_ds.schema()
+    names, out_r, out_types = _join_layout(ls, rs, suffix, {CELL: CELL})
+    rv_out = out_r[right_val]
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        v = t[left_val].to_numpy(zero_copy_only=False).astype(np.float64)
+    def finite(t: pa.Table, col: str):
+        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
         ok = np.isfinite(v)
-        t = t.filter(pa.array(ok))
-        v = v[ok]
+        return t.filter(pa.array(ok)), v[ok]
+
+    def cells_left(t: pa.Table) -> pa.Table:
+        t, v = finite(t, left_val)
         lo = np.floor((v - eps) / w).astype(np.int64)
         hi = np.floor((v + eps) / w).astype(np.int64)
         reps = (hi - lo + 1).astype(np.int64)  # 1 or 2 cells
@@ -501,54 +446,33 @@ def band_join(left_ds, right_ds, *, left_val: str, right_val: str,
         # within-row offset 0..rep-1, flattened without a Python loop
         offs = (np.arange(len(idx), dtype=np.int64)
                 - np.repeat(np.cumsum(reps) - reps, reps))
-        cells = lo[idx] + offs
-        rep = t.take(pa.array(idx))
-        cols = {n: rep[n] for n in l_names}
-        for n in r_names:
-            cols[out_r[n]] = pa.nulls(rep.num_rows, type=r_types[n])
-        cols[CELL] = pa.array(cells, type=pa.int64())
-        cols["__side"] = pa.array([0] * rep.num_rows, type=pa.int64())
-        return pa.table(cols)
+        return t.take(pa.array(idx)).append_column(
+            CELL, pa.array(lo[idx] + offs, type=pa.int64()))
 
-    def tag_right(t: pa.Table) -> pa.Table:
-        v = t[right_val].to_numpy(zero_copy_only=False).astype(np.float64)
-        ok = np.isfinite(v)
-        t = t.filter(pa.array(ok))
-        v = v[ok]
-        cols = {}
-        for n in l_names:
-            cols[n] = pa.nulls(t.num_rows, type=l_types[n])
-        for rk in rkey:  # right key values ride in the left key columns
-            cols[rk_map[rk]] = t[rk].cast(l_types[rk_map[rk]])
-        for n in r_names:
-            cols[out_r[n]] = t[n]
-        cols[CELL] = pa.array(np.floor(v / w).astype(np.int64),
-                              type=pa.int64())
-        cols["__side"] = pa.array([1] * t.num_rows, type=pa.int64())
-        return pa.table(cols)
+    def cell_right(t: pa.Table) -> pa.Table:
+        t, v = finite(t, right_val)
+        return t.append_column(
+            CELL, pa.array(np.floor(v / w).astype(np.int64),
+                           type=pa.int64()))
 
-    both = left_ds.map_batches(tag_left, batch_format="pyarrow",
-                               zero_copy_batch=True).union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow",
-                             zero_copy_batch=True))
-    r_out_names = [out_r[n] for n in r_names]
-    rv_out = out_r[right_val]
-    out_types = {**{n: l_types[n] for n in l_names},
-                 **{out_r[n]: r_types[n] for n in r_names}}
-
-    def join_cell(t: pa.Table) -> pa.Table:
-        side = t["__side"].to_numpy(zero_copy_only=False)
-        lt = t.filter(pa.array(side == 0)).select(l_names + [CELL])
-        rt = t.filter(pa.array(side == 1)).select(key + r_out_names
-                                                  + [CELL])
-        ldf, rdf = lt.to_pandas(), rt.to_pandas()
-        m = ldf.merge(rdf, on=key + [CELL], how="inner") \
-            if key else ldf.merge(rdf, on=CELL, how="inner")
+    def join_cell(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        rdf = rt.rename_columns([out_r[n] for n in rt.column_names])
+        m = lt.to_pandas().merge(
+            rdf.to_pandas(), left_on=key + [CELL],
+            right_on=[out_r[k] for k in rkey] + [CELL], how="inner")
         if len(m):
             lv = m[left_val].to_numpy(dtype=np.float64)
             rv = m[rv_out].to_numpy(dtype=np.float64)
             m = m[(rv >= lv - eps) & (rv <= lv + eps)]
-        return _pandas_to_arrow(m, l_names + r_out_names, out_types)
+        return _pandas_to_arrow(m, names, out_types)
 
-    return bucketed_group_apply(both, key + [CELL], join_cell,
-                                num_buckets=num_buckets)
+    cell_field = [(CELL, pa.int64())]
+    return bucketed_cogroup(
+        left_ds.map_batches(cells_left, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        right_ds.map_batches(cell_right, batch_format="pyarrow",
+                             zero_copy_batch=True),
+        key + [CELL], join_cell,
+        left_schema=pa.schema(list(zip(ls.names, ls.types)) + cell_field),
+        right_schema=pa.schema(list(zip(rs.names, rs.types)) + cell_field),
+        right_keys=rkey + [CELL], num_buckets=num_buckets)

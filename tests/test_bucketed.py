@@ -1,15 +1,20 @@
 """``bucketed_group_apply``: one ``bucket_fn`` call per shuffled block, each
 call holding every row of the keys it sees, and the output of a plain
-per-key groupby."""
+per-key groupby. ``bucketed_cogroup``: the same for two inputs, checked
+against a brute-force pandas grouping of both sides."""
 
 from __future__ import annotations
 
 import uuid
 from collections import defaultdict
 
+import pandas as pd
 import pyarrow as pa
 
-from fashion_knowledge_graph_ray.stages.bucketed import bucketed_group_apply
+from fashion_knowledge_graph_ray.stages.bucketed import (
+    bucketed_cogroup,
+    bucketed_group_apply,
+)
 
 
 def _blocks(n_blocks: int, n_hot: int, n_cold: int) -> list[pa.Table]:
@@ -73,3 +78,106 @@ def test_empty_blocks_never_reach_bucket_fn(ray_session):
     out = bucketed_group_apply(ds, ["key"], strict).take_all()
     assert sorted((r["key"], r["v"]) for r in out) == \
         [("a", 1), ("a", 3), ("b", 2)]
+
+
+def _cogroup_calls(left, right, keys, right_keys, num_buckets=8):
+    """Run ``bucketed_cogroup`` with an ``fn`` that checks both tables
+    carry the declared schemas and reports, per call, every key it saw
+    (right keys read as the left key types) with its left and right row
+    counts and value sums."""
+    import ray.data as rd
+
+    ls, rs = left.schema, right.schema
+
+    def seen(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        assert lt.schema == ls and rt.schema == rs
+        assert lt.num_rows or rt.num_rows
+        call = uuid.uuid4().hex
+        rows = defaultdict(lambda: [0, 0, 0.0, 0.0])
+        for t, kc, i in ((lt, keys, 0), (rt, right_keys, 1)):
+            vals = t["v"].to_pylist()
+            cols = [t[c].cast(ls.field(k).type).to_pylist()
+                    for c, k in zip(kc, keys)]
+            for j, k in enumerate(zip(*cols)):
+                rows[repr(k)][i] += 1
+                rows[repr(k)][2 + i] += vals[j]
+        return pa.table({
+            "key": list(rows), "nl": [r[0] for r in rows.values()],
+            "nr": [r[1] for r in rows.values()],
+            "sl": [float(r[2]) for r in rows.values()],
+            "sr": [float(r[3]) for r in rows.values()],
+            "call": [call] * len(rows),
+            "one_side": [not (lt.num_rows and rt.num_rows)] * len(rows)})
+
+    out = bucketed_cogroup(
+        rd.from_arrow(left).repartition(3), rd.from_arrow(right)
+        .repartition(2), keys, seen, left_schema=ls, right_schema=rs,
+        right_keys=right_keys, num_buckets=num_buckets).to_pandas()
+    return out
+
+
+def _brute_cogroup(left, right, keys, right_keys) -> dict:
+    """key -> (left rows, right rows, left v sum, right v sum) by pandas
+    grouping; right rows with a null key are dropped (never match)."""
+    ldf = left.to_pandas()
+    rdf = right.to_pandas().dropna(subset=right_keys)
+    want: dict = defaultdict(lambda: [0, 0, 0.0, 0.0])
+    for df, kc, i in ((ldf, keys, 0), (rdf, right_keys, 1)):
+        for k, g in df.groupby(kc, dropna=False):
+            k = k if isinstance(k, tuple) else (k,)
+            k = tuple(None if pd.isna(x) else int(x)
+                      if isinstance(x, (int, float)) and not
+                      isinstance(x, bool) and x == int(x) else x for x in k)
+            want[repr(k)][i] += len(g)
+            want[repr(k)][2 + i] += float(g["v"].sum())
+    return {k: tuple(v) for k, v in want.items()}
+
+
+def _got(out) -> dict:
+    assert out["key"].is_unique  # every key's rows arrived in ONE call
+    return {r.key: (r.nl, r.nr, r.sl, r.sr) for r in out.itertuples()}
+
+
+def test_cogroup_int32_left_int64_right_shared_names(ray_session):
+    # int32 left key against an int64 (and a float64) right key; both
+    # sides name their value column "v"; keys 0-9 on both sides, 10-19
+    # left only, 20-29 right only; a null right key never arrives
+    left = pa.table({"k": pa.array([i % 20 for i in range(200)],
+                                   type=pa.int32()),
+                     "v": pa.array(range(200), type=pa.int64()),
+                     "tag": [f"l{i}" for i in range(200)]})
+    rk = [(i % 20) if i % 20 < 10 else 10 + i % 20 for i in range(150)]
+    for typ in (pa.int64(), pa.float64()):
+        right = pa.table({"rk": pa.array(rk + [None], type=typ),
+                          "v": pa.array([0.5 * i for i in range(151)])})
+        out = _cogroup_calls(left, right, ["k"], ["rk"])
+        got, want = _got(out), _brute_cogroup(left, right, ["k"], ["rk"])
+        assert got == want, typ
+        assert len(want) == 30 and repr((None,)) not in want
+        assert out["call"].nunique() <= 8
+
+
+def test_cogroup_multi_column_keys(ray_session):
+    left = pa.table({"a": [f"s{i % 7}" for i in range(120)],
+                     "b": pa.array([i % 3 for i in range(120)],
+                                   type=pa.int64()),
+                     "v": pa.array(range(120), type=pa.int64())})
+    right = pa.table({"x": [f"s{i % 9}" for i in range(90)] + [None],
+                      "y": pa.array([i % 4 for i in range(91)],
+                                    type=pa.int64()),
+                      "v": pa.array(range(91), type=pa.int64())})
+    out = _cogroup_calls(left, right, ["a", "b"], ["x", "y"],
+                         num_buckets=16)
+    assert _got(out) == _brute_cogroup(left, right, ["a", "b"],
+                                       ["x", "y"])
+
+
+def test_cogroup_empty_side_gets_typed_empty_table(ray_session):
+    left = pa.table({"k": pa.array([1, 2, 2, 5], type=pa.int64()),
+                     "v": pa.array([1, 2, 3, 4], type=pa.int64())})
+    right = pa.table({"k": pa.array([2, 7], type=pa.int64()),
+                      "v": pa.array([10.0, 20.0])})
+    for lt, rt in ((left, right.slice(0, 0)), (left.slice(0, 0), right)):
+        out = _cogroup_calls(lt, rt, ["k"], ["k"])
+        assert _got(out) == _brute_cogroup(lt, rt, ["k"], ["k"])
+        assert out["one_side"].all()

@@ -95,6 +95,61 @@ def test_shuffle_join_inner_and_left(ray_session):
     assert lefty == [(1, None), (2, 20), (3, 30), (3, 30)]
 
 
+def test_null_keys_never_match(ray_session):
+    # SQL semantics (DuckDB's inner join and NOT IN over non-null keys): a
+    # null key matches nothing, on either side of any join shape
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.stages.relational import (
+        anti_join_auto,
+        anti_join_keys,
+        anti_join_shuffle,
+        asof_join,
+        band_join,
+        shuffle_join,
+    )
+
+    left = pa.table({"k": pa.array([1, None, 2], type=pa.int64()),
+                     "lv": ["a", "n", "b"],
+                     "t": pa.array([10, 10, 10], type=pa.int64()),
+                     "x": [1.0, 1.0, 1.0]})
+    right = pa.table({"rk": pa.array([1, None], type=pa.int64()),
+                      "rv": [100, 999],
+                      "rt": pa.array([5, 5], type=pa.int64()),
+                      "y": [1.0, 1.0]})
+
+    def ds(t):
+        return rd.from_arrow(t)
+
+    inner = shuffle_join(ds(left), ds(right), "k", "rk",
+                         num_buckets=4).take_all()
+    assert [(r["k"], r["lv"], r["rv"]) for r in inner] == [(1, "a", 100)]
+    lefty = sorted((r["lv"], r["rv"]) for r in shuffle_join(
+        ds(left), ds(right), "k", "rk", how="left",
+        num_buckets=4).take_all())
+    assert lefty == [("a", 100), ("b", None), ("n", None)]
+
+    asof = asof_join(ds(left), ds(right), key="k", right_key="rk",
+                     left_time="t", right_time="rt",
+                     num_buckets=4).take_all()
+    assert [(r["lv"], r["rv"]) for r in asof] == [("a", 100)]
+
+    band = band_join(ds(left), ds(right), left_val="x", right_val="y",
+                     eps=0.5, key=["k"], right_keys=["rk"],
+                     num_buckets=4).take_all()
+    assert [(r["lv"], r["rv"]) for r in band] == [("a", 100)]
+
+    kept = ["b", "n"]  # the null-key left row has no match: kept
+    assert sorted(r["lv"] for r in anti_join_shuffle(
+        ds(left), "k", ds(right), "rk", num_buckets=4).take_all()) == kept
+    assert sorted(r["lv"] for r in anti_join_keys(
+        ds(left), "k", right["rk"].to_pylist()).take_all()) == kept
+    for gate in (0, 10):  # both regimes of the routed anti-join
+        assert sorted(r["lv"] for r in anti_join_auto(
+            ds(left), "k", ds(right), "rk", max_broadcast_keys=gate,
+            num_buckets=4).take_all()) == kept
+
+
 def test_hopping_window_membership(ray_session):
     import ray.data as rd
 
