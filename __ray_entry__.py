@@ -110,35 +110,13 @@ def entry() -> Any:
 def _q_groupby_count(sf_dir: str):
     # G2-shape grouped aggregate with in-batch partial combine (no float
     # accumulation in the compared output: integral qty + count only).
-    from fashion_knowledge_graph_ray.stages.bucketed import bucketed_group_apply
+    from fashion_knowledge_graph_ray.stages.bucketed import bucketed_aggregate
 
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_quantity", "count")])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "sum_qty": g["l_quantity_sum"],
-            "n": g["l_quantity_count"].cast(pa.int64()),
-        })
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("sum_qty", "sum"), ("n", "sum")])
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "sum_qty": g["sum_qty_sum"],
-            "n": g["n_sum"],
-        })
-
-    partials = li.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["l_returnflag", "l_linestatus"],
-                                merge, num_buckets=8)
+    return bucketed_aggregate(li, ["l_returnflag", "l_linestatus"],
+                              {"sum_qty": ("l_quantity", "sum"),
+                               "n": ("l_quantity", "count")}, num_buckets=8)
 
 
 def _part_cat_map(sf_dir: str) -> dict[int, str]:
@@ -538,48 +516,13 @@ def _q_lang_id_docs(sf_dir: str):
 
 
 def _q_top_tokens_docs(sf_dir: str):
-    # the classic distributed word count: per-batch token-count partials
-    # (a hot token ships one int row per block), bucketed merge, global
-    # top-50 by (count DESC, token ASC)
-    from fashion_knowledge_graph_ray.functions.textstats import tokens
-    from fashion_knowledge_graph_ray.stages.bucketed import (
-        bucketed_group_apply,
-    )
+    # the classic distributed word count, then the global top-50 by
+    # (count DESC, token ASC)
+    from fashion_knowledge_graph_ray.stages.corpus import corpus_token_counts
+    from fashion_knowledge_graph_ray.stages.relational import topk
 
     docs = _read(sf_dir, "documents", ["text"], blocks=64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c: Counter = Counter()
-        for x in t["text"].to_pylist():
-            c.update(tokens(x))
-        items = sorted(c.items())
-        return pa.table({"token": pa.array([k for k, _ in items],
-                                           type=pa.string()),
-                         "n": pa.array([v for _, v in items],
-                                       type=pa.int64())})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["token"]).aggregate([("n", "sum")])
-        return pa.table({"token": g["token"], "n": g["n_sum"]})
-
-    counts = bucketed_group_apply(
-        docs.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        ["token"], merge, num_buckets=16)
-
-    def local_top(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.sort_indices(t, sort_keys=[("n", "descending"),
-                                            ("token", "ascending")])
-        return t.take(idx[:50])
-
-    partial_top = counts.map_batches(local_top, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-    return partial_top.sort(["n", "token"],
-                            descending=[True, False]).limit(50)
+    return topk(corpus_token_counts(docs), "n", 50, tie_col="token")
 
 
 def _q_fingerprint_docs(sf_dir: str):

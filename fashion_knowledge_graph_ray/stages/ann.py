@@ -93,23 +93,7 @@ def brute_force_topk(ds, queries: np.ndarray, k: int, *,
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               batch_size=4096, zero_copy_batch=True)
-
-    def merge(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"query_id": t["query_id"].to_pandas(),
-                           "vec_id": t["vec_id"].to_pandas(),
-                           "score": t["score"].to_pandas()})
-        df = df.sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True])
-        df = df.groupby("query_id", sort=True).head(k)
-        df["rank"] = df.groupby("query_id", sort=True).cumcount() + 1
-        return pa.table({"query_id": pa.array(df["query_id"], type=pa.int64()),
-                         "vec_id": pa.array(df["vec_id"], type=pa.int64()),
-                         "score": pa.array(df["score"], type=pa.float64()),
-                         "rank": pa.array(df["rank"], type=pa.int64())})
-
-    return bucketed_group_apply(partials, ["query_id"], merge,
+    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k),
                                 num_buckets=num_buckets)
 
 
@@ -189,6 +173,9 @@ def ivf_topk(ds, queries: np.ndarray, k: int, *,
 
 
 def _merge_topk(k: int):
+    """Bucket fn over ``(query_id, vec_id, score)`` partials: each query's
+    ``k`` best by score DESC, vec_id ASC, with ``rank`` 1..k."""
+
     def merge(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -276,23 +263,7 @@ def lsh_bucketed_topk(ds, queries: np.ndarray, k: int, *,
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               batch_size=4096, zero_copy_batch=True)
-
-    def merge(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"query_id": t["query_id"].to_pandas(),
-                           "vec_id": t["vec_id"].to_pandas(),
-                           "score": t["score"].to_pandas()})
-        df = df.sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True])
-        df = df.groupby("query_id", sort=True).head(k)
-        df["rank"] = df.groupby("query_id", sort=True).cumcount() + 1
-        return pa.table({"query_id": pa.array(df["query_id"], type=pa.int64()),
-                         "vec_id": pa.array(df["vec_id"], type=pa.int64()),
-                         "score": pa.array(df["score"], type=pa.float64()),
-                         "rank": pa.array(df["rank"], type=pa.int64())})
-
-    return bucketed_group_apply(partials, ["query_id"], merge,
+    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k),
                                 num_buckets=num_buckets)
 
 

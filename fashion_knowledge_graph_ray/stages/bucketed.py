@@ -1,6 +1,7 @@
 """Bucketed group application — the scale-shape for keyed reductions and
 two-sided keyed exchanges (``bucketed_group_apply`` for one input,
-``bucketed_cogroup`` for two).
+``bucketed_cogroup`` for two, ``bucketed_aggregate`` for a decomposable
+keyed aggregate over one input).
 
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
@@ -15,7 +16,8 @@ real cluster). crc32 is process-stable, so bucket assignment is
 deterministic (never use builtin ``hash``).
 
 Skewed keys: a single hot KEY cannot be split below one bucket, but every
-caller here pre-aggregates per input batch first (partial combine), so a
+caller here pre-aggregates per input batch first (partial combine;
+``bucketed_aggregate`` is that combine for sums, counts, min and max), so a
 hot key arrives as at most one row per upstream batch. There is no salted
 two-phase path (SURVEY.md §4.3): it never beat this on any measured skew
 fixture. Split a key only where a measured hot bucket calls for it
@@ -90,8 +92,11 @@ def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
         for c in cols[1:]:
             joined = pc.binary_join_element_wise(joined, c, sep)
         vals = joined.to_pylist()
+        # a null in any key column joins to null: every such key lands in
+        # bucket 0, so equal keys still share a bucket
         b = np.fromiter(
-            (zlib.crc32(v.encode("utf-8")) % num_buckets for v in vals),
+            (0 if v is None else zlib.crc32(v.encode("utf-8")) % num_buckets
+             for v in vals),
             dtype=np.int64, count=len(vals),
         )
     return batch.append_column(BUCKET_COL, pa.array(b))
@@ -128,6 +133,63 @@ def bucketed_group_apply(ds, keys: list[str], bucket_fn, *,
     # bucket inside a single serial task.
     return tagged.sort(BUCKET_COL).map_batches(
         apply, batch_format="pyarrow", batch_size=None)
+
+
+def _group_by(t: pa.Table, keys: list[str], spec) -> pa.Table:
+    """``t.group_by(keys).aggregate(spec)`` with each null key one group.
+
+    pyarrow 16's multi-column grouper can split one key that holds a null
+    into several groups (seen whenever an integer key column is among the
+    keys). So with several key columns, each one that has nulls is
+    grouped by its dictionary codes (the null encoded as one code) and
+    decoded afterwards."""
+    dicts = {}
+    if len(keys) > 1:
+        for k in keys:
+            if t[k].null_count:
+                enc = pc.dictionary_encode(t[k].combine_chunks(),
+                                           null_encoding="encode")
+                dicts[k] = enc.dictionary
+                t = t.set_column(t.schema.get_field_index(k), k, enc.indices)
+    g = t.group_by(keys, use_threads=False).aggregate(spec)
+    for k, d in dicts.items():
+        g = g.set_column(g.schema.get_field_index(k), k, d.take(g[k]))
+    return g
+
+
+# how each partial merges in the final group_by: counts add up
+_MERGE_OP = {"sum": "sum", "count": "sum", "count_all": "sum",
+             "min": "min", "max": "max"}
+
+
+def bucketed_aggregate(ds, keys: list[str], aggs: dict, *,
+                       num_buckets: int = 64):
+    """Keyed aggregate: one row per distinct ``keys`` tuple with one column
+    per ``aggs`` entry, ``{name: (col, op)}`` with ``op`` one of ``sum``,
+    ``count`` (non-null values of ``col``), ``count_all`` (rows; ``col``
+    is ignored), ``min`` or ``max``. An empty ``aggs`` gives the distinct
+    keys. Output columns: ``keys``, then the ``aggs`` names in order.
+
+    Partial/final split: one Arrow ``group_by`` per input block (a hot key
+    ships one row per block), then ``bucketed_group_apply`` with the final
+    ``group_by`` — counts merge by sum and come out as int64, min and max
+    by themselves. Null keys form one group, as in SQL ``GROUP BY``."""
+    keys = list(keys)
+    names = list(aggs)
+    first = [([], "count_all") if op == "count_all" else (col, op)
+             for col, op in aggs.values()]
+    final = [(n, _MERGE_OP[op]) for n, (_, op) in aggs.items()]
+
+    def group(spec):
+        def fn(t: pa.Table) -> pa.Table:
+            # pyarrow puts the keys first, then one column per aggregate
+            return _group_by(t, keys, spec).rename_columns(keys + names)
+        return fn
+
+    partials = ds.map_batches(group(first), batch_format="pyarrow",
+                              zero_copy_batch=True)
+    return bucketed_group_apply(partials, keys, group(final),
+                                num_buckets=num_buckets)
 
 
 def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,

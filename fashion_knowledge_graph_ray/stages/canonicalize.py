@@ -28,7 +28,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_cogroup, bucketed_group_apply
+from .bucketed import (
+    bucketed_aggregate,
+    bucketed_cogroup,
+    bucketed_group_apply,
+)
 from .pairs import group_pairs
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -322,9 +326,10 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
                           num_buckets: int = 64):
     """Driver-free verification of candidate pairs — the dense-regime path.
 
-    Four bucketed phases:
+    Three bucketed exchanges after one narrow step:
 
-    1. distinct involved ids from both pair sides (candidate-sized);
+    1. involved ids from both pair sides, distinct per batch (no
+       exchange of its own: phase 2 exchanges on the same id);
     2. shuffle semi-join against ``texts_ds`` keyed by id — this ONE
        exchange is corpus-sized (every (id, text) row crosses it once,
        the unavoidable cost of an exact semi-join without a driver
@@ -342,20 +347,15 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
     same size-prune + intersect arithmetic)."""
     import pandas as pd
 
-    # 1. involved ids, distinct
-    def both_sides(t: pa.Table) -> pa.Table:
+    # 1. involved ids, distinct per batch only: the semi-join below
+    # exchanges on the same id and ``shingle_bucket`` collapses repeats
+    def involved(t: pa.Table) -> pa.Table:
         return pa.table({"id": pa.concat_arrays(
-            [t["a"].combine_chunks(), t["b"].combine_chunks()])})
+            [t["a"].combine_chunks(), t["b"].combine_chunks()])}) \
+            .group_by(["id"]).aggregate([])
 
-    def dd_id(t: pa.Table) -> pa.Table:
-        return t.group_by(["id"]).aggregate([])
-
-    inv = bucketed_group_apply(
-        cand.map_batches(both_sides, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(dd_id, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        ["id"], dd_id, num_buckets=num_buckets)
+    inv = cand.map_batches(involved, batch_format="pyarrow",
+                           zero_copy_batch=True)
 
     # 2. semi-join texts on involved ids; shingle in-bucket
     def shingle_bucket(inv_t: pa.Table, texts: pa.Table) -> pa.Table:
@@ -452,22 +452,12 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
 
 def _distinct_pairs(pairs_ds, *, num_buckets: int = 64,
                     min_of: str | None = None):
-    """Distinct ``(a, b)`` rows of ``pairs_ds``: a per-batch partial, then
-    one bucketed exchange on ``(a, b)``. ``min_of`` names a column kept
-    as its minimum over each pair's duplicates."""
-    aggs = [] if min_of is None else [(min_of, "min")]
-
-    def dd(t: pa.Table) -> pa.Table:
-        g = t.group_by(["a", "b"]).aggregate(aggs)
-        if min_of is None:
-            return g
-        return pa.table({"a": g["a"], "b": g["b"],
-                         min_of: g[f"{min_of}_min"]})
-
-    partial = pairs_ds.map_batches(dd, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-    return bucketed_group_apply(partial, ["a", "b"], dd,
-                                num_buckets=num_buckets)
+    """Distinct ``(a, b)`` rows of ``pairs_ds``: one keyed aggregate on
+    ``(a, b)``. ``min_of`` names a column kept as its minimum over each
+    pair's duplicates."""
+    return bucketed_aggregate(
+        pairs_ds, ["a", "b"], {} if min_of is None else
+        {min_of: (min_of, "min")}, num_buckets=num_buckets)
 
 
 def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
@@ -603,12 +593,9 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
 
         # propagate emitted per-bucket minima; a node can appear in several
         # buckets' outputs only via messages — reduce to global min per id
-        def local_min(t: pa.Table) -> pa.Table:
-            g = t.group_by(["id"]).aggregate([("label", "min")])
-            return pa.table({"id": g["id"], "label": g["label_min"]})
-
-        labels = bucketed_group_apply(propagated, ["id"], local_min,
-                                      num_buckets=num_buckets).materialize()
+        labels = bucketed_aggregate(
+            propagated, ["id"], {"label": ("label", "min")},
+            num_buckets=num_buckets).materialize()
         cur = checksum(labels)
         if cur == prev:
             converged = True

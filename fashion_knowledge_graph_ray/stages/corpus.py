@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textstats import tokens
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_aggregate, bucketed_group_apply
 
 _RANGE_COL = "__range"
 
@@ -149,28 +149,9 @@ def pack_bins(docs_ds, budget: int, *, text_col: str = "text",
 
 def corpus_token_counts(docs_ds, *, text_col: str = "text",
                         num_buckets: int = 16):
-    """Distributed word count → Dataset of ``(token, n)`` rows."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        c: Counter = Counter()
-        for x in t[text_col].to_pylist():
-            c.update(tokens(x))
-        items = sorted(c.items())
-        return pa.table({
-            "token": pa.array([k for k, _ in items], type=pa.string()),
-            "n": pa.array([v for _, v in items], type=pa.int64()),
-        })
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["token"]).aggregate([("n", "sum")])
-        return pa.table({"token": g["token"], "n": g["n_sum"]})
-
-    return bucketed_group_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        ["token"], merge, num_buckets=num_buckets)
+    """Distributed word count → Dataset of ``(token, n)`` rows: the
+    ``n=1`` case of ``ngram_counts``."""
+    return _gram_counts(docs_ds, 1, "token", text_col, num_buckets)
 
 
 def token_freq_scores(docs_ds, stats_ds=None, *, text_col: str = "text",
@@ -398,63 +379,46 @@ def with_global_index(ds, order_col: str, *, index_col: str = "index",
 def doc_frequencies(docs_ds, *, text_col: str = "text",
                     num_buckets: int = 16):
     """Distributed DOCUMENT frequency: ``(token, df)`` with df = number
-    of documents containing the token (per-batch distinct-per-doc
-    partials, bucketed merge — same exchange shape as the word count)."""
+    of documents containing the token (each document's distinct tokens,
+    then one keyed count — same exchange shape as the word count)."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
+    def doc_tokens(t: pa.Table) -> pa.Table:
+        return pa.table({"token": pa.array(
+            [w for x in t[text_col].to_pylist() for w in set(tokens(x))],
+            type=pa.string())})
 
-        c: Counter = Counter()
-        for x in t[text_col].to_pylist():
-            c.update(set(tokens(x)))
-        items = sorted(c.items())
-        return pa.table({
-            "token": pa.array([k for k, _ in items], type=pa.string()),
-            "df": pa.array([v for _, v in items], type=pa.int64()),
-        })
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["token"]).aggregate([("df", "sum")])
-        return pa.table({"token": g["token"], "df": g["df_sum"]})
-
-    return bucketed_group_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow",
+    return bucketed_aggregate(
+        docs_ds.map_batches(doc_tokens, batch_format="pyarrow",
                             zero_copy_batch=True),
-        ["token"], merge, num_buckets=num_buckets)
+        ["token"], {"df": ("token", "count_all")}, num_buckets=num_buckets)
 
 
 def ngram_counts(docs_ds, n: int, *, text_col: str = "text",
                  num_buckets: int = 16):
-    """Corpus n-gram counts: ``(gram, count)`` with gram = the
+    """Corpus n-gram counts: ``(gram, n)`` with gram = the
     space-joined window of ``n`` consecutive ``\\S+`` tokens (documents
-    shorter than ``n`` tokens contribute nothing). ``n=1`` degenerates
-    to the word count; ``n=2,3`` are the n-gram-LM / collocation tables.
-    Same exchange shape as ``corpus_token_counts``: per-batch Counter
-    partials (a hot gram ships one int row per block), bucketed merge."""
+    shorter than ``n`` tokens contribute nothing). ``n=1`` is the word
+    count (``corpus_token_counts``); ``n=2,3`` are the n-gram-LM /
+    collocation tables. One keyed count over the per-batch grams (a hot
+    gram ships one int row per block)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _gram_counts(docs_ds, n, "gram", text_col, num_buckets)
 
-    def partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
 
-        c: Counter = Counter()
+def _gram_counts(docs_ds, n: int, col: str, text_col: str,
+                 num_buckets: int):
+    def grams(t: pa.Table) -> pa.Table:
+        out = []
         for x in t[text_col].to_pylist():
             w = tokens(x)
-            c.update(" ".join(w[i:i + n]) for i in range(len(w) - n + 1))
-        items = sorted(c.items())
-        return pa.table({
-            "gram": pa.array([k for k, _ in items], type=pa.string()),
-            "n": pa.array([v for _, v in items], type=pa.int64()),
-        })
+            out.extend(" ".join(w[i:i + n]) for i in range(len(w) - n + 1))
+        return pa.table({col: pa.array(out, type=pa.string())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["gram"]).aggregate([("n", "sum")])
-        return pa.table({"gram": g["gram"], "n": g["n_sum"]})
-
-    return bucketed_group_apply(
-        docs_ds.map_batches(partial, batch_format="pyarrow",
+    return bucketed_aggregate(
+        docs_ds.map_batches(grams, batch_format="pyarrow",
                             zero_copy_batch=True),
-        ["gram"], merge, num_buckets=num_buckets)
+        [col], {"n": (col, "count_all")}, num_buckets=num_buckets)
 
 
 def bm25_topk(docs_ds, query_tokens: list[str], k: int, *,

@@ -31,7 +31,11 @@ from ..functions.textstats import (
     simhash64_batch,
 )
 from ..functions.vectors import list_to_matrix
-from .bucketed import bucketed_cogroup, bucketed_group_apply
+from .bucketed import (
+    bucketed_aggregate,
+    bucketed_cogroup,
+    bucketed_group_apply,
+)
 from .canonicalize import (
     _distinct_pairs,
     candidate_pairs,
@@ -46,23 +50,17 @@ from .pairs import group_pairs
 def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                 num_buckets: int = 64):
     """One row per distinct text: (md5, id = min id). Content hash is
-    computed in-batch (vectorized), partial min per batch, bucketed min."""
+    computed in-batch (vectorized), then one keyed min aggregate."""
 
     def to_hash(t: pa.Table) -> pa.Table:
         texts = t[text_col].to_pylist()
         h = pa.array([fingerprint_md5(x) for x in texts], type=pa.string())
-        g = pa.table({"md5": h, id_col: t[id_col]}) \
-            .group_by(["md5"]).aggregate([(id_col, "min")])
-        return pa.table({"md5": g["md5"], id_col: g[f"{id_col}_min"]})
+        return pa.table({"md5": h, id_col: t[id_col]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["md5"]).aggregate([(id_col, "min")])
-        return pa.table({"md5": g["md5"], id_col: g[f"{id_col}_min"]})
-
-    partial = ds.map_batches(to_hash, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    return bucketed_group_apply(partial, ["md5"], merge,
-                                num_buckets=num_buckets)
+    return bucketed_aggregate(
+        ds.map_batches(to_hash, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        ["md5"], {id_col: (id_col, "min")}, num_buckets=num_buckets)
 
 
 # ── MinHash-LSH / n-gram Jaccard near-dup ────────────────────────────────

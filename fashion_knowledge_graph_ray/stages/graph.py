@@ -38,22 +38,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_cogroup, bucketed_group_apply
+from .bucketed import (
+    bucketed_aggregate,
+    bucketed_cogroup,
+    bucketed_group_apply,
+)
 
 
 def _distinct_ids(edges_ds, src_col: str, dst_col: str, num_buckets: int):
     def explode(t: pa.Table) -> pa.Table:
         ids = pa.concat_arrays([t[src_col].combine_chunks().cast(pa.int64()),
                                 t[dst_col].combine_chunks().cast(pa.int64())])
-        return pa.table({"id": pc.unique(ids)})
+        return pa.table({"id": ids})
 
-    def distinct(t: pa.Table) -> pa.Table:
-        return pa.table({"id": pc.unique(t["id"].combine_chunks())})
-
-    return bucketed_group_apply(
+    return bucketed_aggregate(
         edges_ds.map_batches(explode, batch_format="pyarrow",
                              zero_copy_batch=True),
-        ["id"], distinct, num_buckets=num_buckets)
+        ["id"], {}, num_buckets=num_buckets)
 
 
 def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
@@ -113,20 +114,10 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
             lambda t: t.append_column("rank", pa.array([], type=pa.int64())),
             batch_format="pyarrow")
 
-    # out-mass per src (Σ weights; = out-degree when unweighted):
-    # per-batch partials, bucketed sum
-    def deg_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["src"]).aggregate([("w", "sum")])
-        return pa.table({"id": g["src"], "deg": g["w_sum"]})
-
-    def deg_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["id"]).aggregate([("deg", "sum")])
-        return pa.table({"id": g["id"], "deg": g["deg_sum"]})
-
-    degs = bucketed_group_apply(
-        edges.map_batches(deg_partial, batch_format="pyarrow",
-                          zero_copy_batch=True),
-        ["id"], deg_merge, num_buckets=num_buckets)
+    # out-mass per src (Σ weights; = out-degree when unweighted)
+    degs = bucketed_aggregate(edges, ["src"], {"deg": ("w", "sum")},
+                              num_buckets=num_buckets) \
+        .rename_columns({"src": "id"})
 
     if n <= max_broadcast_nodes:
         return _pagerank_broadcast(edges, nodes, degs, n, damping_pct,
@@ -316,18 +307,12 @@ def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale,
     rank = np.full(n, scale // n, dtype=np.int64)
     dangling_mask = deg_arr == 0
 
-    def sum_bucket(t: pa.Table) -> pa.Table:
-        g = t.group_by(["dst"]).aggregate([("contrib", "sum")])
-        return pa.table({"dst": g["dst"], "contrib": g["contrib_sum"]})
-
     for _ in range(iters):
         dangling = int(rank[dangling_mask].sum())
         base = (scale * (100 - d)) // (100 * n) + (dangling * d) // (100 * n)
         rank_ref = ray.put(rank) if ray.is_initialized() else rank
 
         def contrib_batch(t: pa.Table) -> pa.Table:
-            import pandas as pd
-
             ids_s, degs_s = (ray.get(ids_ref)
                              if not isinstance(ids_ref, tuple) else ids_ref)
             rk = rank_ref if isinstance(rank_ref, np.ndarray) \
@@ -350,17 +335,13 @@ def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale,
                               for r, ww, dd in zip(sr, w, sd)],
                              dtype=np.int64)
             mask = valid & (c > 0)
-            df = pd.DataFrame({"dst": dst[mask], "contrib": c[mask]})
-            g = df.groupby("dst", sort=True)["contrib"].sum().reset_index()
-            return pa.table({
-                "dst": pa.array(g["dst"], type=pa.int64()),
-                "contrib": pa.array(g["contrib"], type=pa.int64()),
-            })
+            return pa.table({"dst": pa.array(dst[mask], type=pa.int64()),
+                             "contrib": pa.array(c[mask], type=pa.int64())})
 
-        partials = edges.map_batches(contrib_batch, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-        sums = bucketed_group_apply(partials, ["dst"], sum_bucket,
-                                    num_buckets=num_buckets)
+        sums = bucketed_aggregate(
+            edges.map_batches(contrib_batch, batch_format="pyarrow",
+                              zero_copy_batch=True),
+            ["dst"], {"contrib": ("contrib", "sum")}, num_buckets=num_buckets)
         acc = np.zeros(n, dtype=np.int64)
         for b in sums.iter_batches(batch_format="pyarrow"):
             idx = np.searchsorted(ids_sorted,
@@ -393,8 +374,8 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
        pair — a bucketed groupby;
     5. close: hash-join wedge endpoint pairs against the oriented edge
        set on the pair key — one more bucketed exchange; every match is
-       one triangle, credited to all three corners via a final bucketed
-       sum.
+       one triangle, credited to all three corners via a final keyed
+       count.
 
     The degree map broadcasts via ``ray.put`` under
     ``max_broadcast_nodes`` (8–30 B/node); above the gate step 3 becomes
@@ -406,48 +387,25 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
 
     from .relational import shuffle_join
 
-    def und_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
+    def undirected(t: pa.Table) -> pa.Table:
+        a, b = t[src_col], t[dst_col]
+        lt = pc.less(a, b)
+        return pa.table({"a": pc.if_else(lt, a, b),
+                         "b": pc.if_else(lt, b, a)}) \
+            .filter(pc.not_equal(a, b))
 
-        a = t[src_col].to_pandas()
-        b = t[dst_col].to_pandas()
-        lo = a.where(a < b, b)
-        hi = b.where(a < b, a)
-        df = pd.DataFrame({"a": lo, "b": hi})
-        df = df[df["a"] != df["b"]].drop_duplicates()
-        return pa.table({"a": pa.Array.from_pandas(df["a"]),
-                         "b": pa.Array.from_pandas(df["b"])})
-
-    def und_distinct(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"a": t["a"].to_pandas(),
-                           "b": t["b"].to_pandas()}).drop_duplicates()
-        return pa.table({"a": pa.Array.from_pandas(df["a"]),
-                         "b": pa.Array.from_pandas(df["b"])})
-
-    und = bucketed_group_apply(
-        edges_ds.map_batches(und_partial, batch_format="pyarrow",
+    und = bucketed_aggregate(
+        edges_ds.map_batches(undirected, batch_format="pyarrow",
                              zero_copy_batch=True),
-        ["a", "b"], und_distinct, num_buckets=num_buckets).materialize()
+        ["a", "b"], {}, num_buckets=num_buckets).materialize()
 
-    def deg_partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
+    def ends(t: pa.Table) -> pa.Table:
+        return pa.table({"id": pa.concat_arrays(
+            [t["a"].combine_chunks(), t["b"].combine_chunks()])})
 
-        s = pd.concat([t["a"].to_pandas(), t["b"].to_pandas()])
-        g = s.value_counts().reset_index()
-        g.columns = ["id", "deg"]
-        return pa.table({"id": pa.Array.from_pandas(g["id"]),
-                         "deg": pa.array(g["deg"], type=pa.int64())})
-
-    def deg_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["id"]).aggregate([("deg", "sum")])
-        return pa.table({"id": g["id"], "deg": g["deg_sum"]})
-
-    degs = bucketed_group_apply(
-        und.map_batches(deg_partial, batch_format="pyarrow",
-                        zero_copy_batch=True),
-        ["id"], deg_merge, num_buckets=num_buckets)
+    degs = bucketed_aggregate(
+        und.map_batches(ends, batch_format="pyarrow", zero_copy_batch=True),
+        ["id"], {"deg": ("id", "count_all")}, num_buckets=num_buckets)
 
     n = degs.count()
     if n <= max_broadcast_nodes:
@@ -541,25 +499,17 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
                             "w": et["v"].to_pandas()})
         m = wt.to_pandas().merge(edf.drop_duplicates(), on=["v", "w"],
                                  how="inner")
-        # per-corner partial counts within the bucket
-        s = pd.concat([m["cu"], m["v"], m["w"]])
-        g = s.value_counts().reset_index()
-        g.columns = ["id", "triangles"]
-        return pa.table({"id": pa.Array.from_pandas(g["id"]),
-                         "triangles": pa.array(g["triangles"],
-                                               type=pa.int64())})
+        # one row per triangle corner; the aggregate below counts them
+        corners = pd.concat([m["cu"], m["v"], m["w"]])
+        return pa.table({"id": pa.Array.from_pandas(corners, type=ut)})
 
     os_ = oriented.schema()  # materialized above: no re-execution
     ut, vt = (dict(zip(os_.names, os_.types))[c] for c in ("u", "v"))
-    partials = bucketed_cogroup(
+    corners = bucketed_cogroup(
         wedges, oriented, ["v", "w"], close_bucket,
         left_schema=pa.schema([("cu", ut), ("v", vt), ("w", vt)]),
         right_schema=pa.schema([("u", ut), ("v", vt)]),
         right_keys=["u", "v"], num_buckets=num_buckets)
-
-    def count_merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["id"]).aggregate([("triangles", "sum")])
-        return pa.table({"id": g["id"], "triangles": g["triangles_sum"]})
-
-    return bucketed_group_apply(partials, ["id"], count_merge,
-                                num_buckets=num_buckets)
+    return bucketed_aggregate(corners, ["id"],
+                              {"triangles": ("id", "count_all")},
+                              num_buckets=num_buckets)

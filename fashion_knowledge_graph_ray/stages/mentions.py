@@ -21,12 +21,15 @@ identical semantics, switched on the form count:
   engine scans tries in one pass and wins on scan speed (measured
   2.9 vs 1.7 MB/s at 10^6 forms) while compile time stays amortizable
   (3.4 s at 10^5 forms, once per worker);
-- above the gate (true web-scale gazetteers): ``TrieScanner``, an
-  Aho-Corasick-style longest-match automaton walked in pure Python —
-  at 10^6 forms ``re.compile`` measures 49 s PER WORKER (a cluster-wide
-  startup tax that grows superlinearly and eventually exhausts memory)
-  while the automaton builds in 6 s; match-for-match identical to the
-  regex (equivalence-tested at 10^6 forms: same hits).
+- above the gate (true web-scale gazetteers): ``NumpyTrieScanner``, an
+  Aho-Corasick-style longest-match automaton built and scanned as numpy
+  array programs over a whole batch — at 10^6 forms ``re.compile``
+  measures 49 s PER WORKER (a cluster-wide startup tax that grows
+  superlinearly and eventually exhausts memory) while a dict-trie
+  automaton builds in 6 s; match-for-match identical to the regex
+  (equivalence-tested at 10^6 forms: same hits; the pure-Python dict
+  trie ``TrieScanner`` in ``tests/trie_scanner.py`` is the parity
+  oracle for both).
 
 Output keeps each page's mentions as ONE list<struct> row so that
 per-page pair semantics never depend on block boundaries (SURVEY.md §7.4
@@ -142,13 +145,8 @@ def _simple_lower(s: str) -> str:
     return s.lower()
 
 
-def _is_word(ch: str) -> bool:
-    o = ord(ch)
-    return _ASCII_WORD[o] if o < 128 else bool(_WORD_RE.match(ch))
-
-
 class _Span:
-    """Minimal ``re.Match`` stand-in (group/start/end) so ``TrieScanner``
+    """Minimal ``re.Match`` stand-in (group/start/end) so a trie scanner
     drops into every call site that iterates ``pattern.finditer``."""
 
     __slots__ = ("_s", "_e", "_t")
@@ -166,98 +164,20 @@ class _Span:
         return self._e
 
 
-class TrieScanner:
-    """Aho-Corasick-style longest-match scanner for LARGE gazetteers.
-
-    Semantics replicate the trie regex exactly (verified by the
-    equivalence test): matches must start and end on ``\\b`` word
-    boundaries, the LONGEST form anchored at a position wins (greedy
-    with backtrack-to-shorter-terminal, like the regex), and scanning
-    resumes at the match end (non-overlapping, left-to-right).
-
-    Build: O(Σ form chars) dict trie — measured 6 s at 10^6 forms where
-    ``re.compile`` of the equivalent pattern takes 49 s (per worker!).
-    Scan: O(len(text) × avg trie walk), independent of form count
-    (measured 1.7-2.0 MB/s/core at 10^5-10^6 forms vs the regex's
-    2.9 — the trade is per-worker startup for a bounded scan slowdown).
-    ``casefold=True`` walks the ORIGINAL text lowering characters on the
-    fly (the rare length-changing-Unicode fallback, mirroring
-    ``compile_pattern_ci``); spans always index the scanned string.
-    The fold is re.IGNORECASE's SIMPLE per-codepoint lowering, not
-    ``str.lower()``'s full mapping: the two differ only at U+0130 'İ'
-    (full: 'i'+U+0307, simple: 'i' — probed against this interpreter's
-    ``re``), and using the full mapping here made the two ci regimes
-    diverge on exactly the length-changing path the fallback exists
-    for."""
-
-    __slots__ = ("root", "casefold")
-
-    def __init__(self, forms, *, casefold: bool = False):
-        root: dict = {}
-        for w in forms:
-            d = root
-            for ch in w:
-                d = d.setdefault(ch, {})
-            d[""] = True
-        self.root = root
-        self.casefold = casefold
-
-    @staticmethod
-    def _bound(text: str, i: int) -> bool:
-        n = len(text)
-        if n == 0:
-            return False
-        if i <= 0:
-            return _is_word(text[0])
-        if i >= n:
-            return _is_word(text[n - 1])
-        return _is_word(text[i - 1]) != _is_word(text[i])
-
-    _fold = staticmethod(_simple_lower)
-
-    def finditer(self, text: str):
-        root = self.root
-        bound = self._bound
-        fold = self.casefold
-        _fold = self._fold
-        n = len(text)
-        i = 0
-        while i < n:
-            first = _fold(text[i]) if fold else text[i]
-            if (first not in root) or not bound(text, i):
-                i += 1
-                continue
-            d = root
-            j = i
-            best = -1
-            while j < n:
-                ch = _fold(text[j]) if fold else text[j]
-                nxt = d.get(ch)
-                if nxt is None:
-                    break
-                d = nxt
-                j += 1
-                if "" in d and bound(text, j):
-                    best = j
-            if best > i:
-                yield _Span(i, best, text)
-                i = best
-            else:
-                i += 1
-
-
 _CP_ALPHABET = 0x110000  # one past the max Unicode codepoint
 _ASCII_WORD_NP = np.array(_ASCII_WORD, dtype=bool)
 
 
 class NumpyTrieScanner:
-    """Batched numpy automaton: ``TrieScanner`` semantics, vectorized.
+    """Batched numpy automaton for the above-``AC_FORM_GATE`` web-scale
+    gazetteer regime.
 
-    Same longest-match / word-boundary / resume-at-end semantics as
-    ``TrieScanner`` (equivalence-tested on every scanner fixture), but
-    both the build and the scan run as numpy array programs, lifting the
-    pure-Python scan ceiling (measured 1.7-2.0 MB/s/core) for the
-    above-``AC_FORM_GATE`` web-scale gazetteer regime:
+    Same longest-match / word-boundary / resume-at-end semantics as the
+    trie regex and as the pure-Python ``TrieScanner`` parity oracle in
+    ``tests/trie_scanner.py`` (equivalence-tested on every scanner
+    fixture), but both the build and the scan run as numpy array
+    programs, lifting the pure-Python scan ceiling (measured
+    1.7-2.0 MB/s/core):
 
     - **Build**: per-depth ``np.unique`` over int64-packed
       ``state * 0x110000 + codepoint`` transition keys — O(Σ form chars)
@@ -271,7 +191,7 @@ class NumpyTrieScanner:
       the surviving candidates. The only per-match Python is the final
       greedy non-overlap filter, O(matches) not O(text).
 
-    ``casefold=True`` mirrors ``TrieScanner``'s on-the-fly SIMPLE
+    ``casefold=True`` applies re.IGNORECASE's SIMPLE
     per-codepoint lowering (``_simple_lower``): the fold feeds the trie
     walk only; boundaries and spans index the scanned string verbatim.
     """
@@ -357,7 +277,7 @@ class NumpyTrieScanner:
         lc = _simple_lower(chr(c))
         # only U+0130 lowers multi-char and _simple_lower handles it; a
         # hypothetical other maps to NUL, which is never a trie key —
-        # exactly TrieScanner's failed d.get(multi-char-key) transition
+        # exactly a dict trie's failed d.get(multi-char-key) transition
         return ord(lc) if len(lc) == 1 else 0
 
     def _fold_arr(self, cp: np.ndarray) -> np.ndarray:
@@ -371,7 +291,7 @@ class NumpyTrieScanner:
         return out
 
     def scan_many(self, texts) -> list[list[tuple[int, int]]]:
-        """Per-text lists of (start, end) spans, TrieScanner-identical."""
+        """Per-text lists of (start, end) spans, regex-identical."""
         if not texts:
             return []
         if self.root_chars.size == 0:
@@ -441,10 +361,11 @@ def compile_pattern_ci(forms) -> re.Pattern:
     )
 
 
-def detect_in_text(text: str, url: str, pattern: "re.Pattern | TrieScanner",
+def detect_in_text(text: str, url: str,
+                   pattern: "re.Pattern | NumpyTrieScanner",
                    gaz: dict[str, tuple[str, str]],
                    min_chars: int = MIN_MENTION_CHARS,
-                   ci_pattern: "re.Pattern | TrieScanner | None" = None,
+                   ci_pattern: "re.Pattern | NumpyTrieScanner | None" = None,
                    ) -> list[dict]:
     """Distinct-per-form mentions, ordered by first occurrence.
 

@@ -13,27 +13,16 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_aggregate, bucketed_group_apply
 
 
 def value_counts(ds, col: str, *, num_buckets: int = 16):
-    """Dataset -> (value, n) counts of ``col``. Per-batch ``pc.value_counts``
-    partials (a hot value ships one int row per block), one bucketed merge.
-    Nulls are counted under the value NULL, matching ``pc.value_counts``."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t[col].combine_chunks())
-        return pa.table({"value": vc.field("values"),
-                         "n": vc.field("counts").cast(pa.int64())})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["value"]).aggregate([("n", "sum")])
-        return pa.table({"value": g["value"], "n": g["n_sum"]})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["value"], merge,
-                                num_buckets=num_buckets)
+    """Dataset -> (value, n) counts of ``col``: one keyed ``count_all``
+    aggregate (a hot value ships one int row per block). Nulls are counted
+    under the value NULL, matching ``pc.value_counts``."""
+    return bucketed_aggregate(
+        ds.select_columns([col]).rename_columns({col: "value"}),
+        ["value"], {"n": ("value", "count_all")}, num_buckets=num_buckets)
 
 
 def source_stats(docs_ds, *, source_col: str = "source",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .bucketed import bucketed_group_apply
+from .bucketed import bucketed_aggregate, bucketed_group_apply
 
 _TICKS_PER_SEC = {"s": 1, "ms": 10**3, "us": 10**6, "ns": 10**9}
 
@@ -62,32 +62,20 @@ def tumbling_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
 
     width_ns = int(pd.tseries.frequencies.to_offset(width).nanos)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def window(t: pa.Table) -> pa.Table:
         ticks, per_sec, ty = _epoch_ticks(t, ts_col)
         width_ticks = width_ns * per_sec // 10**9
         # int64 // floors toward -inf, matching pandas dt.floor pre-epoch
         ws = pa.array(ticks // width_ticks * width_ticks,
                       type=pa.int64()).cast(ty)
-        g = pa.table({key_col: t[key_col], "window_start": ws,
-                      value_col: t[value_col]}) \
-            .group_by([key_col, "window_start"]).aggregate(
-                [(value_col, "count", pc.CountOptions(mode="all")),
-                 (value_col, "max")])
-        return g.rename_columns(
-            [key_col, "window_start", "n_events", "max_value"])
+        return pa.table({key_col: t[key_col], "window_start": ws,
+                         value_col: t[value_col]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([key_col, "window_start"]).aggregate(
-            [("n_events", "sum"), ("max_value", "max")])
-        g = g.rename_columns(
-            [key_col, "window_start", "n_events", "max_value"])
-        return g.sort_by([(key_col, "ascending"),
-                          ("window_start", "ascending")])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed_group_apply(partials, [key_col], merge,
-                                num_buckets=num_buckets)
+    return bucketed_aggregate(
+        ds.map_batches(window, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col, "window_start"], {"n_events": (value_col, "count_all"),
+                                     "max_value": (value_col, "max")},
+        num_buckets=num_buckets)
 
 
 def hopping_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -97,42 +85,31 @@ def hopping_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     ``width_sec`` sliding every ``slide_sec`` (``slide_sec`` must divide
     ``width_sec``): each event lands in ``width/slide`` windows.
 
-    Same scale shape as tumbling: the per-event expansion happens INSIDE
-    the per-batch partial combiner, so the shuffle still moves at most one
-    row per (key, window) per input block — the expansion factor never
-    crosses the exchange. Window starts are integer epoch seconds
+    Same scale shape as tumbling: the per-event expansion runs in the same
+    task as the per-batch partial combine, so the shuffle still moves at
+    most one row per (key, window) per input block — the expansion factor
+    never crosses the exchange. Window starts are integer epoch seconds
     (timezone-free, engine-portable). Returns (key, ws_sec, n_events,
     max_value)."""
     if width_sec % slide_sec:
         raise ValueError("slide_sec must divide width_sec")
     hops = width_sec // slide_sec
 
-    def partial(t: pa.Table) -> pa.Table:
+    def expand(t: pa.Table) -> pa.Table:
         ticks, per_sec, _ = _epoch_ticks(t, ts_col)
         slide_idx = (ticks // per_sec) // slide_sec
         # expand hops× by concatenating Arrow slices (keeps key/value
         # columns zero-copy and null-exact); only ws_sec is fresh per hop
         base = pa.table({key_col: t[key_col], value_col: t[value_col]})
-        parts = [base.append_column(
-                     "ws_sec", pa.array((slide_idx - k) * slide_sec,
-                                        type=pa.int64()))
-                 for k in range(hops)]
-        g = pa.concat_tables(parts) \
-            .group_by([key_col, "ws_sec"]).aggregate(
-                [(value_col, "count", pc.CountOptions(mode="all")),
-                 (value_col, "max")])
-        return g.rename_columns([key_col, "ws_sec", "n_events", "max_value"])
+        return pa.concat_tables([base.append_column(
+            "ws_sec", pa.array((slide_idx - k) * slide_sec,
+                               type=pa.int64())) for k in range(hops)])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([key_col, "ws_sec"]).aggregate(
-            [("n_events", "sum"), ("max_value", "max")])
-        g = g.rename_columns([key_col, "ws_sec", "n_events", "max_value"])
-        return g.sort_by([(key_col, "ascending"), ("ws_sec", "ascending")])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucketed_group_apply(partials, [key_col], merge,
-                                num_buckets=num_buckets)
+    return bucketed_aggregate(
+        ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col, "ws_sec"], {"n_events": (value_col, "count_all"),
+                               "max_value": (value_col, "max")},
+        num_buckets=num_buckets)
 
 
 def session_windows(ds, *, key_col: str = "user_id", ts_col: str = "ts",

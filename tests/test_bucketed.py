@@ -1,7 +1,8 @@
 """``bucketed_group_apply``: one ``bucket_fn`` call per shuffled block, each
 call holding every row of the keys it sees, and the output of a plain
 per-key groupby. ``bucketed_cogroup``: the same for two inputs, checked
-against a brute-force pandas grouping of both sides."""
+against a brute-force pandas grouping of both sides. ``bucketed_aggregate``:
+every op against a brute-force pandas grouping, with either bucket hash."""
 
 from __future__ import annotations
 
@@ -11,7 +12,13 @@ from collections import defaultdict
 import pandas as pd
 import pyarrow as pa
 
+import pyarrow.compute as pc
+import pytest
+
+from fashion_knowledge_graph_ray.stages import bucketed
 from fashion_knowledge_graph_ray.stages.bucketed import (
+    add_bucket_column,
+    bucketed_aggregate,
     bucketed_cogroup,
     bucketed_group_apply,
 )
@@ -181,3 +188,132 @@ def test_cogroup_empty_side_gets_typed_empty_table(ray_session):
         out = _cogroup_calls(lt, rt, ["k"], ["k"])
         assert _got(out) == _brute_cogroup(lt, rt, ["k"], ["k"])
         assert out["one_side"].all()
+
+
+def _brute_aggregate(t: pa.Table, keys, aggs) -> dict:
+    """key tuple -> tuple of aggregates by pandas grouping (null keys form
+    one group; sum/min/max of no non-null value is None)."""
+    df = pd.DataFrame({c: pd.Series(t[c].to_pylist(), dtype=object)
+                       for c in t.column_names})
+    want = {}
+    for k, g in df.groupby(keys, dropna=False):
+        k = k if isinstance(k, tuple) else (k,)
+        out = []
+        for col, op in aggs.values():
+            if op == "count_all":
+                out.append(len(g))
+                continue
+            vals = [v for v in g[col] if v is not None and not pd.isna(v)]
+            out.append(len(vals) if op == "count" else
+                       ({"sum": sum, "min": min, "max": max}[op](vals)
+                        if vals else None))
+        want[tuple(None if pd.isna(x) else x for x in k)] = tuple(out)
+    return want
+
+
+def _aggregate(blocks, keys, aggs, num_buckets=8) -> tuple[dict, dict]:
+    """(key tuple -> tuple of aggregates, output column -> type)."""
+    import ray.data as rd
+
+    out = bucketed_aggregate(rd.from_arrow(blocks), keys, aggs,
+                             num_buckets=num_buckets).materialize()
+    rows = out.take_all()
+    got = {tuple(r[k] for k in keys): tuple(r[n] for n in aggs)
+           for r in rows}
+    assert len(got) == len(rows)  # one row per key
+    schema = out.schema()  # None when no block had rows
+    return got, dict(zip(schema.names, schema.types)) if schema else {}
+
+
+@pytest.mark.parametrize("use_polars", [True, False])
+def test_aggregate_every_op_matches_pandas(ray_session, monkeypatch,
+                                           use_polars):
+    if not use_polars:
+        monkeypatch.setattr(bucketed, "_polars_hash_ok", lambda: False)
+    # 6 blocks; "hot" and the null key have rows in every block, "allnull"
+    # has only null values; floats are halves, so every sum is exact
+    n = 600
+    keys = [("hot" if i % 3 == 0 else None if i % 3 == 1 and i % 2 else
+             "allnull" if i % 30 == 4 else f"k{i % 23}") for i in range(n)]
+    blank = [k == "allnull" or i % 7 == 0 for i, k in enumerate(keys)]
+    t = pa.table({
+        "key": pa.array(keys, type=pa.string()),
+        "i": pa.array([None if b else i - 300 for i, b in enumerate(blank)],
+                      type=pa.int64()),
+        "f": pa.array([None if b else 0.5 * (i % 41) for i, b in
+                       enumerate(blank)], type=pa.float64()),
+        "s": pa.array([None if b else f"s{(i * 7) % 53:02d}" for i, b in
+                       enumerate(blank)], type=pa.string())})
+    aggs = {f"{c}_{op}": (c, op) for c in ("i", "f", "s")
+            for op in ("sum", "count", "min", "max")
+            if (c, op) != ("s", "sum")}
+    aggs["rows"] = ("i", "count_all")
+    blocks = [t.slice(b * 100, 100) for b in range(6)]
+    got, types = _aggregate(blocks, ["key"], aggs)
+    want = _brute_aggregate(t, ["key"], aggs)
+    assert got == want
+    assert (None,) in got and ("hot",) in got
+    nulls = dict(zip(aggs, got[("allnull",)]))
+    assert nulls["i_count"] == 0 and nulls["rows"] > 0
+    assert nulls["i_sum"] is None and nulls["s_min"] is None
+    assert list(types) == ["key"] + list(aggs)
+    for name, (_, op) in aggs.items():
+        if op.startswith("count"):
+            assert types[name] == pa.int64()
+    assert types["i_min"] == pa.int64()
+    assert types["f_max"] == pa.float64()
+    assert types["s_max"] == pa.string()
+
+
+def test_aggregate_multi_column_int32_key(ray_session):
+    n = 400
+    t = pa.table({
+        "a": pa.array([f"g{i % 5}" for i in range(n)], type=pa.string()),
+        "b": pa.array([None if i % 11 == 0 else i % 4 for i in range(n)],
+                      type=pa.int32()),
+        "v": pa.array([i % 13 for i in range(n)], type=pa.int32())})
+    aggs = {"s": ("v", "sum"), "lo": ("v", "min"), "n": ("v", "count")}
+    got, types = _aggregate([t.slice(b * 80, 80) for b in range(5)],
+                             ["a", "b"], aggs, num_buckets=16)
+    assert got == _brute_aggregate(t, ["a", "b"], aggs)
+    assert any(k[1] is None for k in got)
+    assert types["b"] == pa.int32() and types["lo"] == pa.int32()
+    assert types["s"] == pa.int64()
+
+
+def test_aggregate_distinct_keys_and_empty_input(ray_session):
+    t = pa.table({"a": pa.array([3, 1, None, 3, 1, None], type=pa.int64()),
+                  "b": ["x", "y", "x", "x", "y", None]})
+    got, types = _aggregate([t.slice(0, 3), t.slice(3, 3)], ["a", "b"], {})
+    assert set(got) == {(3, "x"), (1, "y"), (None, "x"), (None, None)}
+    assert all(v == () for v in got.values())
+    assert list(types) == ["a", "b"]
+    got, _ = _aggregate([t.slice(0, 0)], ["a"], {"n": ("b", "count_all")})
+    assert got == {}
+
+
+def test_crc32_bucketing_puts_null_keys_in_one_bucket():
+    t = pa.table({"a": pa.array(["x", None, "y", None]),
+                  "b": pa.array([1, 2, None, 2], type=pa.int64())})
+    for keys in (["a"], ["a", "b"]):
+        b = add_bucket_column(t, keys, 16, use_polars=False)
+        b = b[bucketed.BUCKET_COL].to_pylist()
+        assert b[1] == b[3]
+
+
+def test_value_counts_without_polars_counts_nulls(ray_session,
+                                                  monkeypatch):
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.stages.metrics import value_counts
+
+    monkeypatch.setattr(bucketed, "_polars_hash_ok", lambda: False)
+    vals = pa.array([None if i % 5 == 0 else f"v{i % 7}"
+                     for i in range(300)])
+    ds = rd.from_arrow([pa.table({"c": vals.slice(i * 60, 60)})
+                        for i in range(5)])
+    got = {r["value"]: r["n"] for r in value_counts(ds, "c").take_all()}
+    vc = pc.value_counts(vals)
+    assert got == dict(zip(vc.field("values").to_pylist(),
+                           vc.field("counts").to_pylist()))
+    assert got[None] == 60

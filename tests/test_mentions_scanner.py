@@ -1,8 +1,10 @@
-"""TrieScanner (Aho-Corasick regime) equivalence with the trie regex.
+"""Trie scanners (Aho-Corasick regime) equivalence with the trie regex.
 
-The scanner replaces the compiled regex above ``AC_FORM_GATE`` forms;
-these tests pin match-for-match identity on adversarial fixtures and
-exercise the gate switch plus large-gazetteer build/scan viability."""
+``NumpyTrieScanner`` replaces the compiled regex above ``AC_FORM_GATE``
+forms; these tests pin match-for-match identity of the regex, the numpy
+automaton and the pure-Python ``TrieScanner`` oracle (``trie_scanner.py``)
+on adversarial fixtures and exercise the gate switch plus
+large-gazetteer build/scan viability."""
 import random
 import string
 
@@ -12,11 +14,11 @@ from fashion_knowledge_graph_ray.stages.mentions import (
     AC_FORM_GATE,
     MentionDetector,
     NumpyTrieScanner,
-    TrieScanner,
     build_gazetteer,
     compile_pattern,
     detect_in_text,
 )
+from trie_scanner import TrieScanner
 
 
 def _spans(it):

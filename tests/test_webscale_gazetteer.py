@@ -1,4 +1,4 @@
-"""Web-scale gazetteer regime: TrieScanner above AC_FORM_GATE in real use.
+"""Web-scale gazetteer regime: NumpyTrieScanner above AC_FORM_GATE in real use.
 
 Round-3 verdict item #6: the automaton regime existed and was
 equivalence-tested on synthetic strings, but had never been exercised by
