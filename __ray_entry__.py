@@ -116,7 +116,7 @@ def _q_groupby_count(sf_dir: str):
                ["l_returnflag", "l_linestatus", "l_quantity"])
     return bucketed_aggregate(li, ["l_returnflag", "l_linestatus"],
                               {"sum_qty": ("l_quantity", "sum"),
-                               "n": ("l_quantity", "count")}, num_buckets=8)
+                               "n": ("l_quantity", "count")})
 
 
 def _part_cat_map(sf_dir: str) -> dict[int, str]:
@@ -206,8 +206,7 @@ def _order_pairs(sf_dir: str, only_partkey: int | None = None):
                                 type=pa.timestamp("us", tz="UTC")),
         })
 
-    return bucketed_group_apply(partials, ["l_orderkey"], pairs_bucket,
-                                num_buckets=32)
+    return bucketed_group_apply(partials, ["l_orderkey"], pairs_bucket)
 
 
 def _q_cooccur_edges(sf_dir: str):
@@ -240,8 +239,7 @@ def _q_edge_topk_per_node(sf_dir: str):
         df["rank"] = df.groupby("src", sort=True).cumcount() + 1
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    return bucketed_group_apply(partials, ["src"], merge_then_topk,
-                                num_buckets=16)
+    return bucketed_group_apply(partials, ["src"], merge_then_topk)
 
 
 def _q_attr_triples_part(sf_dir: str):
@@ -275,7 +273,7 @@ def _q_node_merge_lww(sf_dir: str):
                     "o_orderstatus", "o_totalprice"])
     last = dedup_keep_first(orders, "o_custkey",
                             ["o_orderdate", "o_orderkey"],
-                            ascending=[False, False], num_buckets=16)
+                            ascending=[False, False])
     return last.map_batches(
         lambda t: pa.table({
             "o_custkey": t["o_custkey"],
@@ -304,7 +302,7 @@ def _q_anti_join_customers(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     out = anti_join_auto(cust, "c_custkey", hi, "o_custkey",
-                         max_broadcast_keys=2000, num_buckets=16)
+                         max_broadcast_keys=2000)
     return _as_table(out.map_batches(
         lambda t: t.select(["c_custkey", "c_name"]),
         batch_format="pyarrow", zero_copy_batch=True),
@@ -343,7 +341,7 @@ def _q_grouped_sample_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.relational import grouped_sample
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang"], blocks=64)
-    out = grouped_sample(docs, "lang", 5, "doc_id", num_buckets=8)
+    out = grouped_sample(docs, "lang", 5, "doc_id")
     return out.map_batches(lambda t: t.select(["doc_id", "lang"]),
                            batch_format="pyarrow", zero_copy_batch=True)
 
@@ -352,14 +350,14 @@ def _q_exact_dedup_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.dedup import exact_dedup
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-    return exact_dedup(docs, text_col="text", id_col="doc_id", num_buckets=16)
+    return exact_dedup(docs, text_col="text", id_col="doc_id")
 
 
 def _q_inverted_index_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.corpus import inverted_index
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-    return inverted_index(docs, num_buckets=16)
+    return inverted_index(docs)
 
 
 def _clones(docs, upto: int, offset: int = 10_000):
@@ -406,7 +404,7 @@ def _q_chunk_dedup_docs(sf_dir: str):
 
     docs = _clone_docs(
         _read(sf_dir, "documents", ["doc_id", "text"], blocks=64), 50)
-    return chunk_dedup(docs, chunk_tokens=20, num_buckets=16)
+    return chunk_dedup(docs, chunk_tokens=20)
 
 
 def _q_incremental_dedup_docs(sf_dir: str):
@@ -416,7 +414,7 @@ def _q_incremental_dedup_docs(sf_dir: str):
     old = docs.filter(expr="doc_id < 250")
     # new shard = genuinely-new rows + planted exact copies of 100 old ones
     new = docs.filter(expr="doc_id >= 250").union(_clones(docs, 100))
-    out = incremental_dedup(new, old, num_buckets=16)
+    out = incremental_dedup(new, old)
     return out.map_batches(lambda t: t.select(["doc_id"]),
                            batch_format="pyarrow", zero_copy_batch=True)
 
@@ -645,7 +643,7 @@ def _q_hll_distinct_events(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.sketches import hll_distinct
 
     ev = _read(sf_dir, "events", ["event_type", "user_id"], blocks=16)
-    return hll_distinct(ev, ["event_type"], "user_id", num_buckets=8)
+    return hll_distinct(ev, ["event_type"], "user_id")
 
 
 def _q_cms_counts_events(sf_dir: str):
@@ -680,8 +678,7 @@ def _q_training_set_docs(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "text", "source"],
                  blocks=64)
     return prepare_training_set(docs, grams, _STRATA_RATES,
-                                default_rate=_STRATA_DEFAULT,
-                                num_buckets=16)
+                                default_rate=_STRATA_DEFAULT)
 
 
 def _training_set_sql() -> str:
@@ -812,7 +809,7 @@ def _q_bigram_counts_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.corpus import ngram_counts
 
     docs = _read(sf_dir, "documents", ["text"], blocks=64)
-    return ngram_counts(docs, 2, num_buckets=16)
+    return ngram_counts(docs, 2)
 
 
 def _q_json_flatten_events(sf_dir: str):
@@ -841,7 +838,7 @@ def _q_pagerank_lineitem(sf_dir: str):
             "dst": pc.add(t["l_partkey"].cast(pa.int64()),
                           pa.scalar(10_000_000)),
         }), batch_format="pyarrow", zero_copy_batch=True)
-    pr = pagerank(edges, iters=5, num_buckets=16)
+    pr = pagerank(edges, iters=5)
     return pr.sort(["rank", "id"], descending=[True, False]).limit(100)
 
 
@@ -963,7 +960,7 @@ def _q_ann_topk(sf_dir: str):
 
     qids, qm = _embedding_queries(sf_dir)
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"], blocks=32)
-    out = brute_force_topk(emb, qm, 10, query_ids=qids, num_buckets=4)
+    out = brute_force_topk(emb, qm, 10, query_ids=qids)
     return out.map_batches(
         lambda t: t.select(["query_id", "vec_id", "rank"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1003,8 +1000,7 @@ def _q_near_dup_cosine_lsh(sf_dir: str):
     # duplicates is 1.0 and the SAME SQL oracle applies
     from fashion_knowledge_graph_ray.stages.dedup import lsh_neardup_pairs
 
-    out = lsh_neardup_pairs(_aug_embeddings(sf_dir), threshold=0.95,
-                            num_buckets=16)
+    out = lsh_neardup_pairs(_aug_embeddings(sf_dir), threshold=0.95)
     out = out.map_batches(lambda t: t.select(["a", "b"]),
                           batch_format="pyarrow", zero_copy_batch=True)
     return _as_table(out, pa.schema([("a", pa.int64()), ("b", pa.int64())]))
@@ -1016,7 +1012,7 @@ def _q_tumbling_window_events(sf_dir: str):
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
     return tumbling_window(ev, key_col="user_id", ts_col="ts",
-                           value_col="value", width="h", num_buckets=16)
+                           value_col="value", width="h")
 
 
 def _q_hopping_window_events(sf_dir: str):
@@ -1026,8 +1022,7 @@ def _q_hopping_window_events(sf_dir: str):
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
     return hopping_window(ev, key_col="user_id", ts_col="ts",
-                          value_col="value", width_sec=3600, slide_sec=900,
-                          num_buckets=16)
+                          value_col="value", width_sec=3600, slide_sec=900)
 
 
 def _q_session_window_events(sf_dir: str):
@@ -1036,7 +1031,7 @@ def _q_session_window_events(sf_dir: str):
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     return session_windows(ev, key_col="user_id", ts_col="ts",
-                           id_col="event_id", gap_minutes=30, num_buckets=16)
+                           id_col="event_id", gap_minutes=30)
 
 
 def _q_broadcast_join_lineitem(sf_dir: str):
@@ -1065,7 +1060,7 @@ def _q_shuffle_join_orders(sf_dir: str):
                    ["o_orderkey", "o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     out = shuffle_join(orders, cust, "o_custkey", "c_custkey",
-                       how="inner", num_buckets=16)
+                       how="inner")
     return out.map_batches(
         lambda t: t.select(["o_orderkey", "o_custkey", "c_name"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1084,7 +1079,7 @@ def _q_union_upsert_docs(sf_dir: str):
 
         return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
-    return union_upsert(half(2), half(3), "doc_id", num_buckets=8)
+    return union_upsert(half(2), half(3), "doc_id")
 
 
 def _q_top1_per_order(sf_dir: str):
@@ -1095,7 +1090,7 @@ def _q_top1_per_order(sf_dir: str):
                ["l_orderkey", "l_linenumber", "l_partkey", "l_quantity"])
     top = dedup_keep_first(li, "l_orderkey",
                            ["l_quantity", "l_partkey", "l_linenumber"],
-                           ascending=[False, True, True], num_buckets=16)
+                           ascending=[False, True, True])
     return top.map_batches(
         lambda t: t.select(["l_orderkey", "l_partkey", "l_quantity"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1117,7 +1112,7 @@ def _q_related_entities_topk(sf_dir: str):
 
     pairs = _order_pairs(sf_dir, only_partkey=1)
     edges = aggregate_edges(pairs, collect_evidence=False,
-                            pre_filter=pf, num_buckets=1)
+                            pre_filter=pf)
     return related_entities(edges, "p000001", "worn_with",
                             weight_threshold=2, top_k=5)
 
@@ -1127,7 +1122,7 @@ def _q_jaccard_ngram_pairs_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.dedup import jaccard_ngram_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-    out = jaccard_ngram_pairs(docs, n=3, threshold=0.4, num_buckets=16)
+    out = jaccard_ngram_pairs(docs, n=3, threshold=0.4)
     return _as_table(out, pa.schema([("a", pa.int64()), ("b", pa.int64()),
                                      ("jac", pa.float64())]))
 
@@ -1213,7 +1208,7 @@ def _q_kg_pagerank(sf_dir: str):
 
     pr = pagerank(edges.map_batches(to_int, batch_format="pyarrow",
                                     zero_copy_batch=True),
-                  weight_col="weight", iters=3, num_buckets=16)
+                  weight_col="weight", iters=3)
     top = pr.sort(["rank", "id"], descending=[True, False]).limit(50)
 
     def back(t: pa.Table) -> pa.Table:
@@ -1261,9 +1256,8 @@ def _q_triangles_parts(sf_dir: str):
         return pa.table({"src": pa.array(j["a"], type=pa.int64()),
                          "dst": pa.array(j["b"], type=pa.int64())})
 
-    edges = bucketed_group_apply(sub, ["l_orderkey"], pair_bucket,
-                                 num_buckets=16)
-    return triangle_counts(edges, num_buckets=16)
+    edges = bucketed_group_apply(sub, ["l_orderkey"], pair_bucket)
+    return triangle_counts(edges)
 
 
 def _q_kg_edges_canonical(sf_dir: str):
@@ -1305,8 +1299,7 @@ def _q_preprocess_catalog_parts(sf_dir: str):
         new, base, key_col="p_partkey", category_col="p_brand",
         include_categories=["Brand#11", "Brand#22", "Brand#33"],
         sample_n=10,
-        rename={"p_partkey": "product_id", "p_type": "category"},
-        num_buckets=16)
+        rename={"p_partkey": "product_id", "p_type": "category"})
     return out.map_batches(
         lambda t: t.select(["product_id", "category", "src"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -1317,7 +1310,7 @@ def _q_label_value_counts_events(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.metrics import value_counts
 
     ev = _read(sf_dir, "events", ["event_type"])
-    return value_counts(ev, "event_type", num_buckets=8)
+    return value_counts(ev, "event_type")
 
 
 def _q_source_stats_docs(sf_dir: str):
@@ -1328,7 +1321,7 @@ def _q_source_stats_docs(sf_dir: str):
 
     docs = _read(sf_dir, "documents",
                  ["source", "text", "n_chars", "lang"], blocks=16)
-    return source_stats(docs, num_buckets=8)
+    return source_stats(docs)
 
 
 _OUTFIT_QUERY = "a crimson silk blouse for party looks"
@@ -1386,14 +1379,14 @@ def _q_minhash_dedup_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.dedup import minhash_dedup
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-    return minhash_dedup(docs, threshold=0.7, num_buckets=16)
+    return minhash_dedup(docs, threshold=0.7)
 
 
 def _q_simhash_pairs_docs(sf_dir: str):
     from fashion_knowledge_graph_ray.stages.dedup import simhash_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-    return simhash_pairs(docs, max_hamming=3, num_buckets=16)
+    return simhash_pairs(docs, max_hamming=3)
 
 
 def _q_ivf_ann_topk(sf_dir: str):
@@ -1403,8 +1396,7 @@ def _q_ivf_ann_topk(sf_dir: str):
 
     qids, qm = _embedding_queries(sf_dir)
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"], blocks=32)
-    return ivf_topk(emb, qm, 10, query_ids=qids, ncentroids=16, nprobe=4,
-                    num_buckets=4)
+    return ivf_topk(emb, qm, 10, query_ids=qids, ncentroids=16, nprobe=4)
 
 
 def _q_lsh_ann_topk(sf_dir: str):
@@ -1412,8 +1404,7 @@ def _q_lsh_ann_topk(sf_dir: str):
 
     qids, qm = _embedding_queries(sf_dir)
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"], blocks=32)
-    return lsh_bucketed_topk(emb, qm, 10, query_ids=qids, nbits=6, probes=8,
-                             num_buckets=4)
+    return lsh_bucketed_topk(emb, qm, 10, query_ids=qids, nbits=6, probes=8)
 
 
 def _q_canonical_map(sf_dir: str):

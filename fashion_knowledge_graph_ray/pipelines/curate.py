@@ -88,8 +88,7 @@ def curate_corpus(ds, *, text_col: str = "text", id_col: str = "doc_id",
                   max_mean_token_len: float = 10.0,
                   max_dup_line_frac: float = 0.4,
                   max_top_bigram_frac: float = 0.08,
-                  near_dedup: bool = False, minhash_threshold: float = 0.7,
-                  num_buckets: int = 64, batch_size: int = 4096):
+                  near_dedup: bool = False, minhash_threshold: float = 0.7):
     """Documents -> curated survivors with their signal columns.
 
     Returns (id, md5, n_tokens, stop_ratio, mean_token_len,
@@ -129,12 +128,11 @@ def curate_corpus(ds, *, text_col: str = "text", id_col: str = "doc_id",
                                     preserve_index=False).cast(t.schema)
 
     gated = ds.map_batches(stats_gate, batch_format="pyarrow",
-                           batch_size=batch_size, zero_copy_batch=True)
+                           batch_size=4096, zero_copy_batch=True)
     # partial per batch, min-id merge per md5 bucket — one exchange
     partial = gated.map_batches(pick_min, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    deduped = bucketed_group_apply(partial, ["md5"], pick_min,
-                                   num_buckets=num_buckets)
+    deduped = bucketed_group_apply(partial, ["md5"], pick_min)
     if not near_dedup:
         return deduped
 
@@ -142,8 +140,7 @@ def curate_corpus(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     deduped = deduped.materialize()  # feeds both minhash passes below
     comp = minhash_dedup(deduped, text_col=text_col, id_col=id_col,
-                         threshold=minhash_threshold,
-                         num_buckets=num_buckets)
+                         threshold=minhash_threshold)
 
     # Drop NON-representatives (id != component, the cluster label being
     # the min member id). The driver-collected set is the near-dup

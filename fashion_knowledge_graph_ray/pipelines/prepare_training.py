@@ -44,8 +44,7 @@ def prepare_training_set(docs_ds, benchmark_grams: frozenset,
                          lang: str = "en", min_tokens: int = 25,
                          max_tokens: int = 90, budget: int = 512,
                          default_rate: float = 0.1,
-                         ngram_n: int = 5, threshold_pct: int = 10,
-                         num_buckets: int = 64):
+                         ngram_n: int = 5, threshold_pct: int = 10):
     """Materialize the training-set shard map (see module docstring)."""
 
     def gate(t: pa.Table) -> pa.Table:
@@ -64,12 +63,10 @@ def prepare_training_set(docs_ds, benchmark_grams: frozenset,
 
     # exact dedup: winners = min id per distinct text; join back on id
     # (shuffle join — both sides are corpus-sized)
-    winners = exact_dedup(gated, text_col=text_col, id_col=id_col,
-                          num_buckets=num_buckets).map_batches(
+    winners = exact_dedup(gated, text_col=text_col, id_col=id_col).map_batches(
         lambda t: t.select([id_col]), batch_format="pyarrow",
         zero_copy_batch=True)
-    deduped = shuffle_join(gated, winners, id_col, id_col,
-                           num_buckets=num_buckets)
+    deduped = shuffle_join(gated, winners, id_col, id_col)
 
     scored = decontaminate(deduped, benchmark_grams, text_col=text_col,
                            id_col=id_col, n=ngram_n,

@@ -28,7 +28,6 @@ from ..stages.relational import (
 def preprocess_catalog(new_ds, base_ds, *, key_col: str, category_col: str,
                        include_categories, sample_n: int,
                        rename: dict[str, str] | None = None,
-                       num_buckets: int = 64,
                        max_broadcast_keys: int = 5_000_000):
     """new metadata + existing combined catalog -> upserted combined catalog.
 
@@ -52,10 +51,8 @@ def preprocess_catalog(new_ds, base_ds, *, key_col: str, category_col: str,
                                batch_format="pyarrow",
                                zero_copy_batch=True),
                            out_key,
-                           max_broadcast_keys=max_broadcast_keys,
-                           num_buckets=num_buckets)
-    sampled = grouped_sample(fresh, category_col, sample_n, key_col,     # G6
-                             num_buckets=num_buckets)
+                           max_broadcast_keys=max_broadcast_keys)
+    sampled = grouped_sample(fresh, category_col, sample_n, key_col)     # G6
 
     def project(t: pa.Table) -> pa.Table:                                # M5
         cols = {rename.get(n, n): t[n]
@@ -64,5 +61,4 @@ def preprocess_catalog(new_ds, base_ds, *, key_col: str, category_col: str,
 
     renamed = sampled.map_batches(project, batch_format="pyarrow",
                                   zero_copy_batch=True)
-    return union_upsert(base_ds, renamed, out_key,                       # K1+G7
-                        num_buckets=num_buckets)
+    return union_upsert(base_ds, renamed, out_key)                       # K1+G7

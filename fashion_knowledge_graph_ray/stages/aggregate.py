@@ -125,9 +125,7 @@ def merge_edge_counts(t: pa.Table) -> pa.Table:
                      "weight": g["weight_sum"]})
 
 
-def aggregate_edges(pairs_ds, *, batch_size: int = 8192, num_buckets: int = 64,
-                    collect_evidence: bool = True,
-                    bucket_keys: list[str] | None = None,
+def aggregate_edges(pairs_ds, *, collect_evidence: bool = True,
                     properties: dict | None = None,
                     source: str | None = None,
                     pre_filter=None):
@@ -137,9 +135,7 @@ def aggregate_edges(pairs_ds, *, batch_size: int = 8192, num_buckets: int = 64,
     ``collect_evidence=False`` skips the ``pages`` evidence lists entirely —
     the shuffle then moves only (key, int) partials, a large win when the
     consumer only needs weights (measured ~2x on the sf0.1 co-occurrence
-    query). ``bucket_keys`` may widen co-location (e.g. ``["src"]`` so a
-    downstream per-src top-k can run in the SAME bucket task without a
-    second shuffle — any prefix of (src,dst,rel) preserves key grouping).
+    query).
 
     ``properties`` / ``source``: caller-supplied edge properties merged
     into every edge row as constant columns — the reference merges a
@@ -153,7 +149,6 @@ def aggregate_edges(pairs_ds, *, batch_size: int = 8192, num_buckets: int = 64,
     aggregation. A single-node 1-hop query over fresh pairs then ships
     only the node's own partials through the exchange instead of the
     whole edge table (the classic predicate-pushdown plan)."""
-    keys = bucket_keys or EDGE_KEYS
     if collect_evidence:
         partial_fn, merge_fn = partial_edge_agg, _merge_edges_bucket
     else:
@@ -182,11 +177,10 @@ def aggregate_edges(pairs_ds, *, batch_size: int = 8192, num_buckets: int = 64,
             return out
 
     partials = pairs_ds.map_batches(
-        partial_fn, batch_format="pyarrow", batch_size=batch_size,
+        partial_fn, batch_format="pyarrow", batch_size=8192,
         zero_copy_batch=True,
     )
-    return bucketed_group_apply(partials, keys, merge_fn,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, EDGE_KEYS, merge_fn)
 
 
 def _attrs_canonical(arr: pa.Array) -> pa.Array:
@@ -292,8 +286,7 @@ def _merge_nodes_bucket(t: pa.Table) -> pa.Table:
     )
 
 
-def merge_nodes(linked_flat_ds, *, num_buckets: int = 64,
-                batch_size: int = 16384):
+def merge_nodes(linked_flat_ds):
     """flat linked mentions -> nodes table (one row per entity).
 
     Partial-combine-then-bucketed-merge (G4): the exchange carries only
@@ -301,7 +294,6 @@ def merge_nodes(linked_flat_ds, *, num_buckets: int = 64,
     partials = linked_flat_ds.map_batches(
         lambda t: _partial_nodes(
             t.filter(t["entity_id"].combine_chunks().is_valid())),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True,
+        batch_format="pyarrow", batch_size=16384, zero_copy_batch=True,
     )
-    return bucketed_group_apply(partials, ["entity_id"], _merge_nodes_bucket,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["entity_id"], _merge_nodes_bucket)

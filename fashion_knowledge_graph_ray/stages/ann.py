@@ -63,7 +63,7 @@ def _bottomk_sample(ds, k: int, emb_col: str, id_col: str) -> np.ndarray:
 
 def brute_force_topk(ds, queries: np.ndarray, k: int, *,
                      emb_col: str = "embedding", id_col: str = "vec_id",
-                     query_ids: list | None = None, num_buckets: int = 16):
+                     query_ids: list | None = None):
     """Exact cosine top-k of each query against the whole corpus.
 
     Returns Dataset (query_id, vec_id, score, rank) with rank 1..k per
@@ -93,8 +93,7 @@ def brute_force_topk(ds, queries: np.ndarray, k: int, *,
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               batch_size=4096, zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k),
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k))
 
 
 def _spherical_kmeans(sample: np.ndarray, ncentroids: int, *,
@@ -124,8 +123,7 @@ def _spherical_kmeans(sample: np.ndarray, ncentroids: int, *,
 def ivf_topk(ds, queries: np.ndarray, k: int, *,
              emb_col: str = "embedding", id_col: str = "vec_id",
              query_ids: list | None = None, ncentroids: int = 16,
-             nprobe: int = 4, train_sample: int = 4096,
-             num_buckets: int = 16, seed: int = 42):
+             nprobe: int = 4, train_sample: int = 4096, seed: int = 42):
     """Approximate cosine top-k via an IVF (inverted-file) index: centroids
     trained once on a driver-side sample with seeded spherical k-means,
     broadcast to every task; a vector is a candidate iff its nearest
@@ -168,8 +166,7 @@ def ivf_topk(ds, queries: np.ndarray, k: int, *,
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               batch_size=4096, zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k),
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k))
 
 
 def _merge_topk(k: int):
@@ -206,7 +203,7 @@ def _bucket_of(mat: np.ndarray, planes: np.ndarray) -> np.ndarray:
 def lsh_bucketed_topk(ds, queries: np.ndarray, k: int, *,
                       emb_col: str = "embedding", id_col: str = "vec_id",
                       query_ids: list | None = None, nbits: int = 6,
-                      probes: int = 1, num_buckets: int = 16, seed: int = 42):
+                      probes: int = 1, seed: int = 42):
     """Approximate cosine top-k: candidates limited to vectors whose
     hyperplane bucket matches the query's (plus ``probes-1`` extra buckets
     by flipping the lowest bits). Same output schema as brute_force_topk."""
@@ -263,14 +260,13 @@ def lsh_bucketed_topk(ds, queries: np.ndarray, k: int, *,
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               batch_size=4096, zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k),
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["query_id"], _merge_topk(k))
 
 
 def knn_graph(ds, k: int, *, emb_col: str = "embedding",
               id_col: str = "vec_id", max_broadcast: int = 100_000,
               ncentroids: int = 64, nprobe: int = 4,
-              train_sample: int = 4096, num_buckets: int = 16,
+              train_sample: int = 4096,
               seed: int = 42):
     """Self-kNN graph: for EVERY corpus vector, its ``k`` nearest other
     vectors by cosine — the substrate of SemDeDup, graph-based corpus
@@ -456,8 +452,7 @@ def knn_graph(ds, k: int, *, emb_col: str = "embedding",
                            batch_size=2048, zero_copy_batch=True)
     partials = cells.groupby("cell").map_groups(cell_topk,
                                                 batch_format="pyarrow")
-    return bucketed_group_apply(partials, ["src"], merge,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["src"], merge)
 
 
 def semantic_dedup(ds, threshold: float, ncentroids: int, *,

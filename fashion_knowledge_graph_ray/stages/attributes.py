@@ -150,7 +150,7 @@ def extract_spec_attrs(text: str) -> dict:
 
 
 def spec_attrs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-               fields: tuple[str, ...] | None = None, batch_size: int = 512):
+               fields: tuple[str, ...] | None = None):
     """documents -> (id, <spec fields...>) via the M11 spec-sheet profile.
     ``fields`` restricts the output columns (None = all ten)."""
     from ..vocab import SPEC_ATTRIBUTE_FIELDS
@@ -165,7 +165,7 @@ def spec_attrs(ds, *, text_col: str = "text", id_col: str = "doc_id",
             cols[n] = pa.array([r[n] for r in recs], type=pa.string())
         return pa.table(cols)
 
-    return ds.map_batches(f, batch_format="pyarrow", batch_size=batch_size,
+    return ds.map_batches(f, batch_format="pyarrow", batch_size=512,
                           zero_copy_batch=True)
 
 

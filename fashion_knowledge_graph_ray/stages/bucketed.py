@@ -5,17 +5,22 @@ keyed aggregate over one input).
 
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
-dispatch dominates. The idiomatic fix at scale is to shuffle by a BUCKET of
-the key (``crc32(key) % B``) and run ONE vectorized function per shuffled
-block — each block holds one or more whole buckets — that does the per-key
-work with Arrow/pandas groupby kernels inside.
+dispatch dominates. The idiomatic fix at scale is to shuffle by a hash of
+the key and run ONE vectorized function per shuffled block — each block
+holds one or more whole keys — that does the per-key work with
+Arrow/pandas groupby kernels inside.
 
-All rows of a key always land in the same bucket, so per-key semantics are
-exact; ``B`` bounds the shuffle fan-in (pick ``B ≈ 4 × total cores`` on a
-real cluster). crc32 is process-stable, so bucket assignment is
-deterministic (never use builtin ``hash``).
+The bucket is the 64-bit key hash itself, and ``Dataset.sort`` on it sizes
+the exchange: its range partitioner makes as many output blocks as the
+sort has input blocks (``ray/data/_internal/planner/sort.py``) and never
+splits one value across two of them. So all rows of a key land in one
+block and per-key semantics are exact, while the fan-out follows the
+input instead of a per-query constant (*Hyper Dimension Shuffle*, VLDB
+2019); the tag stage batches 16384 rows, so small blocks coalesce before
+the sort. The hash is process-stable, so bucket assignment is deterministic
+(never use builtin ``hash``).
 
-Skewed keys: a single hot KEY cannot be split below one bucket, but every
+Skewed keys: a single hot KEY cannot be split across blocks, but every
 caller here pre-aggregates per input batch first (partial combine;
 ``bucketed_aggregate`` is that combine for sums, counts, min and max), so a
 hot key arrives as at most one row per upstream batch. There is no salted
@@ -55,16 +60,16 @@ def _polars_hash_ok() -> bool:
         return False
 
 
-def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
+def add_bucket_column(batch: pa.Table, keys: list[str],
                       use_polars: bool | None = None) -> pa.Table:
-    """Vectorized bucket id from the concatenated key columns.
+    """Vectorized int64 bucket: the hash of the concatenated key columns.
 
-    Fast path: polars' xxhash-based ``Expr.hash`` (seed 0) — vectorized and
-    stable across worker processes within a run, which is all bucketing
-    needs (outputs never depend on WHICH bucket a key lands in, only on
-    co-location). Fallback: per-row crc32. ``use_polars`` should be the
-    driver-probed ``_polars_hash_ok()`` decision; ``None`` probes locally
-    (only correct on the driver)."""
+    Fast path: polars' xxhash-based ``Expr.hash`` (seed 0) viewed as int64
+    — vectorized and stable across worker processes within a run, which is
+    all bucketing needs (outputs never depend on WHICH bucket a key lands
+    in, only on co-location). Fallback: per-row crc32. ``use_polars``
+    should be the driver-probed ``_polars_hash_ok()`` decision; ``None``
+    probes locally (only correct on the driver)."""
     if batch.num_rows == 0:
         return batch.append_column(BUCKET_COL, pa.array([], type=pa.int64()))
     if use_polars is None:
@@ -83,8 +88,8 @@ def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
                                  separator="\x1f")
         else:
             expr = pl.col(keys[0]).cast(pl.Utf8)
-        h = df.select(expr.hash(seed=0).alias("h"))["h"].to_numpy()
-        b = (h % np.uint64(num_buckets)).astype(np.int64)
+        b = df.select(expr.hash(seed=0).alias("h"))["h"].to_numpy() \
+            .view(np.int64)
     else:
         sep = pa.scalar("\x1f")
         cols = [batch[k].cast(pa.string()) for k in keys]
@@ -92,39 +97,38 @@ def add_bucket_column(batch: pa.Table, keys: list[str], num_buckets: int,
         for c in cols[1:]:
             joined = pc.binary_join_element_wise(joined, c, sep)
         vals = joined.to_pylist()
-        # a null in any key column joins to null: every such key lands in
-        # bucket 0, so equal keys still share a bucket
+        # a null in any key column joins to null: every such key hashes to
+        # 0, so equal keys still share a bucket
         b = np.fromiter(
-            (0 if v is None else zlib.crc32(v.encode("utf-8")) % num_buckets
-             for v in vals),
+            (0 if v is None else zlib.crc32(v.encode("utf-8")) for v in vals),
             dtype=np.int64, count=len(vals),
         )
     return batch.append_column(BUCKET_COL, pa.array(b))
 
 
-def bucketed_group_apply(ds, keys: list[str], bucket_fn, *,
-                         num_buckets: int = 64, batch_size: int = 16384):
-    """Shuffle ``ds`` by hash-bucket of ``keys`` and apply ``bucket_fn``
-    (pa.Table -> pa.Table, vectorized) once per shuffled block.
+def bucketed_group_apply(ds, keys: list[str], bucket_fn):
+    """Shuffle ``ds`` by the hash of ``keys`` and apply ``bucket_fn``
+    (pa.Table -> pa.Table, vectorized) once per shuffled block. There is
+    one shuffled block per block of ``ds``, except that the tag stage
+    coalesces blocks smaller than its 16384-row batch.
 
-    Contract: each call receives ALL rows of one or more whole buckets —
-    so all rows of every key it sees — never part of a bucket. Which
-    buckets share a call depends on the block layout, so ``bucket_fn``
-    must be keyed (per-key results independent of the other keys in the
-    table). ``bucket_fn`` receives the table without the bucket column;
-    empty blocks are skipped."""
+    Contract: each call receives ALL rows of every key it sees, never
+    part of a key. Which keys share a call depends on the block layout,
+    so ``bucket_fn`` must be keyed (per-key results independent of the
+    other keys in the table). ``bucket_fn`` receives the table without
+    the bucket column; empty blocks are skipped."""
 
     up = _polars_hash_ok()  # driver decision, captured in the closure
 
     def tag(batch: pa.Table) -> pa.Table:
-        return add_bucket_column(batch, keys, num_buckets, use_polars=up)
+        return add_bucket_column(batch, keys, use_polars=up)
 
     def apply(t: pa.Table):
         if t.num_rows:
             yield bucket_fn(t.drop_columns([BUCKET_COL]))
 
     tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            batch_size=batch_size, zero_copy_batch=True)
+                            batch_size=16384, zero_copy_batch=True)
     # Ray's range-partitioned sort never splits one key value across
     # output blocks, and batch_size=None hands each block to ``apply``
     # whole — the same two guarantees ``map_groups`` is built on (it is
@@ -162,8 +166,7 @@ _MERGE_OP = {"sum": "sum", "count": "sum", "count_all": "sum",
              "min": "min", "max": "max"}
 
 
-def bucketed_aggregate(ds, keys: list[str], aggs: dict, *,
-                       num_buckets: int = 64):
+def bucketed_aggregate(ds, keys: list[str], aggs: dict):
     """Keyed aggregate: one row per distinct ``keys`` tuple with one column
     per ``aggs`` entry, ``{name: (col, op)}`` with ``op`` one of ``sum``,
     ``count`` (non-null values of ``col``), ``count_all`` (rows; ``col``
@@ -188,23 +191,21 @@ def bucketed_aggregate(ds, keys: list[str], aggs: dict, *,
 
     partials = ds.map_batches(group(first), batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed_group_apply(partials, keys, group(final),
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, keys, group(final))
 
 
 def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
-                     right_schema, right_keys: list[str] | None = None,
-                     num_buckets: int = 64):
+                     right_schema, right_keys: list[str] | None = None):
     """Two-sided ``bucketed_group_apply``: shuffle ``left`` and ``right``
-    by the SAME hash-bucket of their keys and call ``fn(l, r)`` (two
+    by the SAME hash of their keys and call ``fn(l, r)`` (two
     pa.Tables -> pa.Table) once per shuffled block.
 
     ``l`` and ``r`` carry each side's own column names and the types of
     ``left_schema`` / ``right_schema`` (anything with ``.names`` and
     ``.types``; each side is projected to its schema's columns and cast to
     its types). Either may be empty, never both. As in
-    ``bucketed_group_apply``, a call holds ALL rows of one or more whole
-    buckets from both sides, so ``fn`` must be keyed.
+    ``bucketed_group_apply``, a call holds ALL rows of every key it sees
+    from both sides, so ``fn`` must be keyed.
 
     ``right_keys`` (default ``keys``) pair up with ``keys`` by position;
     the right keys hash as the left key types, so equal keys share a
@@ -247,7 +248,7 @@ def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
                    for typ in (rt if side == 0 else lt)]
             cols = own + pad if side == 0 else pad + own
             return pa.Table.from_arrays(
-                [add_bucket_column(kt, lk, num_buckets, use_polars=up)
+                [add_bucket_column(kt, lk, use_polars=up)
                  [BUCKET_COL], pa.array(np.full(n, side, np.int8))] + cols,
                 schema=schema)
         return tag

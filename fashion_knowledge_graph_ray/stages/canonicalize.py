@@ -164,7 +164,7 @@ def minhash_signatures_batch(texts, num_perm: int = _NUM_PERM,
 
 def lsh_band_rows(ds, text_col: str, id_col: str, *,
                   num_perm: int = _NUM_PERM, bands: int = _BANDS,
-                  shingle_k: int = _SHINGLE_K, batch_size: int = 4096):
+                  shingle_k: int = _SHINGLE_K):
     """-> Dataset (band_key:int64, id): one row per (record, band).
 
     Deliberately does NOT carry the text: band rows fan out x``bands`` per
@@ -196,7 +196,7 @@ def lsh_band_rows(ds, text_col: str, id_col: str, *,
                          "id": out_ids})
 
     return ds.map_batches(to_bands, batch_format="pyarrow",
-                          batch_size=batch_size, zero_copy_batch=True)
+                          batch_size=4096, zero_copy_batch=True)
 
 
 def _shingle_hashes(text: str, k: int) -> np.ndarray:
@@ -209,7 +209,7 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
                     threshold: float = _JACCARD_THRESHOLD,
                     shingle_k: int = _SHINGLE_K,
                     text_col: str = "text", id_col: str = "id",
-                    num_buckets: int = 64, max_bucket_size: int = 2000,
+                    max_bucket_size: int = 2000,
                     max_broadcast_pairs: int = 500_000):
     """LSH band rows + texts -> verified similar pairs (a < b), distinct.
 
@@ -247,8 +247,8 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
         return pa.table({"a": pa.array(m["a"], type=pa.string()),
                          "b": pa.array(m["b"], type=pa.string())})
 
-    raw = bucketed_group_apply(band_rows_ds, ["band_key"], pairs_in_buckets,
-                               num_buckets=num_buckets).materialize()
+    raw = bucketed_group_apply(band_rows_ds, ["band_key"],
+                               pairs_in_buckets).materialize()
 
     # Regime gate on the RAW per-call pair count (>= the distinct count,
     # so it routes to the bucketed path no later than before). Dense: a
@@ -258,10 +258,10 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
     # are one local pandas pass — this removes a whole all-to-all exchange
     # (_distinct_pairs) from the common near-dup-sparse regime.
     if raw.count() > max_broadcast_pairs:
-        cand = _distinct_pairs(raw, num_buckets=num_buckets)
+        cand = _distinct_pairs(raw)
         return _verify_pairs_shuffle(
             cand, texts_ds, threshold=threshold, shingle_k=shingle_k,
-            text_col=text_col, id_col=id_col, num_buckets=num_buckets)
+            text_col=text_col, id_col=id_col)
 
     import pandas as pd
 
@@ -322,8 +322,7 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
 
 
 def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
-                          shingle_k: int, text_col: str, id_col: str,
-                          num_buckets: int = 64):
+                          shingle_k: int, text_col: str, id_col: str):
     """Driver-free verification of candidate pairs — the dense-regime path.
 
     Three bucketed exchanges after one narrow step:
@@ -383,7 +382,7 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
         left_schema=pa.schema([("id", pa.string())]),
         right_schema=pa.schema([(id_col, pa.string()),
                                 (text_col, pa.string())]),
-        right_keys=[id_col], num_buckets=num_buckets).materialize()
+        right_keys=[id_col]).materialize()
 
     # 3./4. attach shingles to each side, verify on the second attach
     def _gather_sh(s_tbl: pa.Table, pkeys: np.ndarray):
@@ -414,8 +413,7 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
     pair_schema = pa.schema([("a", pa.string()), ("b", pa.string())])
     step_a = bucketed_cogroup(cand, shingles_ds, ["a"], attach_a,
                               left_schema=pair_schema,
-                              right_schema=sh_schema, right_keys=["id"],
-                              num_buckets=num_buckets)
+                              right_schema=sh_schema, right_keys=["id"])
 
     def attach_b_verify(p_tbl: pa.Table, s_tbl: pa.Table) -> pa.Table:
         bkeys = p_tbl["b"].to_numpy(zero_copy_only=False)
@@ -447,21 +445,20 @@ def _verify_pairs_shuffle(cand, texts_ds, *, threshold: float,
         step_a, shingles_ds, ["b"], attach_b_verify,
         left_schema=pa.schema(list(pair_schema)
                               + [("sh_a", pa.list_(pa.uint64()))]),
-        right_schema=sh_schema, right_keys=["id"], num_buckets=num_buckets)
+        right_schema=sh_schema, right_keys=["id"])
 
 
-def _distinct_pairs(pairs_ds, *, num_buckets: int = 64,
+def _distinct_pairs(pairs_ds, *,
                     min_of: str | None = None):
     """Distinct ``(a, b)`` rows of ``pairs_ds``: one keyed aggregate on
     ``(a, b)``. ``min_of`` names a column kept as its minimum over each
     pair's duplicates."""
     return bucketed_aggregate(
         pairs_ds, ["a", "b"], {} if min_of is None else
-        {min_of: (min_of, "min")}, num_buckets=num_buckets)
+        {min_of: (min_of, "min")})
 
 
 def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
-                         num_buckets: int = 64,
                          max_driver_pairs: int = 2_000_000):
     """Min-label propagation over an undirected edge list.
 
@@ -588,14 +585,12 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
             edges.union(labels.map_batches(pointers,
                                            batch_format="pyarrow")),
             ["id"], propagate, left_schema=label_schema,
-            right_schema=edge_schema, right_keys=["key"],
-            num_buckets=num_buckets)
+            right_schema=edge_schema, right_keys=["key"])
 
         # propagate emitted per-bucket minima; a node can appear in several
         # buckets' outputs only via messages — reduce to global min per id
         labels = bucketed_aggregate(
-            propagated, ["id"], {"label": ("label", "min")},
-            num_buckets=num_buckets).materialize()
+            propagated, ["id"], {"label": ("label", "min")}).materialize()
         cur = checksum(labels)
         if cur == prev:
             converged = True

@@ -147,11 +147,10 @@ def pack_bins(docs_ds, budget: int, *, text_col: str = "text",
         scan, batch_format="pyarrow")
 
 
-def corpus_token_counts(docs_ds, *, text_col: str = "text",
-                        num_buckets: int = 16):
+def corpus_token_counts(docs_ds, *, text_col: str = "text"):
     """Distributed word count → Dataset of ``(token, n)`` rows: the
     ``n=1`` case of ``ngram_counts``."""
-    return _gram_counts(docs_ds, 1, "token", text_col, num_buckets)
+    return _gram_counts(docs_ds, 1, "token", text_col)
 
 
 def token_freq_scores(docs_ds, stats_ds=None, *, text_col: str = "text",
@@ -304,7 +303,7 @@ def exact_quantiles(ds, col: str, qs_permille: list[int], *,
 
 
 def with_global_index(ds, order_col: str, *, index_col: str = "index",
-                      num_ranges: int = 64, samples_per_block: int = 8):
+                      num_ranges: int = 64):
     """Attach a contiguous 0-based global rank by ascending ``order_col``
     (the zipWithIndex / row_number primitive Ray Data lacks) — used for
     deterministic corpus shuffling (rank by ``md5(id)``) and training
@@ -315,7 +314,7 @@ def with_global_index(ds, order_col: str, *, index_col: str = "index",
     and partitioning-independent.
 
     Scale shape: range boundaries come from a per-block sample (up to
-    ``samples_per_block`` evenly spaced sorted keys per block — the
+    8 evenly spaced sorted keys per block — the
     TeraSort partitioner; sampling skew only affects load balance, never
     ranks); per-range COUNTS roll up to the driver (``num_ranges`` ints)
     for an exclusive prefix, and each range sorts locally and adds its
@@ -330,7 +329,7 @@ def with_global_index(ds, order_col: str, *, index_col: str = "index",
         arr = t[order_col]
         idx = pc.sort_indices(arr)
         take = np.linspace(0, t.num_rows - 1,
-                           min(samples_per_block, t.num_rows)).astype(int)
+                           min(8, t.num_rows)).astype(int)
         return pa.table({"k": arr.take(idx.take(pa.array(take)))})
 
     sample = [r["k"] for r in
@@ -376,8 +375,7 @@ def with_global_index(ds, order_col: str, *, index_col: str = "index",
         assign, batch_format="pyarrow")
 
 
-def doc_frequencies(docs_ds, *, text_col: str = "text",
-                    num_buckets: int = 16):
+def doc_frequencies(docs_ds, *, text_col: str = "text"):
     """Distributed DOCUMENT frequency: ``(token, df)`` with df = number
     of documents containing the token (each document's distinct tokens,
     then one keyed count — same exchange shape as the word count)."""
@@ -390,11 +388,10 @@ def doc_frequencies(docs_ds, *, text_col: str = "text",
     return bucketed_aggregate(
         docs_ds.map_batches(doc_tokens, batch_format="pyarrow",
                             zero_copy_batch=True),
-        ["token"], {"df": ("token", "count_all")}, num_buckets=num_buckets)
+        ["token"], {"df": ("token", "count_all")})
 
 
-def ngram_counts(docs_ds, n: int, *, text_col: str = "text",
-                 num_buckets: int = 16):
+def ngram_counts(docs_ds, n: int, *, text_col: str = "text"):
     """Corpus n-gram counts: ``(gram, n)`` with gram = the
     space-joined window of ``n`` consecutive ``\\S+`` tokens (documents
     shorter than ``n`` tokens contribute nothing). ``n=1`` is the word
@@ -403,11 +400,10 @@ def ngram_counts(docs_ds, n: int, *, text_col: str = "text",
     gram ships one int row per block)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _gram_counts(docs_ds, n, "gram", text_col, num_buckets)
+    return _gram_counts(docs_ds, n, "gram", text_col)
 
 
-def _gram_counts(docs_ds, n: int, col: str, text_col: str,
-                 num_buckets: int):
+def _gram_counts(docs_ds, n: int, col: str, text_col: str):
     def grams(t: pa.Table) -> pa.Table:
         out = []
         for x in t[text_col].to_pylist():
@@ -418,7 +414,7 @@ def _gram_counts(docs_ds, n: int, col: str, text_col: str,
     return bucketed_aggregate(
         docs_ds.map_batches(grams, batch_format="pyarrow",
                             zero_copy_batch=True),
-        [col], {"n": (col, "count_all")}, num_buckets=num_buckets)
+        [col], {"n": (col, "count_all")})
 
 
 def bm25_topk(docs_ds, query_tokens: list[str], k: int, *,
@@ -527,7 +523,7 @@ def bm25_topk(docs_ds, query_tokens: list[str], k: int, *,
 
 
 def inverted_index(docs_ds, *, text_col: str = "text",
-                   id_col: str = "doc_id", num_buckets: int = 16,
+                   id_col: str = "doc_id",
                    postings_cap: int = 100_000):
     """Distributed inverted-index construction: one row per distinct
     token with its document frequency and a sorted postings string.
@@ -606,12 +602,11 @@ def inverted_index(docs_ds, *, text_col: str = "text",
 
     partials = docs_ds.map_batches(partial, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["token"], merge,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["token"], merge)
 
 
 def tfidf_topk(docs_ds, k: int, *, text_col: str = "text",
-               id_col: str = "doc_id", num_buckets: int = 16):
+               id_col: str = "doc_id"):
     """Top-``k`` keywords per document by a quantized tf-idf.
 
     ``score = tf * ((1000 * N) // df)`` — term frequency times a
@@ -631,8 +626,7 @@ def tfidf_topk(docs_ds, k: int, *, text_col: str = "text",
 
     n_docs = docs_ds.count()
     dfs: dict = {}
-    for b in doc_frequencies(docs_ds, text_col=text_col,
-                             num_buckets=num_buckets) \
+    for b in doc_frequencies(docs_ds, text_col=text_col) \
             .iter_batches(batch_format="pyarrow"):
         dfs.update(zip(b["token"].to_pylist(),
                        b["df"].to_numpy(zero_copy_only=False).tolist()))

@@ -47,8 +47,7 @@ from .pairs import group_pairs
 
 # ── exact dedup ──────────────────────────────────────────────────────────
 
-def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                num_buckets: int = 64):
+def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """One row per distinct text: (md5, id = min id). Content hash is
     computed in-batch (vectorized), then one keyed min aggregate."""
 
@@ -60,15 +59,14 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     return bucketed_aggregate(
         ds.map_batches(to_hash, batch_format="pyarrow",
                        zero_copy_batch=True),
-        ["md5"], {id_col: (id_col, "min")}, num_buckets=num_buckets)
+        ["md5"], {id_col: (id_col, "min")})
 
 
 # ── MinHash-LSH / n-gram Jaccard near-dup ────────────────────────────────
 
 def minhash_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                   threshold: float = 0.7, shingle_k: int = 5,
-                  num_perm: int = 64, bands: int = 16,
-                  num_buckets: int = 64):
+                  num_perm: int = 64, bands: int = 16):
     """Near-dup clusters over documents: (id, cluster) with cluster = min
     member id. ``shingle_k=5`` char shingles suit document-length text;
     band/row config trades recall for candidate volume (16x4 here)."""
@@ -81,16 +79,15 @@ def minhash_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     bands_ds = lsh_band_rows(sds, "text", "id", num_perm=num_perm,
                              bands=bands, shingle_k=shingle_k)
     pairs = candidate_pairs(bands_ds, sds, threshold=threshold,
-                            shingle_k=shingle_k, num_buckets=num_buckets)
-    comp = connected_components(pairs, sds.select_columns(["id"]),
-                                num_buckets=num_buckets)
+                            shingle_k=shingle_k)
+    comp = connected_components(pairs, sds.select_columns(["id"]))
     return comp  # (id, component)
 
 
 # ── chunk (passage) level dedup ──────────────────────────────────────────
 
 def chunk_dedup(ds, *, chunk_tokens: int = 20, text_col: str = "text",
-                id_col: str = "doc_id", num_buckets: int = 64):
+                id_col: str = "doc_id"):
     """C4/RefinedWeb-style passage-level corpus dedup: split each
     document's ``\\S+`` token stream into fixed ``chunk_tokens``-token
     chunks (the last chunk may be short) and keep only the globally
@@ -138,8 +135,7 @@ def chunk_dedup(ds, *, chunk_tokens: int = 20, text_col: str = "text",
 
     exploded = ds.map_batches(explode, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed_group_apply(exploded, ["chunk_hash"], keep_first,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(exploded, ["chunk_hash"], keep_first)
 
 
 # ── Bloom gate: shared by incremental_dedup and lsh_neardup_pairs ───────
@@ -198,7 +194,7 @@ def _bloom_hits(bloom_ref, h: np.ndarray, k: int) -> np.ndarray:
 # ── incremental (bloom-gated) dedup against a reference corpus ───────────
 
 def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
-                      id_col: str = "doc_id", num_buckets: int = 64,
+                      id_col: str = "doc_id",
                       bloom_bits: int = 1 << 23, bloom_hashes: int = 4):
     """Drop rows of ``new_ds`` whose text already appears in ``ref_ds``
     (the incremental-crawl dedup: today's shard against the processed
@@ -275,8 +271,7 @@ def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
                                zero_copy_batch=True)
     # the MATERIALIZED hash table from the bloom build is the anti-join
     # right side — the reference corpus is scanned/hashed exactly once
-    survivors = anti_join_shuffle(maybe, "__h64", ref_hashes, "__h64",
-                                  num_buckets=num_buckets) \
+    survivors = anti_join_shuffle(maybe, "__h64", ref_hashes, "__h64") \
         .drop_columns(["__h64"])
     return fresh.union(survivors)
 
@@ -284,7 +279,7 @@ def incremental_dedup(new_ds, ref_ds, *, text_col: str = "text",
 # ── SimHash near-dup ─────────────────────────────────────────────────────
 
 def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                  max_hamming: int = 3, num_buckets: int = 64,
+                  max_hamming: int = 3,
                   max_bucket_size: int = 2000):
     """Verified near-dup pairs by 64-bit SimHash: block on each of the four
     16-bit chunks (any pair within Hamming<=3 of each other shares at least
@@ -331,9 +326,8 @@ def simhash_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          "hamming": pa.array(m["hamming"],
                                              type=pa.int64())})
 
-    raw = bucketed_group_apply(bands_ds, ["band_key"], pairs_in_buckets,
-                               num_buckets=num_buckets)
-    return _distinct_pairs(raw, num_buckets=num_buckets, min_of="hamming")
+    raw = bucketed_group_apply(bands_ds, ["band_key"], pairs_in_buckets)
+    return _distinct_pairs(raw, min_of="hamming")
 
 
 # ── exact n-gram Jaccard similarity join (prefix filtering) ─────────────
@@ -362,7 +356,7 @@ def _word_ngram_hashes(text: str, n: int) -> np.ndarray:
 
 def jaccard_ngram_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                         n: int = 3, threshold: float = 0.4,
-                        num_buckets: int = 64, demote_sample: int = 1000,
+                        demote_sample: int = 1000,
                         demote_k: int = 256, prefix_batch_size: int = 1024):
     """ALL pairs with word-``n``-gram Jaccard >= ``threshold`` — exact, not
     approximate: prefix filtering (AllPairs/PPJoin family) instead of
@@ -427,14 +421,15 @@ def jaccard_ngram_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
             "grams": pa.array(set_out, type=pa.list_(pa.uint64())),
         })
 
-    # explicit batch_size: prefix_rows EXPANDS ~|prefix| x, and Ray fuses
-    # it with the downstream bucket-tag stage — without a bound, the fused
-    # task bundles the whole (small) input into ONE task and the sort then
-    # reduces to ONE partition, serializing verification (observed: 12.6s
-    # single-task verify at sf0.1).
+    # materialized: prefix_rows EXPANDS ~|prefix| x, and fused with the
+    # bucket-tag stage (16384-row batches) it would bundle the whole small
+    # input into ONE task, so the sort would make ONE partition and
+    # serialize verification (observed: 12.6s single-task verify at
+    # sf0.1). Unfused, the tag batches the expanded rows and the sort
+    # fans out to their block count.
     blocks = ds.map_batches(prefix_rows, batch_format="pyarrow",
                             batch_size=prefix_batch_size,
-                            zero_copy_batch=True)
+                            zero_copy_batch=True).materialize()
 
     def verify(t: pa.Table) -> pa.Table:
         import pandas as pd
@@ -474,14 +469,8 @@ def jaccard_ngram_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          "b": pa.array(b_out, type=pa.int64()),
                          "jac": pa.array(j_out, type=pa.float64())})
 
-    # tag batch_size matches prefix_batch_size: Ray fuses prefix_rows with
-    # the bucket-tag map, and the LARGER of the two batch sizes would
-    # re-bundle the whole small input into one task (one sort partition,
-    # serial verify)
-    raw = bucketed_group_apply(blocks, ["gram"], verify,
-                               num_buckets=num_buckets,
-                               batch_size=prefix_batch_size)
-    return _distinct_pairs(raw, num_buckets=num_buckets, min_of="jac")
+    raw = bucketed_group_apply(blocks, ["gram"], verify)
+    return _distinct_pairs(raw, min_of="jac")
 
 
 # ── embedding-cosine near-dup ────────────────────────────────────────────
@@ -489,7 +478,7 @@ def jaccard_ngram_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
 def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
                       id_col: str = "vec_id", threshold: float = 0.95,
                       ntables: int = 6, nbits: int = 8, seed: int = 42,
-                      num_buckets: int = 64, bloom_bits: int = 1 << 23):
+                      bloom_bits: int = 1 << 23):
     """APPROXIMATE cosine near-dup pairs via random-hyperplane LSH — the
     scale path behind ``embedding_neardup_pairs``.
 
@@ -570,9 +559,7 @@ def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
                          "b": pa.array(m["b"], type=pa.int64())})
 
     cand = _distinct_pairs(
-        bucketed_group_apply(rows, ["bkey"], pairs_in_bucket,
-                             num_buckets=num_buckets),
-        num_buckets=num_buckets).materialize()
+        bucketed_group_apply(rows, ["bkey"], pairs_in_bucket)).materialize()
 
     # ── Bloom gate: prune the vector table to involved ids ± FP ─────────
     bloom_ref = _bloom_filter(
@@ -625,8 +612,7 @@ def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
     step_a = bucketed_cogroup(cand, pruned, ["a"], attach,
                               left_schema=pair_schema,
-                              right_schema=vec_schema, right_keys=[id_col],
-                              num_buckets=num_buckets)
+                              right_schema=vec_schema, right_keys=[id_col])
 
     def verify(p: pa.Table, v: pa.Table) -> pa.Table:
         empty = pa.table({"a": pa.array([], type=pa.int64()),
@@ -658,8 +644,7 @@ def lsh_neardup_pairs(ds, *, emb_col: str = "embedding",
     return bucketed_cogroup(
         step_a, pruned, ["b"], verify,
         left_schema=pa.schema(list(pair_schema) + [("carry", vec_t)]),
-        right_schema=vec_schema, right_keys=[id_col],
-        num_buckets=num_buckets)
+        right_schema=vec_schema, right_keys=[id_col])
 
 
 def embedding_neardup_pairs(ds, *, emb_col: str = "embedding",

@@ -41,23 +41,6 @@ def extract_text_batch(batch: pa.Table) -> pa.Table:
     return batch.drop_columns(["html"])
 
 
-def reextract_text_batch(batch: pa.Table) -> pa.Table:
-    """Force recomputation of ``text`` from ``html`` for every row (used by
-    the conformance tests and when the upstream ``text`` column is not
-    trusted)."""
-    out = [extract_text(h) for h in batch.column("html").to_pylist()]
-    batch = batch.set_column(batch.schema.get_field_index("text"), "text",
-                             pa.array(out, type=pa.string()))
-    return batch.drop_columns(["html"])
-
-
-def extract_pages(pages_ds, *, recompute: bool = False, batch_size: int = 1024):
-    """``pages`` Dataset -> narrow ``(url, warc_ts, text, lang)`` Dataset."""
-    fn = reextract_text_batch if recompute else extract_text_batch
-    return pages_ds.map_batches(fn, batch_format="pyarrow",
-                                batch_size=batch_size, zero_copy_batch=True)
-
-
 def _dedup_urls_bucket(t: pa.Table) -> pa.Table:
     # keep-first by (warc_ts, url): reference G7 `drop_duplicates` keeps the
     # first occurrence (`/root/reference/src/engine/data_preprocessing.py:75-79`);
@@ -75,12 +58,11 @@ def _dedup_urls_bucket(t: pa.Table) -> pa.Table:
     return t.filter(pa.array(mask))
 
 
-def dedup_pages(ds, *, num_buckets: int = 64):
+def dedup_pages(ds):
     """Exact dedup by ``url``, keep earliest ``warc_ts`` (G7 analog).
 
     Hash-bucket shuffle on the key + vectorized first-of-run per block —
     the exact-dedup shape at scale (see stages/bucketed.py)."""
     from .bucketed import bucketed_group_apply
 
-    return bucketed_group_apply(ds, ["url"], _dedup_urls_bucket,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(ds, ["url"], _dedup_urls_bucket)

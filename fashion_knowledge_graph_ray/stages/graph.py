@@ -45,7 +45,7 @@ from .bucketed import (
 )
 
 
-def _distinct_ids(edges_ds, src_col: str, dst_col: str, num_buckets: int):
+def _distinct_ids(edges_ds, src_col: str, dst_col: str):
     def explode(t: pa.Table) -> pa.Table:
         ids = pa.concat_arrays([t[src_col].combine_chunks().cast(pa.int64()),
                                 t[dst_col].combine_chunks().cast(pa.int64())])
@@ -54,13 +54,13 @@ def _distinct_ids(edges_ds, src_col: str, dst_col: str, num_buckets: int):
     return bucketed_aggregate(
         edges_ds.map_batches(explode, batch_format="pyarrow",
                              zero_copy_batch=True),
-        ["id"], {}, num_buckets=num_buckets)
+        ["id"], {})
 
 
 def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
              weight_col: str | None = None, damping_pct: int = 85,
              iters: int = 10, scale: int = 10 ** 12,
-             num_buckets: int = 64, max_broadcast_nodes: int = 2_000_000):
+             max_broadcast_nodes: int = 2_000_000):
     """Integer-quantized PageRank over a directed edge Dataset.
 
     Returns ``(id, rank)`` with ``rank`` in ``scale`` fixed-point units
@@ -94,7 +94,7 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
       by src ONCE into object-store shards; per iteration only the
       narrow (id, rank) state and (dst, contrib) partials move
       (``_pagerank_partitioned``) — nothing driver-resident beyond B
-      refs.
+      refs, B being the block count of the edge table.
     """
 
     def narrow(t: pa.Table) -> pa.Table:
@@ -107,7 +107,7 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     edges = edges_ds.map_batches(narrow, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
 
-    nodes = _distinct_ids(edges, "src", "dst", num_buckets).materialize()
+    nodes = _distinct_ids(edges, "src", "dst").materialize()
     n = nodes.count()
     if n == 0:
         return nodes.map_batches(
@@ -115,19 +115,41 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
             batch_format="pyarrow")
 
     # out-mass per src (Σ weights; = out-degree when unweighted)
-    degs = bucketed_aggregate(edges, ["src"], {"deg": ("w", "sum")},
-                              num_buckets=num_buckets) \
+    degs = bucketed_aggregate(edges, ["src"], {"deg": ("w", "sum")}) \
         .rename_columns({"src": "id"})
 
     if n <= max_broadcast_nodes:
         return _pagerank_broadcast(edges, nodes, degs, n, damping_pct,
-                                   iters, scale, num_buckets)
+                                   iters, scale)
     return _pagerank_partitioned(edges, nodes, degs, n, damping_pct,
-                                 iters, scale, num_buckets)
+                                 iters, scale)
 
 
-def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale,
-                          num_buckets):
+def _contributions(src, dst, w, ids, deg, rank, d):
+    """Per-edge link term ``floor(rank[u] * d * w / (100 * W[u]))`` for the
+    edges ``src -> dst`` with weights ``w``; ``ids`` is sorted and holds
+    every ``src``, ``deg`` (out-mass W) and ``rank`` align with it. Returns
+    ``(dst, contrib)`` of the edges with a positive term.
+
+    int64 vector math when ``rank*d*w`` provably fits, else exact Python
+    ints — both compute the identical floor expression."""
+    si = np.searchsorted(ids, src)
+    sd, sr = deg[si], rank[si]
+    valid = sd > 0
+    w_max = int(w.max()) if len(w) else 0
+    c = np.zeros(len(sd), dtype=np.int64)
+    if w_max and int(sr.max()) * d * w_max < (1 << 62):
+        # mask BEFORE the divide: zero out-mass sources would floor-divide
+        # by zero
+        c[valid] = (sr[valid] * d * w[valid]) // (100 * sd[valid])
+    else:
+        c = np.array([(int(r) * d * int(ww)) // (100 * int(g)) if g else 0
+                      for r, ww, g in zip(sr, w, sd)], dtype=np.int64)
+    mask = valid & (c > 0)
+    return dst[mask], c[mask]
+
+
+def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale):
     """Iteration-persistent hash-partitioned PageRank regime (above the
     broadcast gate).
 
@@ -137,10 +159,10 @@ def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale,
     tier) to pin the partitioning:
 
     - **setup, once**: the static narrow edge table is hash-partitioned
-      by ``bucket(src)`` into ``num_buckets`` object-store shards that
-      NEVER move again; the state table (id, deg, rank) is partitioned
-      by ``bucket(id)`` with the SAME hash, so every edge source is
-      co-located with its rank.
+      by ``hash(src) % B`` into B object-store shards (B = the block count
+      of the materialized edge table) that NEVER move again; the state
+      table (id, deg, rank) is partitioned by ``hash(id) % B``, so every
+      edge source is co-located with its rank.
     - **per iteration**: shard-local contribution kernels (vectorized
       searchsorted join + the integer floor formula) emit per-bucket
       ``(dst, contrib)`` partials via ``num_returns=B`` multi-returns —
@@ -154,7 +176,7 @@ def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale,
 
     from .bucketed import BUCKET_COL, _polars_hash_ok, add_bucket_column
 
-    B = num_buckets
+    B = edges.num_blocks()
     up = _polars_hash_ok()
 
     _empty_contrib = pa.table({"dst": pa.array([], type=pa.int64()),
@@ -166,8 +188,8 @@ def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale,
         # here would reach concat/_apply as a tuple instead of a table
         if B == 1:
             return tbl
-        t = add_bucket_column(tbl, [key], B, use_polars=up)
-        bc = t[BUCKET_COL].to_numpy(zero_copy_only=False)
+        t = add_bucket_column(tbl, [key], use_polars=up)
+        bc = t[BUCKET_COL].to_numpy(zero_copy_only=False) % B
         t = t.drop_columns([BUCKET_COL])
         return tuple(t.filter(pa.array(bc == j)) for j in range(B))
 
@@ -216,27 +238,13 @@ def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale,
         if edge_t.num_rows == 0 or state_t.num_rows == 0:
             return _empty_contrib if B == 1 \
                 else tuple(_empty_contrib for _ in range(B))
-        sid = state_t["id"].to_numpy(zero_copy_only=False)  # sorted
-        sdeg = state_t["deg"].to_numpy(zero_copy_only=False)
-        srank = state_t["rank"].to_numpy(zero_copy_only=False)
-        src = edge_t["src"].to_numpy(zero_copy_only=False)
-        dst = edge_t["dst"].to_numpy(zero_copy_only=False)
-        w = edge_t["w"].to_numpy(zero_copy_only=False)
-        si = np.searchsorted(sid, src)  # every src co-located by hash
-        sd, sr = sdeg[si], srank[si]
-        valid = sd > 0
-        w_max = int(w.max()) if len(w) else 0
-        c = np.zeros(len(sd), dtype=np.int64)
-        if w_max and int(sr.max()) * d * w_max < (1 << 62):
-            # mask BEFORE the divide: zero out-mass sources would
-            # floor-divide by zero
-            c[valid] = (sr[valid] * d * w[valid]) // (100 * sd[valid])
-        else:  # exact big-int fallback, identical floor expression
-            c = np.array([(int(r) * d * int(ww)) // (100 * int(gg))
-                          if gg else 0
-                          for r, ww, gg in zip(sr, w, sd)], dtype=np.int64)
-        mask = valid & (c > 0)
-        df = pd.DataFrame({"dst": dst[mask], "contrib": c[mask]})
+        # every src is co-located with its state row by the shared hash
+        dst, c = _contributions(
+            *(edge_t[k].to_numpy(zero_copy_only=False)
+              for k in ("src", "dst", "w")),
+            *(state_t[k].to_numpy(zero_copy_only=False)
+              for k in ("id", "deg", "rank")), d)
+        df = pd.DataFrame({"dst": dst, "contrib": c})
         g = df.groupby("dst", sort=True)["contrib"].sum().reset_index()
         out = pa.table({"dst": pa.array(g["dst"], type=pa.int64()),
                         "contrib": pa.array(g["contrib"], type=pa.int64())})
@@ -276,18 +284,14 @@ def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale,
         batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale,
-                        num_buckets):
+def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale):
     """Broadcast-ranks PageRank regime (see ``pagerank`` docstring).
 
     Driver state: the sorted node-id array and one int64 rank vector
     (8 B/node). Per iteration: ranks ``ray.put`` once; the static edge
     table runs a vectorized contribution kernel (searchsorted src->index,
-    int64 multiply/divide, pandas groupby-sum partial per batch); one
-    bucketed sum of the partials streams ≤ n (dst, contrib) rows back.
-    Contributions use int64 vector math when ``rank*d*w`` provably fits
-    (max edge weight checked per batch) and fall back to exact Python
-    ints otherwise — both paths compute the identical floor expression.
+    int64 multiply/divide, ``_contributions``); one bucketed sum of the
+    contributions streams ≤ n (dst, contrib) rows back.
     """
     import ray
     import ray.data as rd
@@ -317,31 +321,16 @@ def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale,
                              if not isinstance(ids_ref, tuple) else ids_ref)
             rk = rank_ref if isinstance(rank_ref, np.ndarray) \
                 else ray.get(rank_ref)
-            src = t["src"].to_numpy(zero_copy_only=False)
-            dst = t["dst"].to_numpy(zero_copy_only=False)
-            w = t["w"].to_numpy(zero_copy_only=False)
-            si = np.searchsorted(ids_s, src)
-            sd, sr = degs_s[si], rk[si]
-            valid = sd > 0
-            w_max = int(w.max()) if len(w) else 0
-            c = np.zeros(len(sd), dtype=np.int64)
-            if w_max and int(sr.max()) * d * w_max < (1 << 62):
-                # mask BEFORE the divide: zero out-mass sources would
-                # floor-divide by zero
-                c[valid] = (sr[valid] * d * w[valid]) // (100 * sd[valid])
-            else:  # exact big-int fallback (identical floor expression)
-                c = np.array([(int(r) * d * int(ww)) // (100 * int(dd))
-                              if dd else 0
-                              for r, ww, dd in zip(sr, w, sd)],
-                             dtype=np.int64)
-            mask = valid & (c > 0)
-            return pa.table({"dst": pa.array(dst[mask], type=pa.int64()),
-                             "contrib": pa.array(c[mask], type=pa.int64())})
+            dst, c = _contributions(
+                *(t[k].to_numpy(zero_copy_only=False)
+                  for k in ("src", "dst", "w")), ids_s, degs_s, rk, d)
+            return pa.table({"dst": pa.array(dst, type=pa.int64()),
+                             "contrib": pa.array(c, type=pa.int64())})
 
         sums = bucketed_aggregate(
             edges.map_batches(contrib_batch, batch_format="pyarrow",
                               zero_copy_batch=True),
-            ["dst"], {"contrib": ("contrib", "sum")}, num_buckets=num_buckets)
+            ["dst"], {"contrib": ("contrib", "sum")})
         acc = np.zeros(n, dtype=np.int64)
         for b in sums.iter_batches(batch_format="pyarrow"):
             idx = np.searchsorted(ids_sorted,
@@ -356,7 +345,7 @@ def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale,
 
 
 def triangle_counts(edges_ds, *, src_col: str = "src",
-                    dst_col: str = "dst", num_buckets: int = 64,
+                    dst_col: str = "dst",
                     max_broadcast_nodes: int = 2_000_000):
     """Per-node triangle counts of the UNDIRECTED simple graph underlying
     a directed edge Dataset (direction and parallel edges collapse).
@@ -397,7 +386,7 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
     und = bucketed_aggregate(
         edges_ds.map_batches(undirected, batch_format="pyarrow",
                              zero_copy_batch=True),
-        ["a", "b"], {}, num_buckets=num_buckets).materialize()
+        ["a", "b"], {}).materialize()
 
     def ends(t: pa.Table) -> pa.Table:
         return pa.table({"id": pa.concat_arrays(
@@ -405,7 +394,7 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
 
     degs = bucketed_aggregate(
         und.map_batches(ends, batch_format="pyarrow", zero_copy_batch=True),
-        ["id"], {"deg": ("id", "count_all")}, num_buckets=num_buckets)
+        ["id"], {"deg": ("id", "count_all")})
 
     n = degs.count()
     if n <= max_broadcast_nodes:
@@ -438,14 +427,12 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
         oriented = und.map_batches(orient, batch_format="pyarrow",
                                    zero_copy_batch=True)
     else:
-        j1 = shuffle_join(und, degs, "a", "id", suffix="_da",
-                          num_buckets=num_buckets)
+        j1 = shuffle_join(und, degs, "a", "id", suffix="_da")
         j1 = j1.map_batches(
             lambda t: t.rename_columns(
                 [{"deg": "deg_a"}.get(c, c) for c in t.column_names]),
             batch_format="pyarrow", zero_copy_batch=True)
-        j2 = shuffle_join(j1, degs, "b", "id", suffix="_db",
-                          num_buckets=num_buckets)
+        j2 = shuffle_join(j1, degs, "b", "id", suffix="_db")
 
         def orient_j(t: pa.Table) -> pa.Table:
             import pandas as pd
@@ -488,8 +475,7 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
                          "v": pa.array(out_v, type=t["v"].type),
                          "w": pa.array(out_w, type=t["v"].type)})
 
-    wedges = bucketed_group_apply(oriented, ["u"], wedges_of,
-                                  num_buckets=num_buckets)
+    wedges = bucketed_group_apply(oriented, ["u"], wedges_of)
 
     # close wedges against oriented edges on the (v, w) pair key
     def close_bucket(wt: pa.Table, et: pa.Table) -> pa.Table:
@@ -509,7 +495,6 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
         wedges, oriented, ["v", "w"], close_bucket,
         left_schema=pa.schema([("cu", ut), ("v", vt), ("w", vt)]),
         right_schema=pa.schema([("u", ut), ("v", vt)]),
-        right_keys=["u", "v"], num_buckets=num_buckets)
+        right_keys=["u", "v"])
     return bucketed_aggregate(corners, ["id"],
-                              {"triangles": ("id", "count_all")},
-                              num_buckets=num_buckets)
+                              {"triangles": ("id", "count_all")})

@@ -16,18 +16,18 @@ import pyarrow.compute as pc
 from .bucketed import bucketed_aggregate, bucketed_group_apply
 
 
-def value_counts(ds, col: str, *, num_buckets: int = 16):
+def value_counts(ds, col: str):
     """Dataset -> (value, n) counts of ``col``: one keyed ``count_all``
     aggregate (a hot value ships one int row per block). Nulls are counted
     under the value NULL, matching ``pc.value_counts``."""
     return bucketed_aggregate(
         ds.select_columns([col]).rename_columns({col: "value"}),
-        ["value"], {"n": ("value", "count_all")}, num_buckets=num_buckets)
+        ["value"], {"n": ("value", "count_all")})
 
 
 def source_stats(docs_ds, *, source_col: str = "source",
                  text_col: str = "text", chars_col: str = "n_chars",
-                 lang_col: str = "lang", num_buckets: int = 16):
+                 lang_col: str = "lang"):
     """Per-source (per-domain analog) corpus health report — the
     aggregate a web-curation pipeline runs before deciding what to keep
     per provenance bucket.
@@ -92,8 +92,7 @@ def source_stats(docs_ds, *, source_col: str = "source",
 
     partials = docs_ds.map_batches(partial, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["source"], merge,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["source"], merge)
 
 
 def mention_label_counts(linked_dir: str) -> dict[str, int]:

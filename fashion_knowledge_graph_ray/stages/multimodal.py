@@ -198,9 +198,8 @@ def audio_features(media_ds, *, batch_size: int = 64, concurrency=(1, 8)):
                            zero_copy_batch=True)
 
 
-def sample_video_frames(media_ds, *, every_k: int = 10,
-                        batch_size: int = 32):
+def sample_video_frames(media_ds, *, every_k: int = 10):
     vids = media_ds.filter(expr="kind == 'video'")
     return vids.map_batches(
         lambda t: sample_frames_batch(t, every_k=every_k),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        batch_format="pyarrow", batch_size=32, zero_copy_batch=True)

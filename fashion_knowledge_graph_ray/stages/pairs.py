@@ -160,14 +160,14 @@ class PairGenerator:
         )
 
 
-def generate_pairs(linked_ds, taxonomy_ref, *, batch_size: int = 1024):
+def generate_pairs(linked_ds, taxonomy_ref):
     def pairs_fn(batch: pa.Table) -> pa.Table:
         return PairGenerator(taxonomy_ref)(batch)
 
     return linked_ds.map_batches(
         pairs_fn,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=1024,
         zero_copy_batch=True,
     )
 
@@ -194,10 +194,10 @@ def explode_mentions_batch(batch: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def explode_mentions(linked_ds, *, batch_size: int = 1024):
+def explode_mentions(linked_ds):
     """linked page_mentions -> flat mentions table (url, warc_ts, lang,
     mention fields..., attrs, entity_id, link_score)."""
     return linked_ds.map_batches(
         explode_mentions_batch, batch_format="pyarrow",
-        batch_size=batch_size, zero_copy_batch=True,
+        batch_size=1024, zero_copy_batch=True,
     )

@@ -73,8 +73,7 @@ def anti_join_keys(ds, col: str, keys):
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def anti_join_shuffle(left_ds, left_key: str, right_ds, right_key: str, *,
-                      num_buckets: int = 64):
+def anti_join_shuffle(left_ds, left_key: str, right_ds, right_key: str):
     """Shuffle anti-join for a LARGE key side (SURVEY.md §2.3 M2: "large
     side -> groupby anti"): rows of ``left_ds`` whose ``left_key`` has no
     match in ``right_ds[right_key]`` (a null ``left_key`` has none).
@@ -99,12 +98,11 @@ def anti_join_shuffle(left_ds, left_key: str, right_ds, right_key: str, *,
                                       zero_copy_batch=True),
         [left_key], anti_bucket, left_schema=ls,
         right_schema=pa.schema([(right_key, key_type)]),
-        right_keys=[right_key], num_buckets=num_buckets)
+        right_keys=[right_key])
 
 
 def anti_join_auto(left_ds, left_key: str, right_ds, right_key: str, *,
-                   max_broadcast_keys: int = 5_000_000,
-                   num_buckets: int = 64):
+                   max_broadcast_keys: int = 5_000_000):
     """M2 anti-join routed by key-side size: a key side small enough to
     broadcast uses the shuffle-free ``anti_join_keys`` path; a larger one
     routes to ``anti_join_shuffle``. The key side is materialized once so
@@ -115,8 +113,7 @@ def anti_join_auto(left_ds, left_key: str, right_ds, right_key: str, *,
         keys = [r[right_key] for r in
                 right_ds.select_columns([right_key]).take_all()]
         return anti_join_keys(left_ds, left_key, keys)
-    return anti_join_shuffle(left_ds, left_key, right_ds, right_key,
-                             num_buckets=num_buckets)
+    return anti_join_shuffle(left_ds, left_key, right_ds, right_key)
 
 
 def semi_join_keys(ds, col: str, keys):
@@ -217,8 +214,7 @@ def _join_layout(ls, rs, suffix: str, merged: dict):
 
 
 def shuffle_join(left_ds, right_ds, left_key: str, right_key: str, *,
-                 how: str = "inner", suffix: str = "_r",
-                 num_buckets: int = 64):
+                 how: str = "inner", suffix: str = "_r"):
     """Hash-shuffle equi-join for two LARGE sides — the exchange shape
     ``broadcast_join`` cannot take when neither side fits a broadcast.
 
@@ -240,10 +236,10 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str, *,
 
     return bucketed_cogroup(left_ds, right_ds, [left_key], join_bucket,
                             left_schema=ls, right_schema=rs,
-                            right_keys=[right_key], num_buckets=num_buckets)
+                            right_keys=[right_key])
 
 
-def union_upsert(base_ds, new_ds, key_col: str, *, num_buckets: int = 64):
+def union_upsert(base_ds, new_ds, key_col: str):
     """The reference's combined-catalog upsert (K1+G7,
     `/root/reference/src/engine/data_preprocessing.py:75-87`): append the
     new table to the base table, then keep ONE row per key with base rows
@@ -264,8 +260,7 @@ def union_upsert(base_ds, new_ds, key_col: str, *, num_buckets: int = 64):
                                zero_copy_batch=True).union(
         new_ds.map_batches(tag(1), batch_format="pyarrow",
                            zero_copy_batch=True))
-    out = dedup_keep_first(both, key_col, ["__prio"],
-                           num_buckets=num_buckets)
+    out = dedup_keep_first(both, key_col, ["__prio"])
 
     def finish(t: pa.Table) -> pa.Table:
         src = pc.if_else(pc.equal(t["__prio"], 0),
@@ -282,8 +277,7 @@ def md5_of_id(values) -> list[str]:
     return [hashlib.md5(str(v).encode("utf-8")).hexdigest() for v in values]
 
 
-def grouped_sample(ds, group_col: str, n: int, id_col: str, *,
-                   num_buckets: int = 64):
+def grouped_sample(ds, group_col: str, n: int, id_col: str):
     """Keep the n rows of each group that sort first by md5(id) —
     deterministic seeded-sample analog of G6 (random_state=42)."""
 
@@ -296,8 +290,7 @@ def grouped_sample(ds, group_col: str, n: int, id_col: str, *,
         df = df.groupby(group_col, sort=True).head(n).drop(columns="_h")
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    return bucketed_group_apply(ds, [group_col], sample_bucket,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(ds, [group_col], sample_bucket)
 
 
 def topk(ds, col: str, k: int, *, descending: bool = True,
@@ -320,8 +313,7 @@ def topk(ds, col: str, k: int, *, descending: bool = True,
 
 
 def dedup_keep_first(ds, key_col: str, order_cols: list[str], *,
-                     ascending: list[bool] | None = None,
-                     num_buckets: int = 64):
+                     ascending: list[bool] | None = None):
     """G7/G8: one row per key, keeping the first row in ``order_cols``
     order (``ascending`` per column; default all ascending). With
     descending order this is the last-writer-wins merge (G4)."""
@@ -336,13 +328,11 @@ def dedup_keep_first(ds, key_col: str, order_cols: list[str], *,
         df = df.groupby(key_col, sort=True).head(1)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    return bucketed_group_apply(ds, [key_col], bucket,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(ds, [key_col], bucket)
 
 
 def asof_join(left_ds, right_ds, *, key: str, right_key: str,
-              left_time: str, right_time: str, tie_col: str | None = None,
-              num_buckets: int = 64):
+              left_time: str, right_time: str, tie_col: str | None = None):
     """As-of (backward) join: for each left row, attach the right row with
     the same key and the LARGEST ``right_time`` <= ``left_time``; left
     rows with no prior right row (or a null key) are dropped (inner
@@ -391,13 +381,12 @@ def asof_join(left_ds, right_ds, *, key: str, right_key: str,
 
     return bucketed_cogroup(left_ds, right_ds, [key], join_bucket,
                             left_schema=ls, right_schema=rs,
-                            right_keys=[right_key], num_buckets=num_buckets)
+                            right_keys=[right_key])
 
 
 def band_join(left_ds, right_ds, *, left_val: str, right_val: str,
               eps: float, key: list[str] | None = None,
-              right_keys: list[str] | None = None, suffix: str = "_r",
-              num_buckets: int = 64):
+              right_keys: list[str] | None = None, suffix: str = "_r"):
     """Range (band) join: left row L matches right row R when
     ``|L.left_val - R.right_val| <= eps`` (and the optional equi ``key``
     columns agree; a null key matches nothing). Inner semantics; rows with
@@ -475,4 +464,4 @@ def band_join(left_ds, right_ds, *, left_val: str, right_val: str,
         key + [CELL], join_cell,
         left_schema=pa.schema(list(zip(ls.names, ls.types)) + cell_field),
         right_schema=pa.schema(list(zip(rs.names, rs.types)) + cell_field),
-        right_keys=rkey + [CELL], num_buckets=num_buckets)
+        right_keys=rkey + [CELL])

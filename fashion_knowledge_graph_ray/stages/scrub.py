@@ -58,12 +58,11 @@ def scrub_pii_batch(batch: pa.Table, *, text_col: str = "text",
     )
 
 
-def scrub_pii(ds, *, text_col: str = "text", id_col: str = "doc_id",
-              batch_size: int = 4096):
+def scrub_pii(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """documents -> (id, scrubbed, n_emails, n_ips, n_phones)."""
 
     def fn(t: pa.Table) -> pa.Table:
         return scrub_pii_batch(t, text_col=text_col, id_col=id_col)
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=4096,
                           zero_copy_batch=True)

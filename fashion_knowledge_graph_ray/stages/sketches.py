@@ -85,7 +85,7 @@ def _hll_estimate(reg: np.ndarray) -> int:
 
 
 def hll_distinct(ds, key_cols: list[str], value_col: str, *,
-                 p: int = 12, num_buckets: int = 16):
+                 p: int = 12):
     """Approximate ``COUNT(DISTINCT value_col)`` per ``key_cols`` group.
 
     Output: ``(key_cols..., approx_distinct)``. Per input batch ONE
@@ -136,8 +136,7 @@ def hll_distinct(ds, key_cols: list[str], value_col: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["__k"], merge,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, ["__k"], merge)
 
 
 def cms_counts(ds, value_col: str, query_values: list, *,

@@ -48,11 +48,10 @@ def quality_batch(batch: pa.Table, *, text_col: str, id_col: str) -> pa.Table:
     )
 
 
-def quality_scores(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                   batch_size: int = 4096):
+def quality_scores(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(
         lambda b: quality_batch(b, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        batch_format="pyarrow", batch_size=4096, zero_copy_batch=True)
 
 
 def fingerprint_batch(batch: pa.Table, *, text_col: str, id_col: str) -> pa.Table:
@@ -68,11 +67,10 @@ def fingerprint_batch(batch: pa.Table, *, text_col: str, id_col: str) -> pa.Tabl
     )
 
 
-def fingerprints(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                 batch_size: int = 4096):
+def fingerprints(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(
         lambda b: fingerprint_batch(b, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        batch_format="pyarrow", batch_size=4096, zero_copy_batch=True)
 
 
 def repetition_batch(batch: pa.Table, *, text_col: str,
@@ -91,15 +89,14 @@ def repetition_batch(batch: pa.Table, *, text_col: str,
     )
 
 
-def repetition_stats(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                     batch_size: int = 4096):
+def repetition_stats(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """Gopher-style repetition quality signals per document: duplicate-line
     fraction and top-bigram fraction — the filters a web-crawl curation
     pipeline applies before training-data export. Stateless vectorized
     map_batches, same scale shape as the other text-analysis stages."""
     return ds.map_batches(
         lambda b: repetition_batch(b, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        batch_format="pyarrow", batch_size=4096, zero_copy_batch=True)
 
 
 def langid_batch(batch: pa.Table, *, text_col: str, id_col: str) -> pa.Table:
@@ -115,8 +112,7 @@ def langid_batch(batch: pa.Table, *, text_col: str, id_col: str) -> pa.Table:
     )
 
 
-def lang_id(ds, *, text_col: str = "text", id_col: str = "doc_id",
-            batch_size: int = 4096):
+def lang_id(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(
         lambda b: langid_batch(b, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
+        batch_format="pyarrow", batch_size=4096, zero_copy_batch=True)

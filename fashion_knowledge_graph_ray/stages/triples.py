@@ -99,7 +99,7 @@ def _dedup_vectorized(batch: pa.Table) -> pa.Table:
     return pa.table(cols).cast(TRIPLES_SCHEMA)
 
 
-def dedup_triples(triples_ds, *, batch_size: int = 16384, num_buckets: int = 64):
+def dedup_triples(triples_ds):
     """Distinct (subj,pred,obj,url), keeping min warc_ts. In-batch partial
     dedup first, then one bucketed shuffle with one vectorized dedup per
     shuffled block (see stages/bucketed.py for why not one call per
@@ -107,14 +107,13 @@ def dedup_triples(triples_ds, *, batch_size: int = 16384, num_buckets: int = 64)
     from .bucketed import bucketed_group_apply
 
     partials = triples_ds.map_batches(
-        _dedup_vectorized, batch_format="pyarrow", batch_size=batch_size,
+        _dedup_vectorized, batch_format="pyarrow", batch_size=16384,
         zero_copy_batch=True,
     )
-    return bucketed_group_apply(partials, TRIPLE_KEYS, _dedup_vectorized,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(partials, TRIPLE_KEYS, _dedup_vectorized)
 
 
-def page_local_triples(linked_ds, pairs_ds, *, batch_size: int = 1024):
+def page_local_triples(linked_ds, pairs_ds):
     """ZERO-SHUFFLE triple emission + dedup for URL-UNIQUE linked rows.
 
     Precondition (the ``dedup_pages`` guarantee): every url appears in
@@ -142,19 +141,19 @@ def page_local_triples(linked_ds, pairs_ds, *, batch_size: int = 1024):
             attr_triples_batch(explode_mentions_batch(t)))
 
     attr = linked_ds.map_batches(attr_local, batch_format="pyarrow",
-                                 batch_size=batch_size, zero_copy_batch=True)
+                                 batch_size=1024, zero_copy_batch=True)
     return attr.union(emit_rel_triples(pairs_ds))
 
 
-def emit_attr_triples(linked_flat_ds, *, batch_size: int = 4096):
+def emit_attr_triples(linked_flat_ds):
     return linked_flat_ds.map_batches(
-        attr_triples_batch, batch_format="pyarrow", batch_size=batch_size,
+        attr_triples_batch, batch_format="pyarrow", batch_size=4096,
         zero_copy_batch=True,
     )
 
 
-def emit_rel_triples(pairs_ds, *, batch_size: int = 16384):
+def emit_rel_triples(pairs_ds):
     return pairs_ds.map_batches(
-        rel_triples_batch, batch_format="pyarrow", batch_size=batch_size,
+        rel_triples_batch, batch_format="pyarrow", batch_size=16384,
         zero_copy_batch=True,
     )

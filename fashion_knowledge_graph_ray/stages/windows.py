@@ -19,7 +19,7 @@ All are deterministic batch re-expressions:
   co-locate: one bucketed shuffle on the key, then a vectorized
   sort + gap-cumsum per bucket. Hot users are bounded by the per-key data
   volume itself (a key's sessions cannot be split across tasks by
-  definition); the bucket count only bounds fan-in.
+  definition).
 
 Aggregates exposed are order-independent exact ones (count, max) — no
 float accumulation whose value would depend on shuffle order.
@@ -48,8 +48,7 @@ def _epoch_ticks(t: pa.Table, ts_col: str):
 
 
 def tumbling_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-                    value_col: str = "value", width: str = "h",
-                    num_buckets: int = 64):
+                    value_col: str = "value", width: str = "h"):
     """Per (key, window_start) count + max over fixed windows.
 
     ``width`` is a pandas-style frequency string ("h", "15min", "d"),
@@ -74,13 +73,12 @@ def tumbling_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     return bucketed_aggregate(
         ds.map_batches(window, batch_format="pyarrow", zero_copy_batch=True),
         [key_col, "window_start"], {"n_events": (value_col, "count_all"),
-                                     "max_value": (value_col, "max")},
-        num_buckets=num_buckets)
+                                     "max_value": (value_col, "max")})
 
 
 def hopping_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                    value_col: str = "value", width_sec: int = 3600,
-                   slide_sec: int = 900, num_buckets: int = 64):
+                   slide_sec: int = 900):
     """Per (key, window_start) count + max over OVERLAPPING windows of
     ``width_sec`` sliding every ``slide_sec`` (``slide_sec`` must divide
     ``width_sec``): each event lands in ``width/slide`` windows.
@@ -108,13 +106,11 @@ def hopping_window(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     return bucketed_aggregate(
         ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True),
         [key_col, "ws_sec"], {"n_events": (value_col, "count_all"),
-                               "max_value": (value_col, "max")},
-        num_buckets=num_buckets)
+                               "max_value": (value_col, "max")})
 
 
 def session_windows(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-                    id_col: str = "event_id", gap_minutes: int = 30,
-                    num_buckets: int = 64):
+                    id_col: str = "event_id", gap_minutes: int = 30):
     """Gap-based sessions per key: a new session starts when the gap to the
     previous event of the same key exceeds ``gap_minutes``.
 
@@ -156,5 +152,4 @@ def session_windows(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             "n_events": pa.array(ends - starts + 1, type=pa.int64()),
         })
 
-    return bucketed_group_apply(ds, [key_col], sessions,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(ds, [key_col], sessions)

@@ -29,7 +29,7 @@ def test_asof_join_matches_merge_asof(ray_session):
         rd.from_arrow(left).repartition(7),
         rd.from_arrow(right).repartition(4),
         key="k", right_key="k2", left_time="t", right_time="rt",
-        tie_col="payload", num_buckets=8,
+        tie_col="payload",
     ).to_pandas().sort_values("eid").reset_index(drop=True)
 
     ldf = left.to_pandas().sort_values("t", kind="mergesort")
@@ -56,8 +56,7 @@ def test_asof_join_tie_keeps_max_tie_col(ray_session):
                       "payload": pa.array([7, 9, 1], type=pa.int64())})
     out = asof_join(rd.from_arrow(left), rd.from_arrow(right),
                     key="k", right_key="k2", left_time="t",
-                    right_time="rt", tie_col="payload",
-                    num_buckets=4).to_pandas()
+                    right_time="rt", tie_col="payload").to_pandas()
     assert len(out) == 1
     assert out.iloc[0]["payload"] == 9  # exact-time tie -> max payload
 
@@ -129,8 +128,7 @@ def test_band_join_matches_sequential(ray_session):
     out = band_join(rd.from_arrow(left).repartition(5),
                     rd.from_arrow(right).repartition(4),
                     left_val="v", right_val="u", eps=eps,
-                    key=["g"], right_keys=["g2"],
-                    num_buckets=8).to_pandas()
+                    key=["g"], right_keys=["g2"]).to_pandas()
 
     ldf, rdf = left.to_pandas(), right.to_pandas().rename(columns={"g2": "g"})
     exp = ldf.merge(rdf, on="g")
@@ -151,8 +149,7 @@ def test_band_join_keyless_and_boundary(ray_session):
     right = pa.table({"rid": pa.array([10, 11, 12], type=pa.int64()),
                       "u": pa.array([1.5, 1.51, 0.5])})
     out = band_join(rd.from_arrow(left), rd.from_arrow(right),
-                    left_val="v", right_val="u", eps=0.5,
-                    num_buckets=4).to_pandas()
+                    left_val="v", right_val="u", eps=0.5).to_pandas()
     assert set(zip(out["lid"], out["rid"])) == {(1, 10), (1, 12)}
 
 

@@ -48,20 +48,19 @@ def test_one_call_per_block_whole_keys_match_groupby(ray_session):
                          "s": g["v_sum"],
                          "call": pa.array([uuid.uuid4().hex] * g.num_rows)})
 
-    n_blocks, num_buckets = 5, 16  # more buckets than blocks
+    n_blocks = 5
     blocks = _blocks(n_blocks, n_hot=3000, n_cold=200)
     ds = rd.from_arrow(blocks)
     assert ds.materialize().num_blocks() == n_blocks
-    out = bucketed_group_apply(ds, ["key"], seen_keys,
-                               num_buckets=num_buckets).take_all()
+    out = bucketed_group_apply(ds, ["key"], seen_keys).take_all()
 
     # no key appears in two calls: every key's rows arrived in ONE call
     keys = [r["key"] for r in out]
     assert len(keys) == len(set(keys))
     # one call per shuffled block (the sort keeps the block count), not
-    # one per bucket
+    # one per key
     calls = {r["call"] for r in out}
-    assert len(calls) <= n_blocks < num_buckets
+    assert len(calls) <= n_blocks
 
     want: dict[str, list[int]] = defaultdict(list)
     for b in blocks:
@@ -77,17 +76,47 @@ def test_empty_blocks_never_reach_bucket_fn(ray_session):
 
     def strict(t: pa.Table) -> pa.Table:
         assert t.num_rows > 0
-        return t
+        g = t.group_by(["key"]).aggregate([("v", "count")])
+        return pa.table({"key": g["key"], "n": g["v_count"]})
 
-    # two keys over 64 buckets: most sort partitions come out empty
-    t = pa.table({"key": ["a", "b", "a"], "v": pa.array([1, 2, 3])})
-    ds = rd.from_arrow([t.slice(0, 1), t.slice(1, 1), t.slice(2, 1)])
+    # two keys over three sort partitions, one per input block (blocks of
+    # the tag stage's 16384-row batch, so it keeps them apart): at least
+    # one partition comes out empty
+    rows = 16384
+    t = pa.table({"key": ["a", "b"] * (rows // 2),
+                  "v": pa.array(range(rows))})
+    ds = rd.from_arrow([t, t, t])
     out = bucketed_group_apply(ds, ["key"], strict).take_all()
-    assert sorted((r["key"], r["v"]) for r in out) == \
-        [("a", 1), ("a", 3), ("b", 2)]
+    assert sorted((r["key"], r["n"]) for r in out) == \
+        [("a", 3 * rows // 2), ("b", 3 * rows // 2)]
 
 
-def _cogroup_calls(left, right, keys, right_keys, num_buckets=8):
+def test_fan_out_follows_input_block_count(ray_session):
+    """The sort makes one shuffled block per input block, so 100 input
+    blocks and 4,099 keys give more than 64 ``bucket_fn`` calls (a fixed
+    64-bucket hash capped them at 64), and every key still arrives in
+    exactly one call."""
+    import numpy as np
+    import ray.data as rd
+
+    def seen(t: pa.Table) -> pa.Table:
+        keys = pc.unique(t["key"])
+        return pa.table({"key": keys,
+                         "call": pa.array([uuid.uuid4().hex] * len(keys))})
+
+    # 16384-row blocks: the tag stage's batch, so it keeps them apart
+    n_blocks, rows, n_keys = 100, 16384, 4099
+    ds = rd.range(n_blocks * rows, override_num_blocks=n_blocks).map_batches(
+        lambda t: pa.table({"key": pa.array(
+            t["id"].to_numpy() % np.int64(n_keys))}),
+        batch_format="pyarrow")
+    out = bucketed_group_apply(ds, ["key"], seen).take_all()
+    keys = sorted(r["key"] for r in out)
+    assert keys == list(range(n_keys))  # each key in exactly one call
+    assert len({r["call"] for r in out}) > 64
+
+
+def _cogroup_calls(left, right, keys, right_keys):
     """Run ``bucketed_cogroup`` with an ``fn`` that checks both tables
     carry the declared schemas and reports, per call, every key it saw
     (right keys read as the left key types) with its left and right row
@@ -119,7 +148,7 @@ def _cogroup_calls(left, right, keys, right_keys, num_buckets=8):
     out = bucketed_cogroup(
         rd.from_arrow(left).repartition(3), rd.from_arrow(right)
         .repartition(2), keys, seen, left_schema=ls, right_schema=rs,
-        right_keys=right_keys, num_buckets=num_buckets).to_pandas()
+        right_keys=right_keys).to_pandas()
     return out
 
 
@@ -161,7 +190,7 @@ def test_cogroup_int32_left_int64_right_shared_names(ray_session):
         got, want = _got(out), _brute_cogroup(left, right, ["k"], ["rk"])
         assert got == want, typ
         assert len(want) == 30 and repr((None,)) not in want
-        assert out["call"].nunique() <= 8
+        assert out["call"].nunique() <= 5  # 3 left + 2 right blocks
 
 
 def test_cogroup_multi_column_keys(ray_session):
@@ -173,8 +202,7 @@ def test_cogroup_multi_column_keys(ray_session):
                       "y": pa.array([i % 4 for i in range(91)],
                                     type=pa.int64()),
                       "v": pa.array(range(91), type=pa.int64())})
-    out = _cogroup_calls(left, right, ["a", "b"], ["x", "y"],
-                         num_buckets=16)
+    out = _cogroup_calls(left, right, ["a", "b"], ["x", "y"])
     assert _got(out) == _brute_cogroup(left, right, ["a", "b"],
                                        ["x", "y"])
 
@@ -211,12 +239,11 @@ def _brute_aggregate(t: pa.Table, keys, aggs) -> dict:
     return want
 
 
-def _aggregate(blocks, keys, aggs, num_buckets=8) -> tuple[dict, dict]:
+def _aggregate(blocks, keys, aggs) -> tuple[dict, dict]:
     """(key tuple -> tuple of aggregates, output column -> type)."""
     import ray.data as rd
 
-    out = bucketed_aggregate(rd.from_arrow(blocks), keys, aggs,
-                             num_buckets=num_buckets).materialize()
+    out = bucketed_aggregate(rd.from_arrow(blocks), keys, aggs).materialize()
     rows = out.take_all()
     got = {tuple(r[k] for k in keys): tuple(r[n] for n in aggs)
            for r in rows}
@@ -274,7 +301,7 @@ def test_aggregate_multi_column_int32_key(ray_session):
         "v": pa.array([i % 13 for i in range(n)], type=pa.int32())})
     aggs = {"s": ("v", "sum"), "lo": ("v", "min"), "n": ("v", "count")}
     got, types = _aggregate([t.slice(b * 80, 80) for b in range(5)],
-                             ["a", "b"], aggs, num_buckets=16)
+                             ["a", "b"], aggs)
     assert got == _brute_aggregate(t, ["a", "b"], aggs)
     assert any(k[1] is None for k in got)
     assert types["b"] == pa.int32() and types["lo"] == pa.int32()
@@ -296,7 +323,7 @@ def test_crc32_bucketing_puts_null_keys_in_one_bucket():
     t = pa.table({"a": pa.array(["x", None, "y", None]),
                   "b": pa.array([1, 2, None, 2], type=pa.int64())})
     for keys in (["a"], ["a", "b"]):
-        b = add_bucket_column(t, keys, 16, use_polars=False)
+        b = add_bucket_column(t, keys, use_polars=False)
         b = b[bucketed.BUCKET_COL].to_pylist()
         assert b[1] == b[3]
 

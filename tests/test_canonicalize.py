@@ -90,8 +90,7 @@ def test_distributed_cc_long_chain_pointer_jumping(ray_session):
     nodes = rd.from_arrow(pa.table({"id": ids + ["z-solo"]}))
     out = {r["id"]: r["component"]
            for r in connected_components(pairs, nodes,
-                                         max_driver_pairs=0,
-                                         num_buckets=4).take_all()}
+                                         max_driver_pairs=0).take_all()}
     assert all(out[i] == "n000" for i in ids)
     assert out["z-solo"] == "z-solo"
 
@@ -161,7 +160,7 @@ def test_candidate_pairs_no_candidates(ray_session):
     })
     bands = lsh_band_rows(rd.from_arrow(docs), "text", "id").materialize()
     out = candidate_pairs(bands, rd.from_arrow(docs),
-                          threshold=0.9, num_buckets=4)
+                          threshold=0.9)
     assert out.take_all() == []
     # downstream contract: CC over the empty pair set -> all singletons
     from fashion_knowledge_graph_ray.stages.canonicalize import (
@@ -170,6 +169,5 @@ def test_candidate_pairs_no_candidates(ray_session):
 
     comp = {r["id"]: r["component"]
             for r in connected_components(
-                out, rd.from_arrow(docs.select(["id"])),
-                num_buckets=4).take_all()}
+                out, rd.from_arrow(docs.select(["id"]))).take_all()}
     assert comp == {f"d{i}": f"d{i}" for i in range(6)}

@@ -178,7 +178,7 @@ def test_inverted_index_matches_sequential(ray_session):
 
     tbl = _docs(150)
     ds = rd.from_arrow(tbl).repartition(7)
-    out = inverted_index(ds, num_buckets=4).to_pandas()
+    out = inverted_index(ds).to_pandas()
 
     exp: dict = {}
     for i in range(tbl.num_rows):
@@ -201,7 +201,7 @@ def test_inverted_index_postings_cap(ray_session):
         "text": pa.array(["hot word"] * 10),
     })
     out = inverted_index(rd.from_arrow(tbl).repartition(3),
-                         num_buckets=2, postings_cap=4).to_pandas()
+                         postings_cap=4).to_pandas()
     row = out[out["token"] == "hot"].iloc[0]
     assert row["df"] == 10                      # df counts ALL docs
     assert row["postings"] == "0,1,2,3"          # capped ascending
@@ -219,7 +219,7 @@ def test_inverted_index_hot_token_capped(ray_session):
         # truncation of the hot token only
         "text": pa.array([f"the w{i % 7} w{i % 13}" for i in range(60)]),
     })
-    out = inverted_index(rd.from_arrow(tbl).repartition(8), num_buckets=4,
+    out = inverted_index(rd.from_arrow(tbl).repartition(8),
                          postings_cap=20).to_pandas()
     hot = out[out["token"] == "the"].iloc[0]
     assert hot["df"] == 60 and bool(hot["postings_truncated"])
@@ -236,7 +236,7 @@ def test_source_stats_matches_sequential(ray_session):
         "n_chars": pa.array([6, 5, 0, 3, 1], type=pa.int64()),
         "lang": ["en", "de", "en", "en", None],
     })
-    out = source_stats(rd.from_arrow(tbl).repartition(3), num_buckets=2) \
+    out = source_stats(rd.from_arrow(tbl).repartition(3)) \
         .to_pandas().sort_values("source").reset_index(drop=True)
     assert out["source"].tolist() == ["a", "b"]
     assert out["n_docs"].tolist() == [2, 3]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from fashion_knowledge_graph_ray.datagen import gen_pages_table, gen_taxonomy
@@ -46,13 +47,24 @@ def test_generator_is_pure_of_partitioning():
     assert full.slice(0, 60).equals(part)
 
 
-def test_extract_stage_on_ray(ray_session, fixture_dir):
+def _extracted_on_ray(fixture_dir):
+    """The fixture pages with ``text`` nulled, then refilled from ``html``
+    by ``extract_text_batch`` in Ray tasks."""
     import ray.data as rd
 
-    from fashion_knowledge_graph_ray.stages.extract import extract_pages
+    from fashion_knowledge_graph_ray.stages.extract import extract_text_batch
 
-    ds = rd.read_parquet(f"{fixture_dir}/pages.parquet")
-    out = extract_pages(ds, recompute=True)
+    def null_text(t: pa.Table) -> pa.Table:
+        return t.set_column(t.schema.get_field_index("text"), "text",
+                            pa.nulls(t.num_rows, pa.string()))
+
+    return rd.read_parquet(f"{fixture_dir}/pages.parquet") \
+        .map_batches(null_text, batch_format="pyarrow") \
+        .map_batches(extract_text_batch, batch_format="pyarrow")
+
+
+def test_extract_stage_on_ray(ray_session, fixture_dir):
+    out = _extracted_on_ray(fixture_dir)
     got = out.to_pandas().sort_values(["url", "warc_ts"]).reset_index(drop=True)
     exp = (
         pq.read_table(f"{fixture_dir}/pages.parquet")
@@ -61,16 +73,15 @@ def test_extract_stage_on_ray(ray_session, fixture_dir):
         .sort_values(["url", "warc_ts"])
         .reset_index(drop=True)
     )
+    assert "html" not in got.columns
     assert list(got["url"]) == list(exp["url"])
     assert list(got["text"]) == list(exp["text"])
 
 
 def test_dedup_pages(ray_session, fixture_dir):
-    import ray.data as rd
+    from fashion_knowledge_graph_ray.stages.extract import dedup_pages
 
-    from fashion_knowledge_graph_ray.stages.extract import dedup_pages, extract_pages
-
-    ds = extract_pages(rd.read_parquet(f"{fixture_dir}/pages.parquet"))
+    ds = _extracted_on_ray(fixture_dir)
     deduped = dedup_pages(ds).to_pandas()
     assert deduped["url"].is_unique
     # keep-first = earliest warc_ts per url

@@ -36,7 +36,7 @@ def _edges_ds(edges, parts=3):
 def test_pagerank_matches_sequential_ints(ray_session):
     # parallel edge, a dangling node (7), a cycle
     edges = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 3), (1, 2), (3, 7)]
-    out = pagerank(_edges_ds(edges), iters=10, num_buckets=4).to_pandas()
+    out = pagerank(_edges_ds(edges), iters=10).to_pandas()
     exp = _seq_pagerank(edges)
     assert dict(zip(out["id"], out["rank"])) == exp
     # conservation: total mass stays within floor-leak of scale
@@ -53,13 +53,12 @@ def test_pagerank_partition_invariance_random_graph(ray_session):
         # regime must both reproduce the sequential ints exactly
         for gate in (2_000_000, 0):
             out = pagerank(_edges_ds(edges, parts), iters=6,
-                           num_buckets=4,
                            max_broadcast_nodes=gate).to_pandas()
             assert dict(zip(out["id"], out["rank"])) == exp
 
 
 def test_pagerank_empty(ray_session):
-    out = pagerank(_edges_ds([], 1), iters=3, num_buckets=2).to_pandas()
+    out = pagerank(_edges_ds([], 1), iters=3).to_pandas()
     assert len(out) == 0
 
 
@@ -74,7 +73,7 @@ def test_pagerank_weighted_matches_sequential(ray_session):
         "weight": pa.array([w for _, _, w in edges_w], type=pa.int64()),
     })
     outs = [pagerank(rd.from_arrow(tbl).repartition(2),
-                     weight_col="weight", iters=8, num_buckets=4,
+                     weight_col="weight", iters=8,
                      max_broadcast_nodes=gate).to_pandas()
             for gate in (2_000_000, 0)]
     out = outs[0]
@@ -121,7 +120,7 @@ def test_triangle_counts_random_vs_bruteforce(ray_session):
              for _ in range(250)]
     exp = _seq_triangles(edges)
     for gate in (2_000_000, 0):  # broadcast-deg and shuffle-orient regimes
-        out = triangle_counts(_edges_ds(edges, 5), num_buckets=4,
+        out = triangle_counts(_edges_ds(edges, 5),
                               max_broadcast_nodes=gate).to_pandas()
         assert dict(zip(out["id"], out["triangles"])) == exp
 
@@ -135,8 +134,7 @@ def test_triangle_counts_string_ids(ray_session):
     edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]
     tbl = pa.table({"src": [e[0] for e in edges],
                     "dst": [e[1] for e in edges]})
-    out = triangle_counts(rd.from_arrow(tbl).repartition(2),
-                          num_buckets=2).to_pandas()
+    out = triangle_counts(rd.from_arrow(tbl).repartition(2)).to_pandas()
     assert dict(zip(out["id"], out["triangles"])) == \
         {"a": 1, "b": 1, "c": 1}
 
@@ -153,8 +151,8 @@ def test_pagerank_zero_weight_source_no_divide(ray_session):
     })
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # RuntimeWarning -> failure
-        out = pagerank(rd.from_arrow(tbl), weight_col="weight", iters=4,
-                       num_buckets=2).to_pandas()
+        out = pagerank(rd.from_arrow(tbl), weight_col="weight",
+                       iters=4).to_pandas()
     ranks = dict(zip(out["id"], out["rank"]))
     # node 1 has zero out-mass -> dangling; sequential reference
     edges = [(2, 3, 5)]
@@ -172,12 +170,13 @@ def test_pagerank_zero_weight_source_no_divide(ray_session):
 
 
 def test_pagerank_partitioned_single_bucket(ray_session):
-    # advisor finding: num_buckets=1 in the partitioned regime used to
-    # hand 1-tuples of tables through num_returns=1 remotes — concat and
-    # _apply then received tuples instead of tables. The B==1 unwrap in
-    # _split_by must keep the regime exact.
+    # a one-block edge table gives the partitioned regime one shard: it
+    # used to hand 1-tuples of tables through num_returns=1 remotes, so
+    # concat and _apply received tuples instead of tables. The B==1
+    # unwrap in _split_by must keep the regime exact.
     edges = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 3), (1, 2), (3, 7)]
     exp = _seq_pagerank(edges)
-    out = pagerank(_edges_ds(edges), iters=10, num_buckets=1,
-                   max_broadcast_nodes=0).to_pandas()
+    one_block = _edges_ds(edges, 1)
+    assert one_block.materialize().num_blocks() == 1
+    out = pagerank(one_block, iters=10, max_broadcast_nodes=0).to_pandas()
     assert dict(zip(out["id"], out["rank"])) == exp

@@ -116,7 +116,7 @@ def test_simhash_pairs_match_brute_force(ray_session):
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(len(texts)), type=pa.int64()),
         "text": texts})).repartition(5)
-    rows = simhash_pairs(ds, max_hamming=3, num_buckets=4).take_all()
+    rows = simhash_pairs(ds, max_hamming=3).take_all()
     got = [(r["a"], r["b"], r["hamming"]) for r in rows]
     assert len(got) == len(set(got))
     assert set(got) == want

@@ -83,7 +83,7 @@ def test_prepare_training_matches_sequential(ray_session):
     for parts in (1, 7):
         out = prepare_training_set(
             rd.from_arrow(tbl).repartition(parts), grams, rates,
-            default_rate=0.2, budget=64, num_buckets=4).to_pandas()
+            default_rate=0.2, budget=64).to_pandas()
         got = {r.doc_id: (r.n_tokens, r.start_offset, r.bin_id)
                for r in out.itertuples()}
         assert got == exp

@@ -35,7 +35,6 @@ def test_jaccard_join_equals_bruteforce(ray_session, texts, threshold):
                                  "text": texts}))
     got = {(r["a"], r["b"]): r["jac"]
            for r in jaccard_ngram_pairs(ds, n=2, threshold=threshold,
-                                        num_buckets=2,
                                         demote_sample=4).take_all()}
     want = {}
     grams = [set(_word_ngram_hashes(t, 2).tolist()) for t in texts]
@@ -69,7 +68,7 @@ def test_shuffle_join_equals_nested_loop(ray_session, lk, rk):
     right = pa.table({"rk": rk, "rv": [f"r{i}" for i in range(len(rk))]})
     got = sorted((r["k"], r["lv"], r["rv"]) for r in
                  shuffle_join(rd.from_arrow(left), rd.from_arrow(right),
-                              "k", "rk", num_buckets=2).take_all())
+                              "k", "rk").take_all())
     want = sorted((a, f"l{i}", f"r{j}")
                   for i, a in enumerate(lk)
                   for j, b in enumerate(rk) if a == b)
@@ -91,8 +90,7 @@ def test_anti_join_shuffle_equals_setminus(ray_session, lk, rk):
     right = pa.table({"rk": rk or [999]})
     got = sorted(r["k"] for r in
                  anti_join_shuffle(rd.from_arrow(left), "k",
-                                   rd.from_arrow(right), "rk",
-                                   num_buckets=2).take_all())
+                                   rd.from_arrow(right), "rk").take_all())
     want = sorted(a for a in lk if a not in set(rk or [999]))
     assert got == want
 
@@ -107,9 +105,8 @@ def test_value_counts_equals_counter(ray_session, vals):
 
     from fashion_knowledge_graph_ray.stages.metrics import value_counts
 
-    out = {r["value"]: r["n"]
-           for r in value_counts(rd.from_arrow(pa.table({"c": vals})), "c",
-                                 num_buckets=2).take_all()}
+    ds = rd.from_arrow(pa.table({"c": vals}))
+    out = {r["value"]: r["n"] for r in value_counts(ds, "c").take_all()}
     assert out == dict(Counter(vals))
 
 

@@ -131,8 +131,7 @@ def test_preprocess_catalog_composition(ray_session):
         key_col="pid", category_col="cat",
         include_categories=["a", "b"],   # drops pid 5 (cat c)
         sample_n=1,                       # one per category by md5 order
-        rename={"pid": "product_id", "name": "name"},
-        num_buckets=4)
+        rename={"pid": "product_id", "name": "name"})
     rows = {r["product_id"]: r for r in out.take_all()}
     # base rows always survive and win
     assert rows[2]["name"] == "base2" and rows[2]["src"] == "base"
@@ -168,8 +167,7 @@ def test_value_counts(ray_session):
 
     t = pa.table({"label": ["x", "y", "x", "z", "x", "y"]})
     out = {r["value"]: r["n"]
-           for r in value_counts(rd.from_arrow(t), "label",
-                                 num_buckets=2).take_all()}
+           for r in value_counts(rd.from_arrow(t), "label").take_all()}
     assert out == {"x": 3, "y": 2, "z": 1}
 
 
@@ -183,7 +181,7 @@ def test_edge_property_passthrough(ray_session):
         "url": ["u1", "u2"],
         "warc_ts": pa.array([0, 0], type=pa.timestamp("us", tz="UTC")),
     })
-    out = aggregate_edges(rd.from_arrow(pairs), num_buckets=2,
+    out = aggregate_edges(rd.from_arrow(pairs),
                           properties={"collection": "gq-2025"},
                           source="GQ Trend 2025").take_all()
     assert len(out) == 1
@@ -251,7 +249,7 @@ def test_curate_corpus_near_dedup(ray_session):
         ],
     })
     out = curate_corpus(rd.from_arrow(corpus), near_dedup=True,
-                        minhash_threshold=0.5, num_buckets=2).take_all()
+                        minhash_threshold=0.5).take_all()
     assert [r["doc_id"] for r in out] == [1]
     assert "text" not in out[0]
     assert out[0]["n_tokens"] == len(base.split())
@@ -267,5 +265,5 @@ def test_curate_corpus_exact_only_keeps_min_id(ray_session):
             "a quiet river full of fish and song today")
     corpus = pa.table({"doc_id": pa.array([7, 3, 9], type=pa.int64()),
                        "text": [base, base, base]})
-    out = curate_corpus(rd.from_arrow(corpus), num_buckets=2).take_all()
+    out = curate_corpus(rd.from_arrow(corpus)).take_all()
     assert [r["doc_id"] for r in out] == [3]

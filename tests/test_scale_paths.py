@@ -33,7 +33,7 @@ def test_candidate_pairs_shuffle_equals_broadcast(ray_session):
 
     def pairs(max_broadcast_pairs):
         out = candidate_pairs(bands, rd.from_arrow(_docs_table()),
-                              threshold=0.5, num_buckets=4,
+                              threshold=0.5,
                               max_broadcast_pairs=max_broadcast_pairs)
         return sorted((r["a"], r["b"]) for r in out.take_all())
 
@@ -59,19 +59,17 @@ def test_anti_join_shuffle_equals_broadcast(ray_session):
     bcast = sorted(r["k"] for r in anti_join_keys(
         rd.from_arrow(left), "k", right["rk"].to_pylist()).take_all())
     shuf = sorted(r["k"] for r in anti_join_shuffle(
-        rd.from_arrow(left), "k", rd.from_arrow(right), "rk",
-        num_buckets=4).take_all())
+        rd.from_arrow(left), "k", rd.from_arrow(right), "rk").take_all())
     assert bcast == shuf == sorted(set(range(20)) - {1, 3, 5, 7, 9, 11,
                                                      13, 15, 17, 19})
     # routed: tiny key side -> broadcast; max_broadcast_keys=0 -> shuffle
     auto = sorted(r["k"] for r in anti_join_auto(
         rd.from_arrow(left), "k", rd.from_arrow(right), "rk",
-        max_broadcast_keys=0, num_buckets=4).take_all())
+        max_broadcast_keys=0).take_all())
     assert auto == bcast
     # shuffle path preserves the full row payload
     rows = anti_join_shuffle(rd.from_arrow(left), "k",
-                             rd.from_arrow(right), "rk",
-                             num_buckets=4).take_all()
+                             rd.from_arrow(right), "rk").take_all()
     assert all(r["v"] == f"v{r['k']}" for r in rows)
 
 
@@ -85,13 +83,12 @@ def test_shuffle_join_inner_and_left(ray_session):
                       "lv": ["x2", "x3", "x9"]})  # name collision -> lv_r
     inner = sorted((r["k"], r["lv"], r["rv"], r["lv_r"]) for r in
                    shuffle_join(rd.from_arrow(left), rd.from_arrow(right),
-                                "k", "rk", num_buckets=4).take_all())
+                                "k", "rk").take_all())
     assert inner == [(2, "b", 20, "x2"), (3, "c", 30, "x3"),
                      (3, "d", 30, "x3")]
     lefty = sorted((r["k"], r["rv"]) for r in
                    shuffle_join(rd.from_arrow(left), rd.from_arrow(right),
-                                "k", "rk", how="left",
-                                num_buckets=4).take_all())
+                                "k", "rk", how="left").take_all())
     assert lefty == [(1, None), (2, 20), (3, 30), (3, 30)]
 
 
@@ -121,33 +118,29 @@ def test_null_keys_never_match(ray_session):
     def ds(t):
         return rd.from_arrow(t)
 
-    inner = shuffle_join(ds(left), ds(right), "k", "rk",
-                         num_buckets=4).take_all()
+    inner = shuffle_join(ds(left), ds(right), "k", "rk").take_all()
     assert [(r["k"], r["lv"], r["rv"]) for r in inner] == [(1, "a", 100)]
     lefty = sorted((r["lv"], r["rv"]) for r in shuffle_join(
-        ds(left), ds(right), "k", "rk", how="left",
-        num_buckets=4).take_all())
+        ds(left), ds(right), "k", "rk", how="left").take_all())
     assert lefty == [("a", 100), ("b", None), ("n", None)]
 
     asof = asof_join(ds(left), ds(right), key="k", right_key="rk",
-                     left_time="t", right_time="rt",
-                     num_buckets=4).take_all()
+                     left_time="t", right_time="rt").take_all()
     assert [(r["lv"], r["rv"]) for r in asof] == [("a", 100)]
 
     band = band_join(ds(left), ds(right), left_val="x", right_val="y",
-                     eps=0.5, key=["k"], right_keys=["rk"],
-                     num_buckets=4).take_all()
+                     eps=0.5, key=["k"], right_keys=["rk"]).take_all()
     assert [(r["lv"], r["rv"]) for r in band] == [("a", 100)]
 
     kept = ["b", "n"]  # the null-key left row has no match: kept
     assert sorted(r["lv"] for r in anti_join_shuffle(
-        ds(left), "k", ds(right), "rk", num_buckets=4).take_all()) == kept
+        ds(left), "k", ds(right), "rk").take_all()) == kept
     assert sorted(r["lv"] for r in anti_join_keys(
         ds(left), "k", right["rk"].to_pylist()).take_all()) == kept
     for gate in (0, 10):  # both regimes of the routed anti-join
         assert sorted(r["lv"] for r in anti_join_auto(
-            ds(left), "k", ds(right), "rk", max_broadcast_keys=gate,
-            num_buckets=4).take_all()) == kept
+            ds(left), "k", ds(right), "rk",
+            max_broadcast_keys=gate).take_all()) == kept
 
 
 def test_hopping_window_membership(ray_session):
@@ -161,8 +154,7 @@ def test_hopping_window_membership(ray_session):
                    "value": pa.array([5.0, 7.0])})
     out = {(r["user_id"], r["ws_sec"]): (r["n_events"], r["max_value"])
            for r in hopping_window(rd.from_arrow(ev), width_sec=3600,
-                                   slide_sec=900,
-                                   num_buckets=2).take_all()}
+                                   slide_sec=900).take_all()}
     # event at 3600 -> windows starting 900,1800,2700,3600
     # event at 5400 -> windows starting 2700,3600,4500,5400
     assert out[(1, 900)] == (1, 5.0)
@@ -187,14 +179,13 @@ def test_ivf_topk_exact_on_duplicates(ray_session):
     q = mat[:3]
     exact = {}
     for r in brute_force_topk(rd.from_arrow(t), q, 1,
-                              query_ids=[0, 1, 2],
-                              num_buckets=2).take_all():
+                              query_ids=[0, 1, 2]).take_all():
         exact[r["query_id"]] = r["vec_id"]
     # a query identical to a corpus vector lands in that vector's own
     # centroid cell, so rank-1 self-retrieval is exact under IVF
     got = {}
     for r in ivf_topk(rd.from_arrow(t), q, 1, query_ids=[0, 1, 2],
-                      ncentroids=4, nprobe=1, num_buckets=2).take_all():
+                      ncentroids=4, nprobe=1).take_all():
         if r["rank"] == 1:
             got[r["query_id"]] = r["vec_id"]
     assert got == exact == {0: 0, 1: 1, 2: 2}
@@ -228,8 +219,7 @@ def test_embedding_neardup_routes_to_lsh(ray_session):
     lsh_pairs = sorted((r["a"], r["b"]) for r in lsh.take_all())
     assert lsh_pairs == exact_pairs
 
-    direct = lsh_neardup_pairs(rd.from_arrow(t), threshold=0.95,
-                               num_buckets=4)
+    direct = lsh_neardup_pairs(rd.from_arrow(t), threshold=0.95)
     assert sorted((r["a"], r["b"]) for r in direct.take_all()) == exact_pairs
 
 
@@ -246,8 +236,8 @@ def test_chunk_dedup_first_wins(ray_session):
         "doc_id": pa.array([3, 7, 9], type=pa.int64()),
         "text": ["a b c a b c x", "a b c q r s", ""],
     })
-    out = chunk_dedup(rd.from_arrow(tbl).repartition(3), chunk_tokens=3,
-                      num_buckets=4).to_pandas()
+    out = chunk_dedup(rd.from_arrow(tbl).repartition(3),
+                      chunk_tokens=3).to_pandas()
     got = set(zip(out["doc_id"], out["chunk_no"]))
     # kept: (3,0) wins "a b c"; (3,2) "x"; (7,1) "q r s"; doc 9 no chunks
     assert got == {(3, 0), (3, 2), (7, 1)}
@@ -272,7 +262,7 @@ def test_chunk_dedup_partition_invariance(ray_session):
     outs = []
     for parts in (1, 9):
         df = chunk_dedup(rd.from_arrow(tbl).repartition(parts),
-                         chunk_tokens=5, num_buckets=4).to_pandas()
+                         chunk_tokens=5).to_pandas()
         outs.append(sorted(map(tuple, df.to_numpy())))
     assert outs[0] == outs[1]
     # the duplicate doc contributes no kept chunks
@@ -293,16 +283,14 @@ def test_incremental_dedup_exact_and_bloom_gate(ray_session):
         + [f"ref doc {i}" for i in range(20)],            # dups of ref
     })
     out = incremental_dedup(rd.from_arrow(new).repartition(4),
-                            rd.from_arrow(ref).repartition(3),
-                            num_buckets=4).to_pandas()
+                            rd.from_arrow(ref).repartition(3)).to_pandas()
     assert sorted(out["doc_id"]) == list(range(100, 140))
     assert set(out.columns) == {"doc_id", "text"}
 
     # tiny bloom (high FP rate) must not change results — exactness comes
     # from the verify anti-join, the bloom only prunes
     out2 = incremental_dedup(rd.from_arrow(new).repartition(4),
-                             rd.from_arrow(ref).repartition(3),
-                             num_buckets=4, bloom_bits=64,
+                             rd.from_arrow(ref).repartition(3), bloom_bits=64,
                              bloom_hashes=2).to_pandas()
     assert sorted(out2["doc_id"]) == list(range(100, 140))
 
@@ -348,8 +336,7 @@ def test_knn_graph_ivf_full_probe_equals_exact(ray_session):
     exact = knn_graph(ds, 4).to_pandas()
     # forcing the IVF regime with nprobe == ncentroids scans every cell:
     # the approximate path must then reproduce the exact graph
-    ivf = knn_graph(ds, 4, max_broadcast=0, ncentroids=6, nprobe=6,
-                    num_buckets=4).to_pandas()
+    ivf = knn_graph(ds, 4, max_broadcast=0, ncentroids=6, nprobe=6).to_pandas()
     key = ["src", "dst", "rank"]
     assert sorted(map(tuple, exact[key].to_numpy())) == \
         sorted(map(tuple, ivf[key].to_numpy()))

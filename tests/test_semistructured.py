@@ -56,8 +56,7 @@ def test_ngram_counts_matches_sequential(ray_session):
     texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 9))))
              for _ in range(100)]
     tbl = pa.table({"text": pa.array(texts)})
-    out = ngram_counts(rd.from_arrow(tbl).repartition(6), 2,
-                       num_buckets=4).to_pandas()
+    out = ngram_counts(rd.from_arrow(tbl).repartition(6), 2).to_pandas()
     exp: Counter = Counter()
     for x in texts:
         w = tokens(x)

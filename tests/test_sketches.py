@@ -26,8 +26,7 @@ def test_hll_within_error_bound_and_partition_invariant(ray_session):
     outs = []
     for parts in (1, 8):
         out = hll_distinct(rd.from_arrow(tbl).repartition(parts),
-                           ["event_type"], "user_id",
-                           num_buckets=4).to_pandas()
+                           ["event_type"], "user_id").to_pandas()
         outs.append(out.sort_values("event_type").reset_index(drop=True))
     pd.testing.assert_frame_equal(outs[0], outs[1])
 
@@ -41,8 +40,8 @@ def test_hll_exact_at_tiny_cardinality(ray_session):
     # linear-counting regime: estimates are exact for tiny sets
     tbl = pa.table({"k": pa.array(["x"] * 50),
                     "v": pa.array(list(range(5)) * 10, type=pa.int64())})
-    out = hll_distinct(rd.from_arrow(tbl).repartition(4), ["k"], "v",
-                       num_buckets=2).to_pandas()
+    out = hll_distinct(rd.from_arrow(tbl).repartition(4), ["k"],
+                       "v").to_pandas()
     assert out["approx_distinct"].tolist() == [5]
 
 
@@ -69,8 +68,8 @@ def test_hll_keeps_null_group_keys(ray_session):
         "k": pa.array(["a", None, "a", None, None], type=pa.string()),
         "v": pa.array([1, 2, 3, 4, 9], type=pa.int64()),
     })
-    out = hll_distinct(rd.from_arrow(tbl).repartition(3), ["k"], "v",
-                       num_buckets=2).to_pandas()
+    out = hll_distinct(rd.from_arrow(tbl).repartition(3), ["k"],
+                       "v").to_pandas()
     got = {(None if isinstance(k, float) or k is None else k): n
            for k, n in zip(out["k"], out["approx_distinct"])}
     assert got == {"a": 2, None: 3}  # null-key values {2,4,9}

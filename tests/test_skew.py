@@ -36,7 +36,7 @@ def test_hot_key_edge_weight_exact(ray_session):
     out = bucketed_group_apply(
         rd.from_arrow(t).map_batches(partial_edge_count,
                                      batch_format="pyarrow", batch_size=256),
-        ["src", "dst", "rel"], merge_edge_counts, num_buckets=4)
+        ["src", "dst", "rel"], merge_edge_counts)
     got = {(r["src"], r["dst"]): r["weight"] for r in out.take_all()}
     assert got[("hot", "x")] == 5000
     assert len(got) == 201
@@ -62,7 +62,7 @@ def test_skewed_corpus_edges_deterministic(ray_session):
         ds = rd.from_arrow(pages).repartition(nblocks)
         linked = build_linked(ds, tax_ref, link_mode="gazetteer",
                               concurrency=2)
-        e = aggregate_edges(generate_pairs(linked, tax_ref), num_buckets=8)
+        e = aggregate_edges(generate_pairs(linked, tax_ref))
         return sorted(
             ((r["src"], r["dst"], r["rel"], r["weight"],
               tuple(r["pages"])) for r in e.take_all()))

@@ -43,7 +43,7 @@ def test_tumbling_window_counts_and_max(ray_session):
         (1, _ts(10, 1), 3.0),                          # next window
         (2, _ts(9, 30), 2.0),
     ])
-    out = tumbling_window(ds, num_buckets=2).take_all()
+    out = tumbling_window(ds).take_all()
     got = {(r["user_id"], r["window_start"].hour): (r["n_events"],
                                                     r["max_value"])
            for r in out}
@@ -74,15 +74,15 @@ def test_windows_tz_aware_timestamps(ray_session):
         return sorted((r["user_id"], r["ws_sec"], r["n_events"],
                        r["max_value"]) for r in out)
 
-    aware = hopping_window(mk("UTC"), width_sec=3600, slide_sec=1800,
-                           num_buckets=2).take_all()
-    naive = hopping_window(mk(None), width_sec=3600, slide_sec=1800,
-                           num_buckets=2).take_all()
+    aware = hopping_window(mk("UTC"), width_sec=3600,
+                           slide_sec=1800).take_all()
+    naive = hopping_window(mk(None), width_sec=3600,
+                           slide_sec=1800).take_all()
     assert key(aware) == key(naive) and len(aware) > 0
 
-    t = tumbling_window(mk("UTC"), num_buckets=2).take_all()
+    t = tumbling_window(mk("UTC")).take_all()
     assert sum(r["n_events"] for r in t) == 3
-    s = session_windows(mk("UTC"), gap_minutes=30, num_buckets=2).take_all()
+    s = session_windows(mk("UTC"), gap_minutes=30).take_all()
     assert sum(r["n_events"] for r in s) == 3
 
 
@@ -92,7 +92,7 @@ def test_session_windows_gap_split(ray_session):
         (1, _ts(9, 0), 0.0), (1, _ts(9, 20), 0.0), (1, _ts(10, 30), 0.0),
         (2, _ts(9, 0), 0.0),
     ])
-    out = session_windows(ds, gap_minutes=30, num_buckets=2).take_all()
+    out = session_windows(ds, gap_minutes=30).take_all()
     sess = sorted(((r["user_id"], r["session_start"], r["session_end"],
                     r["n_events"]) for r in out))
     assert sess == [
@@ -105,7 +105,7 @@ def test_session_windows_gap_split(ray_session):
 def test_session_windows_exact_gap_is_same_session(ray_session):
     # gap == threshold does NOT split (strictly-greater rule)
     ds = _events_ds(ray_session, [(1, _ts(9, 0), 0.0), (1, _ts(9, 30), 0.0)])
-    out = session_windows(ds, gap_minutes=30, num_buckets=1).take_all()
+    out = session_windows(ds, gap_minutes=30).take_all()
     assert len(out) == 1 and out[0]["n_events"] == 2
 
 
@@ -133,7 +133,7 @@ def test_union_upsert_base_wins(ray_session):
 
     base = rd.from_arrow(pa.table({"id": [1, 2], "val": ["b1", "b2"]}))
     new = rd.from_arrow(pa.table({"id": [2, 3], "val": ["n2", "n3"]}))
-    out = union_upsert(base, new, "id", num_buckets=2).take_all()
+    out = union_upsert(base, new, "id").take_all()
     got = {r["id"]: (r["val"], r["src"]) for r in out}
     assert got == {1: ("b1", "base"), 2: ("b2", "base"), 3: ("n3", "new")}
 
@@ -159,8 +159,7 @@ def test_jaccard_ngram_pairs_exact_vs_bruteforce(ray_session):
     ]
     ds = rd.from_arrow(pa.table({"doc_id": list(range(len(texts))),
                                  "text": texts}))
-    out = jaccard_ngram_pairs(ds, n=3, threshold=0.3,
-                              num_buckets=4).take_all()
+    out = jaccard_ngram_pairs(ds, n=3, threshold=0.3).take_all()
     got = {(r["a"], r["b"]): r["jac"] for r in out}
 
     def grams(t):
