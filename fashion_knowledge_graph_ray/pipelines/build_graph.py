@@ -3,8 +3,9 @@ triples/nodes/edges (the KG-build core; reference entry point
 `/root/reference/src/engine/process_social_media_images.py:13-149` +
 `process_catalog.py:15-84`, re-expressed per SURVEY.md §3.2).
 
-One narrow chain and one KG writer, shared by ``build_graph`` and the
-partitioned ``build_graph_resumable`` (pipelines/resumable.py):
+One narrow chain, shared by ``build_graph`` and the partitioned
+``build_graph_resumable`` (pipelines/resumable.py), and the plain build's
+KG writer:
 
     narrow_chain:
       pages = read_parquet(...)               # S4
@@ -18,13 +19,18 @@ partitioned ``build_graph_resumable`` (pipelines/resumable.py):
     write_kg, two waves of branches off the shared blocks:
       wave 1: nodes = linked explode -> groupby(eid)     # G4
               embeddings + index/ = taxonomy tables      # K2/T2/T3/K6
-              [linked -> write linked/ parquet]          # plain build only
+              linked -> write linked/ parquet
               pairs -> materialize
       wave 2: edges = pairs groupby(src,dst,rel)         # G2/G3 (partial-combined)
               triples = attr ∪ rel triples (dedup in-kernel, page-local —
                         zero shuffle when pages are url-unique; see
                         stages/triples.page_local_triples — else bucketed)
-              [pairs -> write pairs/ parquet]            # plain build only
+              pairs -> write pairs/ parquet
+
+The resumable build writes its partitions' ``linked/`` and ``pairs/``
+itself and folds edges, nodes and triples from every partition's
+``linked/`` in one execution (``resumable._write_finals``); only the
+taxonomy-table writer, ``write_taxonomy_tables``, is shared.
 
 The expensive extraction/link pass runs ONCE into the in-memory
 materialization, and pairs derive from those blocks (no write-then-reread
@@ -309,77 +315,74 @@ def narrow_chain(pages_ds, tax_ref, index: dict, canonical_map, *,
     return linked, generate_pairs(linked, tax_ref)
 
 
-def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
-             *, page_local: bool, branches: int,
-             checkpoints: bool) -> GraphBuildResult:
-    """Write the KG tables of one build under ``out_dir`` — edges, nodes,
-    triples and the embeddings and ``index/`` tables — and return them.
+def graph_result(out_dir: str) -> GraphBuildResult:
+    """The table paths of a KG written under ``out_dir``."""
+    return GraphBuildResult(out_dir=out_dir, **{
+        f"{k}_path": os.path.join(out_dir, k)
+        for k in ("linked", "pairs", "triples", "nodes", "edges",
+                  "embeddings")})
 
-    ``linked``/``pairs`` are Datasets of all of the build's linked rows
-    and pairs. ``checkpoints``: they are this run's in-memory results (the
-    plain build), so also write them as ``linked/`` and ``pairs/`` and
-    delete an earlier partitioned build's ``manifests/`` and
-    ``metrics.json``; otherwise they are reads of the checkpoints the
-    partitioned build has written. ``page_local``: every url appears in one linked row, so
-    triples dedup page-locally with no shuffle; otherwise by one bucketed
-    exchange. ``branches``: how many output branches run at once, in
-    submission order (the plain build runs them all; the resume finals
-    run one at a time, where concurrent branches over parquet reads
-    started more Ray workers and raised peak RSS by 45% on 4 CPUs,
-    CHANGES.md)."""
-    import concurrent.futures as cf
 
+def write_taxonomy_tables(out_dir: str, taxonomy: pa.Table,
+                          index: dict) -> None:
+    """(Re)write ``embeddings/`` and ``index/``, the taxonomy-sized tables
+    of both builds, on the driver. ``index/`` is the persisted ANN index
+    artifact (K6/Pinecone analog): a query session reconstructs the
+    linker via ``EmbeddingLinker.from_index_table`` without re-embedding."""
     import pyarrow.parquet as pq
 
     from ..stages.linker import linker_index_table
 
-    names = ["triples", "nodes", "edges", "embeddings", "index"]
-    if checkpoints:
-        names += ["linked", "pairs"]
-    paths = {k: os.path.join(out_dir, k) for k in names}
+    for name, tbl in (("embeddings", taxonomy_embeddings_table(taxonomy)),
+                      ("index", linker_index_table(taxonomy, idx=index))):
+        path = os.path.join(out_dir, name)
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path)
+        pq.write_table(tbl, os.path.join(path, "part-0.parquet"))
+
+
+def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
+             *, page_local: bool) -> GraphBuildResult:
+    """Write the plain build's KG under ``out_dir`` — the ``linked/`` and
+    ``pairs/`` checkpoints, edges, nodes, triples and the taxonomy tables
+    — and return it. The build owns the whole directory, so an earlier
+    partitioned build's ``manifests/`` and ``metrics.json`` go too.
+
+    ``linked``/``pairs`` are this run's in-memory rows. ``page_local``:
+    every url appears in one linked row, so triples dedup page-locally
+    with no shuffle; otherwise by one bucketed exchange. All six output
+    branches run at once: on 4 CPUs they beat one serialized finals map
+    (the resume's ``bucketed_write_kinds`` shape) on ``build_dense``,
+    1,624-1,738 against 1,899-1,977 ms op_p50 (ROADMAP direction 1)."""
+    import concurrent.futures as cf
+
+    paths = {k: os.path.join(out_dir, k)
+             for k in ("triples", "nodes", "edges", "linked", "pairs")}
     # Outputs must be overwrite-semantics: Ray's write_parquet APPENDS part
     # files into an existing directory, which would double-count on re-run —
     # the exact reference bug (SURVEY.md §4.4) this pipeline exists to fix.
     for p in paths.values():
         shutil.rmtree(p, ignore_errors=True)
-    if checkpoints:
-        # the plain build owns the whole directory: a partitioned build's
-        # manifests and metrics.json left behind would describe another KG
-        shutil.rmtree(os.path.join(out_dir, "manifests"), ignore_errors=True)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, "metrics.json"))
-
-    def taxonomy_tables():
-        # taxonomy-sized (small side) — driver-side table writes. index/ is
-        # the persisted ANN index artifact (K6/Pinecone analog): a query
-        # session reconstructs the linker via
-        # EmbeddingLinker.from_index_table without re-embedding
-        for name, tbl in (("embeddings", taxonomy_embeddings_table(taxonomy)),
-                          ("index", linker_index_table(taxonomy, idx=index))):
-            os.makedirs(paths[name])
-            pq.write_table(tbl, os.path.join(paths[name], "part-0.parquet"))
+    shutil.rmtree(os.path.join(out_dir, "manifests"), ignore_errors=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "metrics.json"))
 
     _settle_fsspec_http()
     # Plans are BUILT on this thread (Dataset plan construction is not
     # guaranteed thread-safe); the pool threads only execute them, each
     # reading shared immutable block refs. Two waves: the linked-only
-    # branches are submitted first and, in the plain build, overlap with
-    # the pairs materialization — the pairs barrier was a measured slice
-    # of the idle time on the critical path.
-    with cf.ThreadPoolExecutor(max_workers=branches) as ex:
-        futs = [ex.submit(taxonomy_tables),
+    # branches are submitted first and overlap with the pairs
+    # materialization — the pairs barrier was a measured slice of the
+    # idle time on the critical path.
+    with cf.ThreadPoolExecutor(max_workers=6) as ex:
+        futs = [ex.submit(write_taxonomy_tables, out_dir, taxonomy, index),
                 ex.submit(_write_parquet,
                           merge_nodes(explode_mentions(linked)),
-                          paths["nodes"], NODES_SCHEMA)]
-        if checkpoints:
-            futs.append(ex.submit(_write_parquet, linked, paths["linked"],
-                                  _LINKED_SCHEMA))
-            # pairs made from the in-memory rows feed three branches:
-            # materialize them once. Pairs read from the partition
-            # checkpoints are read per branch instead: materializing that
-            # read started two more Ray workers and raised the resume's
-            # peak RSS by 25-35% on 4 CPUs.
-            pairs = ex.submit(pairs.materialize).result()
+                          paths["nodes"], NODES_SCHEMA),
+                ex.submit(_write_parquet, linked, paths["linked"],
+                          _LINKED_SCHEMA)]
+        # pairs feed three branches: materialize them once
+        pairs = ex.submit(pairs.materialize).result()
         triples = (page_local_triples(linked, pairs) if page_local
                    else dedup_triples(
                        emit_attr_triples(explode_mentions(linked))
@@ -387,17 +390,12 @@ def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
         futs += [ex.submit(_write_parquet, aggregate_edges(pairs),
                            paths["edges"], _EDGES_OUT_SCHEMA),
                  ex.submit(_write_parquet, triples, paths["triples"],
-                           TRIPLES_SCHEMA)]
-        if checkpoints:
-            futs.append(ex.submit(_write_parquet, pairs, paths["pairs"],
-                                  PAIRS_SCHEMA))
+                           TRIPLES_SCHEMA),
+                 ex.submit(_write_parquet, pairs, paths["pairs"],
+                           PAIRS_SCHEMA)]
         for f in futs:
             f.result()
-
-    return GraphBuildResult(out_dir=out_dir, **{
-        f"{k}_path": os.path.join(out_dir, k)
-        for k in ("linked", "pairs", "triples", "nodes", "edges",
-                  "embeddings")})
+    return graph_result(out_dir)
 
 
 def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
@@ -432,4 +430,4 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
     # dedup=False keeps the general bucketed dedup (url collisions can
     # then span blocks).
     return write_kg(out_dir, taxonomy, index, linked, pairs,
-                    page_local=dedup, branches=6, checkpoints=True)
+                    page_local=dedup)

@@ -32,6 +32,17 @@ from .bucketed import bucketed_group_apply
 
 EDGE_KEYS = ["src", "dst", "rel"]
 
+# the rows of ``partial_edge_agg`` and ``_partial_nodes``, which
+# ``_merge_edges_bucket`` and ``_merge_nodes_bucket`` fold
+EDGE_PARTIAL_SCHEMA = pa.schema(
+    [(k, pa.string()) for k in EDGE_KEYS]
+    + [("weight", pa.int64()), ("pages", pa.list_(pa.string())),
+       ("ptrunc", pa.bool_())])
+NODE_PARTIAL_SCHEMA = pa.schema(
+    [("entity_id", pa.string()), ("warc_ts", pa.timestamp("us", tz="UTC")),
+     ("url", pa.string()), ("mention_id", pa.string()),
+     ("attrs", ATTRS_STRUCT), ("surface_forms", pa.list_(pa.string()))])
+
 
 def _fold_evidence(head: pa.Table, ev: pa.Table) -> pa.Table:
     """One row per edge key (in no particular order): summed ``weight``,

@@ -1,7 +1,8 @@
 """Bucketed group application — the scale-shape for keyed reductions and
 two-sided keyed exchanges (``bucketed_group_apply`` for one input,
 ``bucketed_cogroup`` for two, ``bucketed_aggregate`` for a decomposable
-keyed aggregate over one input).
+keyed aggregate over one input, and ``bucketed_write_kinds`` for several
+tables, each on its own key, reduced and written in one execution).
 
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
@@ -31,6 +32,8 @@ fixture. Split a key only where a measured hot bucket calls for it
 
 from __future__ import annotations
 
+import os
+import uuid
 import zlib
 
 import numpy as np
@@ -38,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 BUCKET_COL = "__bucket"
-_SIDE_COL = "__side"
+_KIND_COL = "__kind"
 
 
 def _polars_hash_ok() -> bool:
@@ -194,6 +197,92 @@ def bucketed_aggregate(ds, keys: list[str], aggs: dict):
     return bucketed_group_apply(partials, keys, group(final))
 
 
+def _padded_schema(schemas) -> pa.Schema:
+    """The one row layout of a multi-input exchange: ``__bucket``,
+    ``__kind``, then every kind's columns under the names ``__{k}_{i}``
+    (so kinds that share a column name never collide)."""
+    return pa.schema([(BUCKET_COL, pa.int64()), (_KIND_COL, pa.int8())]
+                     + [(f"__{k}_{i}", typ) for k, s in enumerate(schemas)
+                        for i, typ in enumerate(s.types)])
+
+
+def _pad(t: pa.Table, bucket, kind: int, schemas,
+         padded: pa.Schema) -> pa.Table:
+    """Kind ``kind``'s rows in the padded layout: its own columns cast to
+    ``schemas[kind]``, every other kind's columns typed nulls."""
+    n = t.num_rows
+    cols = []
+    for k, s in enumerate(schemas):
+        if k == kind:
+            cols += [t[c] if t[c].type == typ else t[c].cast(typ)
+                     for c, typ in zip(s.names, s.types)]
+        else:
+            cols += [pa.nulls(n, type=typ) for typ in s.types]
+    return pa.Table.from_arrays(
+        [bucket, pa.array(np.full(n, kind, np.int8))] + cols, schema=padded)
+
+
+def _unpad(t: pa.Table, kind: int, schemas) -> pa.Table:
+    """Kind ``kind``'s rows of a padded block, under its own names."""
+    s = schemas[kind]
+    return t.select([f"__{kind}_{i}" for i in range(len(s.names))]) \
+        .filter(pc.equal(t[_KIND_COL], kind)).rename_columns(s.names)
+
+
+def tag_kinds(tables, keys, schemas, *, use_polars: bool) -> pa.Table:
+    """Several tables in one padded layout for ``bucketed_write_kinds``.
+
+    ``tables[k]`` (None or empty for none) holds kind ``k``'s rows with
+    the columns of ``schemas[k]``; each row's ``__bucket`` is the hash of
+    its own kind's ``keys[k]``, so one sort co-locates the whole keys of
+    every kind. ``use_polars`` is the driver's ``_polars_hash_ok()``."""
+    padded = _padded_schema(schemas)
+    parts = [_pad(t, add_bucket_column(t, kk, use_polars=use_polars)
+                  [BUCKET_COL], k, schemas, padded)
+             for k, (t, kk) in enumerate(zip(tables, keys))
+             if t is not None and t.num_rows]
+    return pa.concat_tables(parts) if parts else padded.empty_table()
+
+
+def bucketed_write_kinds(tagged, schemas, fns, paths, out_schemas) -> None:
+    """The multi-table exchange: sort ``tagged`` (rows of ``tag_kinds``)
+    on ``__bucket`` and, in every shuffled block, apply ``fns[k]``
+    (pa.Table -> pa.Table, keyed, as in ``bucketed_group_apply``) to kind
+    ``k``'s rows and write the result as one parquet file under
+    ``paths[k]``.
+
+    Each call holds ALL rows of every key of its kind that it sees. The
+    plan that makes ``tagged``, the sort and every write run as ONE Ray
+    Data execution, so several output tables pay for one exchange
+    instead of one each. A path that got no file gets a typed empty one
+    of ``out_schemas[k]``, so every output reads back with its schema."""
+    import pyarrow.parquet as pq
+    from ray.data import Datasink
+
+    class KindsDatasink(Datasink):
+        def on_write_start(self) -> None:
+            for p in paths:
+                os.makedirs(p, exist_ok=True)
+
+        def write(self, blocks, ctx) -> None:
+            for t in blocks:
+                if not t.num_rows:  # an empty sort partition has no columns
+                    continue
+                for k, fn in enumerate(fns):
+                    rows = _unpad(t, k, schemas)
+                    if rows.num_rows:
+                        pq.write_table(fn(rows), os.path.join(
+                            paths[k], f"{uuid.uuid4().hex}.parquet"))
+
+        def on_write_complete(self, write_result) -> None:
+            for p, schema in zip(paths, out_schemas):
+                if not any(f.endswith(".parquet") for f in os.listdir(p)):
+                    pq.write_table(schema.empty_table(),
+                                   os.path.join(p, "empty.parquet"))
+
+    tagged.sort(BUCKET_COL).write_datasink(KindsDatasink())
+
+
 def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
                      right_schema, right_keys: list[str] | None = None):
     """Two-sided ``bucketed_group_apply``: shuffle ``left`` and ``right``
@@ -213,52 +302,38 @@ def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
     exchange: a null key never matches (SQL semantics). Left rows keep
     theirs — an anti- or outer join still owes them a row.
 
-    Layout: one union of both sides, each padded with typed nulls in the
-    other side's columns and tagged with a side flag, then one sort on the
-    bucket — the exchange is paid once for both inputs."""
+    Layout: one union of both sides in the padded layout of
+    ``tag_kinds`` (each side a kind), then one sort on the bucket — the
+    exchange is paid once for both inputs."""
     lk, rk = list(keys), list(right_keys or keys)
     if len(lk) != len(rk):
         raise ValueError("right_keys must match keys in length")
-    ln, lt = list(left_schema.names), list(left_schema.types)
-    rn, rt = list(right_schema.names), list(right_schema.types)
-    key_types = [lt[ln.index(k)] for k in lk]
-    lcols = [f"__l{i}" for i in range(len(ln))]
-    rcols = [f"__r{i}" for i in range(len(rn))]
-    schema = pa.schema([(BUCKET_COL, pa.int64()), (_SIDE_COL, pa.int8())]
-                       + list(zip(lcols, lt)) + list(zip(rcols, rt)))
+    schemas = (left_schema, right_schema)
+    key_types = [left_schema.types[list(left_schema.names).index(k)]
+                 for k in lk]
+    padded = _padded_schema(schemas)
     up = _polars_hash_ok()  # driver decision, captured in the closures
 
     def tagger(side: int):
-        names, types, kn = (ln, lt, lk) if side == 0 else (rn, rt, rk)
+        kn = rk if side else lk
 
         def tag(t: pa.Table) -> pa.Table:
             if side:
                 for k in kn:
                     if t[k].null_count:
                         t = t.filter(pc.is_valid(t[k]))
-            n = t.num_rows
             # hash the right keys as the left key types (an int key and a
             # float or string key hash apart); an unsafe cast can only
             # co-locate keys that then fail to match
             kt = pa.table([t[k].cast(typ, safe=False)
                            for k, typ in zip(kn, key_types)], names=lk)
-            own = [t[c] if t[c].type == typ else t[c].cast(typ)
-                   for c, typ in zip(names, types)]
-            pad = [pa.nulls(n, type=typ)
-                   for typ in (rt if side == 0 else lt)]
-            cols = own + pad if side == 0 else pad + own
-            return pa.Table.from_arrays(
-                [add_bucket_column(kt, lk, use_polars=up)
-                 [BUCKET_COL], pa.array(np.full(n, side, np.int8))] + cols,
-                schema=schema)
+            return _pad(t, add_bucket_column(kt, lk, use_polars=up)
+                        [BUCKET_COL], side, schemas, padded)
         return tag
 
     def apply(t: pa.Table):
         if t.num_rows:
-            is_l = pc.equal(t[_SIDE_COL], 0)
-            yield fn(t.select(lcols).filter(is_l).rename_columns(ln),
-                     t.select(rcols).filter(pc.invert(is_l))
-                     .rename_columns(rn))
+            yield fn(_unpad(t, 0, schemas), _unpad(t, 1, schemas))
 
     both = left.map_batches(
         tagger(0), batch_format="pyarrow", batch_size=16384,

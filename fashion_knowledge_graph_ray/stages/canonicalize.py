@@ -247,7 +247,11 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
         return pa.table({"a": pa.array(m["a"], type=pa.string()),
                          "b": pa.array(m["b"], type=pa.string())})
 
-    raw = bucketed_group_apply(band_rows_ds, ["band_key"],
+    # band rows materialized first: ``lsh_band_rows`` fans out x bands,
+    # and fused with the exchange's 16384-row tag stage it bundled 16384
+    # records into one task, so a smaller corpus sorted into ONE block and
+    # ``pairs_in_buckets`` ran as a single task
+    raw = bucketed_group_apply(band_rows_ds.materialize(), ["band_key"],
                                pairs_in_buckets).materialize()
 
     # Regime gate on the RAW per-call pair count (>= the distinct count,

@@ -10,6 +10,8 @@ recompute" on resume:
 - the stage-version map (bump a stage's version → every manifest built
   with the old version invalidates);
 - the pipeline config that shaped the outputs (link mode, thresholds...);
+- an order-independent digest of the taxonomy columns the narrow chain
+  reads (a changed taxonomy links and pairs differently);
 - output row counts per table, cross-checked against the parquet FOOTER
   metadata of the files actually on disk (a footer only exists when the
   write completed, so a killed mid-write partition always fails
@@ -24,6 +26,7 @@ recompute even if the JSON survived.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zlib
@@ -39,6 +42,12 @@ STAGE_VERSIONS: dict[str, int] = {
     "pairs": 1,
 }
 
+# The taxonomy columns the narrow chain reads: the mention detector
+# (entity_id, surface, aliases, category), the linker's index and filters
+# (surface, category, gender, color) and the pair relation (category).
+TAXONOMY_COLUMNS = ("entity_id", "surface", "aliases", "category", "gender",
+                    "color")
+
 
 @dataclass
 class PartitionManifest:
@@ -52,6 +61,7 @@ class PartitionManifest:
     engine_version: str
     run_id: str = ""
     extra: dict = field(default_factory=dict)
+    taxonomy_digest: str = ""
 
 
 def manifest_path(out_dir: str, part: int) -> str:
@@ -100,6 +110,17 @@ def url_fingerprint(path: str) -> int:
     return fp
 
 
+def taxonomy_digest(taxonomy) -> str:
+    """Order-independent digest of the ``TAXONOMY_COLUMNS`` a taxonomy
+    table has: sha256 over its rows' sorted JSON encodings."""
+    cols = [c for c in TAXONOMY_COLUMNS if c in taxonomy.column_names]
+    h = hashlib.sha256(json.dumps(cols).encode("utf-8"))
+    rows = zip(*(taxonomy[c].to_pylist() for c in cols))
+    for r in sorted(json.dumps(list(r)) for r in rows):
+        h.update(b"\n" + r.encode("utf-8"))
+    return h.hexdigest()
+
+
 def write_manifest(out_dir: str, m: PartitionManifest) -> str:
     """Atomic write (tmp + rename) so a crash mid-write never leaves a
     parseable-but-wrong manifest."""
@@ -125,15 +146,19 @@ def load_manifest(out_dir: str, part: int) -> PartitionManifest | None:
 
 
 def validate_manifest(out_dir: str, part: int, input_paths: list[str],
-                      config: dict) -> PartitionManifest | None:
+                      config: dict, tax_digest: str | None = None
+                      ) -> PartitionManifest | None:
     """Return the manifest iff the partition can be skipped on resume:
-    manifest parses, inputs / stage versions / config all match, AND the
+    manifest parses, inputs / stage versions / config all match, so does
+    the ``taxonomy_digest`` when ``tax_digest`` is given, AND the
     on-disk outputs agree with the recorded row counts (footer-verified).
     Returns None (→ recompute) otherwise."""
     m = load_manifest(out_dir, part)
     if m is None:
         return None
     if m.stage_versions != STAGE_VERSIONS or m.config != config:
+        return None
+    if tax_digest is not None and m.taxonomy_digest != tax_digest:
         return None
     try:
         if m.inputs != describe_inputs(input_paths):

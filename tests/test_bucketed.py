@@ -2,7 +2,9 @@
 call holding every row of the keys it sees, and the output of a plain
 per-key groupby. ``bucketed_cogroup``: the same for two inputs, checked
 against a brute-force pandas grouping of both sides. ``bucketed_aggregate``:
-every op against a brute-force pandas grouping, with either bucket hash."""
+every op against a brute-force pandas grouping, with either bucket hash.
+``bucketed_write_kinds``: several tables through one exchange, each key of
+each table whole in one call, against a pandas grouping."""
 
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ from fashion_knowledge_graph_ray.stages.bucketed import (
     bucketed_aggregate,
     bucketed_cogroup,
     bucketed_group_apply,
+    bucketed_write_kinds,
+    tag_kinds,
 )
 
 
@@ -216,6 +220,65 @@ def test_cogroup_empty_side_gets_typed_empty_table(ray_session):
         out = _cogroup_calls(lt, rt, ["k"], ["k"])
         assert _got(out) == _brute_cogroup(lt, rt, ["k"], ["k"])
         assert out["one_side"].all()
+
+
+def test_write_kinds_whole_keys_per_call_match_pandas(ray_session,
+                                                     tmp_path):
+    """Three tables through one exchange: kinds 0 and 1 share the column
+    names ``key`` and ``v`` (a string key and an int64 key), kind 2 has
+    no rows. Every key of every kind arrives whole in exactly one call,
+    the results match a pandas grouping, and kind 2 reads back as a typed
+    empty table."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    up = bucketed._polars_hash_ok()
+    schemas = [pa.schema([("key", pa.string()), ("v", pa.int64())]),
+               pa.schema([("key", pa.int64()), ("v", pa.float64())]),
+               pa.schema([("g", pa.string()), ("w", pa.int32())])]
+    keys = [["key"], ["key"], ["g"]]
+    out_schema = pa.schema([("key", pa.string()), ("n", pa.int64()),
+                            ("s", pa.float64()), ("call", pa.string())])
+    out_schemas = [out_schema, out_schema,
+                   pa.schema([("g", pa.string()), ("n", pa.int64())])]
+
+    def kind1(t: pa.Table) -> pa.Table:
+        return pa.table({"key": pc.divide(t["v"], 7),
+                         "v": pc.multiply(t["v"].cast(pa.float64()), 0.5)})
+
+    def tag(t: pa.Table) -> pa.Table:
+        return tag_kinds([t, kind1(t), None], keys, schemas, use_polars=up)
+
+    def per_key(t: pa.Table) -> pa.Table:
+        """Per call: every key it saw, with its row count and value sum."""
+        g = t.group_by(["key"]).aggregate([("v", "count"), ("v", "sum")])
+        return pa.table({"key": g["key"].cast(pa.string()),
+                         "n": g["v_count"],
+                         "s": g["v_sum"].cast(pa.float64()),
+                         "call": pa.array([uuid.uuid4().hex] * g.num_rows)})
+
+    def never(t: pa.Table) -> pa.Table:
+        raise AssertionError("a kind with no rows got a call")
+
+    blocks = _blocks(5, n_hot=3000, n_cold=200)
+    tagged = rd.from_arrow(blocks).map_batches(
+        tag, batch_format="pyarrow", zero_copy_batch=True)
+    paths = [str(tmp_path / f"kind{k}") for k in range(3)]
+    bucketed_write_kinds(tagged, schemas, [per_key, per_key, never], paths,
+                         out_schemas)
+
+    df = pa.concat_tables(blocks).to_pandas()
+    brute = [df.groupby("key")["v"], df.assign(
+        key=df["v"] // 7, v=df["v"] * 0.5).groupby("key")["v"]]
+    for k in (0, 1):
+        got = pq.read_table(paths[k]).to_pandas()
+        assert got["key"].is_unique, k  # each key arrived in ONE call
+        assert got["call"].nunique() <= len(blocks), k
+        want = {str(key): (len(g), float(g.sum())) for key, g in brute[k]}
+        assert {r.key: (r.n, r.s) for r in got.itertuples()} == want, k
+    assert len(want) == 2999 // 7 + 1  # v runs 0..2999
+    empty = pq.read_table(paths[2])
+    assert empty.num_rows == 0 and empty.schema.equals(out_schemas[2])
 
 
 def _brute_aggregate(t: pa.Table, keys, aggs) -> dict:

@@ -171,3 +171,42 @@ def test_candidate_pairs_no_candidates(ray_session):
             for r in connected_components(
                 out, rd.from_arrow(docs.select(["id"]))).take_all()}
     assert comp == {f"d{i}": f"d{i}" for i in range(6)}
+
+
+def test_band_exchange_fans_out_over_band_blocks(ray_session, monkeypatch,
+                                                 tmp_path):
+    """``candidate_pairs`` materializes the band rows before the band-key
+    exchange. Fused with its 16384-row tag stage, ``lsh_band_rows``
+    bundled the whole 5,000-record corpus into one task, so the exchange
+    sorted into one block and ``pairs_in_buckets`` ran as one call."""
+    import os
+    import uuid
+
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.stages import canonicalize as cz
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    real = cz.bucketed_group_apply
+
+    def counted(ds, keys, bucket_fn):
+        def fn(t: pa.Table) -> pa.Table:
+            (calls / uuid.uuid4().hex).touch()
+            return bucket_fn(t)
+        return real(ds, keys, fn)
+
+    monkeypatch.setattr(cz, "bucketed_group_apply", counted)
+    # 2,500 distinct random texts, each twice (ids i and i + 2,500)
+    rng = np.random.default_rng(7)
+    vocab = ["".join(rng.choice(list("abcdefghijklmnop"), 6))
+             for _ in range(4000)]
+    texts = [" ".join(rng.choice(vocab, 8)) for _ in range(2500)] * 2
+    n = len(texts)
+    docs = pa.table({"id": [f"d{i:05d}" for i in range(n)], "text": texts})
+    ds = rd.from_arrow([docs.slice(i, 250) for i in range(0, n, 250)])
+    out = cz.candidate_pairs(cz.lsh_band_rows(ds, "text", "id"), ds,
+                             threshold=0.9)
+    assert len(os.listdir(calls)) > 1
+    assert {(r["a"], r["b"]) for r in out.take_all()} == \
+        {(f"d{i:05d}", f"d{i + 2500:05d}") for i in range(2500)}

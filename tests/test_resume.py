@@ -7,13 +7,18 @@ Invariants under test:
 - a tampered manifest or deleted part file forces recompute;
 - a stage-version bump invalidates every manifest;
 - a rerun with fewer partitions leaves only its own partitions on disk;
-- a plain build into a partitioned build's dir leaves no resume state.
+- a plain build into a partitioned build's dir leaves no resume state;
+- a resume after deleting one partition rebuilds it alone and equals a
+  fresh build, table for table; a changed taxonomy rebuilds them all;
+- the finals read ``linked/`` once and run one sort; pages that link no
+  entity still get typed empty finals.
 """
 
 import json
 import os
 import shutil
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -57,6 +62,14 @@ def _table_sets(out_dir):
                         ["src", "dst", "rel"]),
         "nodes": _canon(os.path.join(out_dir, "nodes"), ["entity_id"]),
     }
+
+
+def _all_tables(out_dir):
+    """The five tables of a gazetteer build (whose link scores are exact),
+    each sorted on all of its columns."""
+    keys = {"linked": ["url"], "pairs": ["src", "dst", "rel", "url"]}
+    out = {t: _canon(os.path.join(out_dir, t), k) for t, k in keys.items()}
+    return {**out, **_table_sets(out_dir)}
 
 
 def test_assign_partitions_deterministic():
@@ -288,3 +301,116 @@ def test_no_part_column_leaks(ray_session, sharded_pages, tmp_path):
     for which in ("linked", "pairs", "triples", "nodes", "edges"):
         cols = res.dataset(which).schema().names
         assert "part" not in cols, which
+
+
+def test_resume_one_deleted_partition_equals_fresh_build(ray_session,
+                                                         sharded_pages,
+                                                         tmp_path):
+    shards, tax = sharded_pages
+    out, fresh = str(tmp_path / "kg"), str(tmp_path / "fresh")
+    build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    for t in ("linked", "pairs"):
+        shutil.rmtree(os.path.join(out, t, "part=1"))
+    os.remove(mf.manifest_path(out, 1))
+    build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_built"] == 1
+    build_graph_resumable(shards, tax, fresh, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    got, want = _all_tables(out), _all_tables(fresh)
+    assert set(got) == {"linked", "pairs", "triples", "edges", "nodes"}
+    for name in want:
+        assert got[name].num_rows > 0 and got[name].equals(want[name]), name
+
+
+def test_taxonomy_change_rebuilds_every_partition(ray_session, sharded_pages,
+                                                  tmp_path):
+    # the manifests record a digest of the taxonomy columns the narrow
+    # chain reads: new categories change the pair relations, so a resume
+    # must rebuild every partition and equal a fresh build
+    shards, tax = sharded_pages
+    out, fresh = str(tmp_path / "kg"), str(tmp_path / "fresh")
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer")
+    before = _all_tables(out)
+    cats = tax["category"].to_pylist()
+    tax2 = tax.set_column(tax.schema.get_field_index("category"), "category",
+                          pa.array(cats[1:] + cats[:1], type=pa.string()))
+    build_graph_resumable(shards, tax2, out, num_partitions=2,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_built"] == 2
+    build_graph_resumable(shards, tax2, fresh, num_partitions=2,
+                          link_mode="gazetteer")
+    got, want = _all_tables(out), _all_tables(fresh)
+    for name in want:
+        assert got[name].equals(want[name]), name
+    assert not got["pairs"].equals(before["pairs"])
+    # row order does not change the digest
+    assert mf.taxonomy_digest(tax2) == mf.taxonomy_digest(
+        tax2.take(pa.array(range(tax2.num_rows - 1, -1, -1))))
+
+
+def test_finals_read_linked_once_with_one_sort(ray_session, sharded_pages,
+                                               tmp_path, monkeypatch):
+    # with every partition valid only the finals run: one read of
+    # linked/ (never pairs/), one sort and one multi-table write, which
+    # executes the whole plan once (write_datasink materializes it)
+    import ray.data as rd
+
+    shards, tax = sharded_pages
+    out = str(tmp_path / "kg")
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer")
+    first = _table_sets(out)
+    seen = []
+    for name in ("sort", "write_datasink", "write_parquet"):
+        real = getattr(rd.Dataset, name)
+
+        def spy(self, *a, _name=name, _real=real, **kw):
+            seen.append(_name)
+            return _real(self, *a, **kw)
+        monkeypatch.setattr(rd.Dataset, name, spy)
+    real_read = rd.read_parquet
+
+    def read_spy(path, *a, **kw):
+        seen.append(("read", os.path.relpath(path, out)))
+        return real_read(path, *a, **kw)
+    monkeypatch.setattr(rd, "read_parquet", read_spy)
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_skipped"] == 2
+    assert seen == [("read", "linked"), "sort", "write_datasink"]
+    got = _table_sets(out)
+    assert all(got[k].equals(first[k]) for k in first)
+
+
+def test_unlinked_pages_write_typed_empty_finals(ray_session, sharded_pages,
+                                                 tmp_path):
+    from fashion_knowledge_graph_ray.pipelines.build_graph import (
+        _EDGES_OUT_SCHEMA,
+    )
+    from fashion_knowledge_graph_ray.schemas import (
+        NODES_SCHEMA,
+        TRIPLES_SCHEMA,
+    )
+
+    shards, tax = sharded_pages
+    # one entity whose surface no page mentions
+    lone = tax.slice(0, 1)
+    for col, val in (("surface", ["zzqxv"]), ("aliases", [[]])):
+        lone = lone.set_column(lone.schema.get_field_index(col), col,
+                               pa.array(val, type=lone.schema.field(col).type))
+    out = str(tmp_path / "kg")
+    build_graph_resumable(shards, lone, out, num_partitions=2,
+                          link_mode="gazetteer")
+    assert pq.read_table(os.path.join(out, "linked"),
+                         partitioning=None).num_rows > 0
+    for name, schema in (("nodes", NODES_SCHEMA),
+                         ("edges", _EDGES_OUT_SCHEMA),
+                         ("triples", TRIPLES_SCHEMA)):
+        t = pq.read_table(os.path.join(out, name))
+        assert t.num_rows == 0 and t.schema.equals(schema), name
