@@ -573,12 +573,12 @@ def _q_stratified_sample_docs(sf_dir: str):
 def _q_pack_bins_docs(sf_dir: str):
     # GPT-style sequence packing: concatenate docs in doc_id order, cut
     # every 512 tokens; bin = the cut containing the doc's first token.
-    # Distributed prefix sum: range partials + driver exclusive prefix +
-    # broadcast offsets (stages/corpus.py module docstring)
+    # Distributed prefix sum: one sort, per-block token totals to the
+    # driver, offsets added per block (bucketed.prefix_scan)
     from fashion_knowledge_graph_ray.stages.corpus import pack_bins
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"], blocks=64)
-    return pack_bins(docs, 512, num_ranges=16)
+    return pack_bins(docs, 512)
 
 
 def _q_token_freq_docs(sf_dir: str):
@@ -853,8 +853,8 @@ def _q_tfidf_topk_docs(sf_dir: str):
 
 def _q_shuffle_rank_docs(sf_dir: str):
     # deterministic global training shuffle: rank every doc by md5(id)
-    # via the sample-partitioned global-index primitive (zipWithIndex);
-    # seed-free, partitioning-independent, one bucketed exchange
+    # via the global-index primitive (zipWithIndex) over one sort;
+    # seed-free, partitioning-independent
     from fashion_knowledge_graph_ray.stages.corpus import with_global_index
     from fashion_knowledge_graph_ray.stages.relational import md5_of_id
 
@@ -867,8 +867,7 @@ def _q_shuffle_rank_docs(sf_dir: str):
 
     keyed = docs.map_batches(add_key, batch_format="pyarrow",
                              zero_copy_batch=True)
-    out = with_global_index(keyed, "md5k", index_col="shuffle_pos",
-                            num_ranges=16)
+    out = with_global_index(keyed, "md5k", index_col="shuffle_pos")
     return out.map_batches(lambda t: t.select(["doc_id", "shuffle_pos"]),
                            batch_format="pyarrow", zero_copy_batch=True)
 
@@ -898,13 +897,12 @@ def _q_band_join_events(sf_dir: str):
 
 
 def _q_quantiles_events(sf_dir: str):
-    # exact distributed quantiles by range-partitioned rank selection —
-    # no full sort, the driver sees only per-range counts
+    # exact distributed quantiles by rank selection over one sort of the
+    # value column — the driver sees only per-block counts
     from fashion_knowledge_graph_ray.stages.corpus import exact_quantiles
 
     ev = _read(sf_dir, "events", ["value"], blocks=64)
-    return exact_quantiles(ev, "value", _QUANTILES_PERMILLE,
-                           num_ranges=32)
+    return exact_quantiles(ev, "value", _QUANTILES_PERMILLE)
 
 
 def _quantiles_events_sql() -> str:

@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.vectors import cosine_topk, hash_embed
+from ..stages.bucketed import bucketed_aggregate
 from ..vocab import REL_COMPLEMENTED_BY, REL_WORN_WITH
 
 RRF_K0 = 60  # reference recommender.py:334
@@ -101,7 +102,7 @@ def rrf_scores(rankings: list[list[str]], k0: int = RRF_K0) -> list[tuple[str, f
 def rrf_fusion_ds(ranked_ds, *, id_col: str = "id", rank_col: str = "rank",
                   k0: int = RRF_K0, top_k: int | None = None):
     """Dataset RRF: rows (id, rank) possibly from several source lists ->
-    (id, rrf_score) sorted desc. groupby-sum over rank-scored rows."""
+    (id, rrf_score) sorted desc. A keyed sum over rank-scored rows."""
 
     def score(t: pa.Table) -> pa.Table:
         r = t[rank_col].cast(pa.float64())
@@ -110,10 +111,8 @@ def rrf_fusion_ds(ranked_ds, *, id_col: str = "id", rank_col: str = "rank",
 
     scored = ranked_ds.map_batches(score, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    from ray.data.aggregate import Sum
-
-    agg = scored.groupby(id_col).aggregate(Sum("rrf_score",
-                                               alias_name="rrf_score"))
+    agg = bucketed_aggregate(scored, [id_col],
+                             {"rrf_score": ("rrf_score", "sum")})
     out = agg.sort(["rrf_score", id_col], descending=[True, False])
     return out.limit(top_k) if top_k else out
 

@@ -2,7 +2,9 @@
 two-sided keyed exchanges (``bucketed_group_apply`` for one input,
 ``bucketed_cogroup`` for two, ``bucketed_aggregate`` for a decomposable
 keyed aggregate over one input, and ``bucketed_write_kinds`` for several
-tables, each on its own key, reduced and written in one execution).
+tables, each on its own key, reduced and written in one execution), and
+the one ordered exchange, ``prefix_scan`` (a global sort plus an exclusive
+prefix sum, the scan under packing, quantiles and global row indexes).
 
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
@@ -342,3 +344,60 @@ def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
             zero_copy_batch=True))
     return both.sort(BUCKET_COL).map_batches(
         apply, batch_format="pyarrow", batch_size=None)
+
+
+def _block_total(t: pa.Table, weight_col: str | None) -> tuple[int, int]:
+    # an empty sort partition has no columns, so no weight column either
+    if weight_col is None or not t.num_rows:
+        return t.num_rows, t.num_rows
+    return t.num_rows, int(pc.sum(t[weight_col]).as_py() or 0)
+
+
+def _add_prefix(t: pa.Table, offset: int, out_col: str,
+                weight_col: str | None) -> pa.Table:
+    if weight_col is None:
+        pos = np.arange(t.num_rows, dtype=np.int64)
+    else:
+        w = t[weight_col].fill_null(0).to_numpy(zero_copy_only=False)
+        pos = np.cumsum(w, dtype=np.int64) - w
+    return t.append_column(out_col, pa.array(offset + pos, type=pa.int64()))
+
+
+def prefix_scan(ds, order_col: str, out_col: str,
+                weight_col: str | None = None):
+    """The ordered scan: ``ds`` sorted ascending on ``order_col`` with an
+    int64 ``out_col`` appended, the exclusive prefix sum of ``weight_col``
+    (an integer column; nulls count 0) in that order, or the 0-based row
+    position when ``weight_col`` is None.
+
+    ``Dataset.sort`` is the one exchange: its sampled range partitioner
+    cuts on the data, so a skewed column still spreads over many blocks.
+    The sorted blocks come back in order (``to_arrow_refs``), one task per
+    block reports its total, the driver takes the exclusive prefix of those
+    B integers, and one task per block adds its offset to its in-block
+    exclusive cumsum. Offsets follow the block order, never a block's first
+    key: equal keys may fill several blocks. Rows with equal ``order_col``
+    values come out in an order that depends on the partitioning.
+
+    Sorting an empty input gives column-less 0-row blocks, which are
+    skipped; an empty input gives a typed empty table of ``ds.schema()``
+    plus ``out_col``."""
+    import ray
+    import ray.data as rd
+
+    refs = ds.sort(order_col).to_arrow_refs()
+    total = ray.remote(_block_total)
+    counts = ray.get([total.remote(r, weight_col) for r in refs])
+    add = ray.remote(_add_prefix)
+    out, acc = [], 0
+    for r, (rows, block_total) in zip(refs, counts):
+        if rows:
+            out.append(add.remote(r, acc, out_col, weight_col))
+            acc += block_total
+    if out:
+        return rd.from_arrow_refs(out)
+    s = ds.schema()
+    if s is None:  # nothing upstream left a schema to type the result by
+        return ds.limit(0)
+    return rd.from_arrow(pa.schema(
+        list(zip(s.names, s.types)) + [(out_col, pa.int64())]).empty_table())

@@ -11,19 +11,18 @@ Scale shapes
 ------------
 ``pack_bins`` is the GPT-style "concatenate all documents in a fixed
 order, split every ``budget`` tokens" packing. The global prefix sum
-runs as the classic three-step distributed scan:
+runs as the classic distributed scan, ``bucketed.prefix_scan``:
 
 1. one narrow pass computes per-doc token counts (id + int per row);
-2. range-partition on the order key, aggregate ONE partial sum per
-   range (R rows total — tiny), exclusive-prefix those R sums on the
-   driver and broadcast the offsets;
-3. a per-range ``map_groups`` sorts its slice locally and adds its
-   range's offset to the local cumulative sum.
+2. one ``Dataset.sort`` on the order key range-partitions that
+   projection (never text), cutting on a sample of the keys, so skewed
+   or gappy ids still spread over many blocks;
+3. the driver takes one token total per sorted block (B integers),
+   exclusive-prefixes them, and one task per block adds its offset to
+   the block's local cumulative sum.
 
-Only step 3 shuffles, and only the (id, n_tokens) projection — never
-text. Range boundaries are uniform over [min,max] of the key, which is
-balanced for dense ids (the common "doc_id assigned at ingest" case);
-for skewed keys pass explicit ``boundaries`` (e.g. sampled quantiles).
+``exact_quantiles`` and ``with_global_index`` are the same scan with row
+counts in place of token counts.
 
 ``token_freq_scores`` is the CCNet-style corpus-statistics scorer: pass
 1 is the distributed word count (per-batch Counter partials, bucketed
@@ -39,14 +38,11 @@ the operator exactly SQL-equivalent.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textstats import tokens
-from .bucketed import bucketed_aggregate, bucketed_group_apply
-
-_RANGE_COL = "__range"
+from .bucketed import bucketed_aggregate, bucketed_group_apply, prefix_scan
 
 
 def _token_count_batch(t: pa.Table, text_col: str, id_col: str) -> pa.Table:
@@ -58,8 +54,7 @@ def _token_count_batch(t: pa.Table, text_col: str, id_col: str) -> pa.Table:
 
 
 def pack_bins(docs_ds, budget: int, *, text_col: str = "text",
-              id_col: str = "doc_id", num_ranges: int = 64,
-              boundaries: list[int] | None = None):
+              id_col: str = "doc_id"):
     """Assign each document to a fixed-token-budget training bin.
 
     Documents are laid out in ascending ``id_col`` order and the
@@ -70,81 +65,31 @@ def pack_bins(docs_ds, budget: int, *, text_col: str = "text",
     ``start_offset`` = total tokens of all earlier documents and
     ``bin_id = start_offset // budget``.
 
-    The prefix sum is computed with range partials + driver exclusive
-    prefix + broadcast offsets (see module docstring); the driver holds
-    ``num_ranges`` integers, never row data.
+    The prefix sum is ``prefix_scan`` over the (id, n_tokens) projection
+    (see module docstring); the driver holds one integer per sorted
+    block, never row data.
     """
-    import ray
-    from ray.data.aggregate import Max, Min
+    import ray.data as rd
 
     if budget <= 0:
         raise ValueError("budget must be positive")
 
     narrow = docs_ds.map_batches(
         lambda t: _token_count_batch(t, text_col, id_col),
-        batch_format="pyarrow", zero_copy_batch=True)
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
+    if not narrow.count():  # no block reached the maps: type the result
+        s = docs_ds.schema()
+        return rd.from_arrow(pa.schema(
+            [(id_col, s.types[s.names.index(id_col)])]
+            + [(c, pa.int64()) for c in ("n_tokens", "start_offset", "bin_id")]
+        ).empty_table())
 
-    # Materialize once: reused for range stats AND the final scan. Rows
-    # are (int64, int64) — ~16 B/doc, object-store resident, not driver.
-    narrow = narrow.materialize()
+    def bins(t: pa.Table) -> pa.Table:
+        start = t["start_offset"].to_numpy(zero_copy_only=False)
+        return t.append_column("bin_id", pa.array(start // budget))
 
-    if boundaries is None:
-        lohi = narrow.aggregate(Min(id_col), Max(id_col))
-        lo, hi = lohi[f"min({id_col})"], lohi[f"max({id_col})"]
-        if lo is None:  # empty input
-            return narrow.map_batches(
-                lambda t: t.append_column(
-                    "start_offset", pa.array([], type=pa.int64()))
-                .append_column("bin_id", pa.array([], type=pa.int64())),
-                batch_format="pyarrow")
-        span = max(1, (int(hi) - int(lo) + num_ranges) // num_ranges)
-        bounds = [int(lo) + span * i for i in range(1, num_ranges)]
-    else:
-        bounds = sorted(boundaries)
-
-    bounds_arr = np.asarray(bounds, dtype=np.int64)
-
-    def tag(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        r = np.searchsorted(bounds_arr, ids, side="right")
-        return t.append_column(_RANGE_COL, pa.array(r, type=pa.int64()))
-
-    tagged = narrow.map_batches(tag, batch_format="pyarrow",
-                                zero_copy_batch=True)
-
-    # one int64 partial per range -> driver exclusive prefix
-    sums = tagged.groupby(_RANGE_COL).sum("n_tokens").take_all()
-    per_range = {int(r[_RANGE_COL]): int(r["sum(n_tokens)"]) for r in sums}
-    offsets = {}
-    acc = 0
-    for rid in sorted(per_range):
-        offsets[rid] = acc
-        acc += per_range[rid]
-    off_ref = ray.put(offsets) if ray.is_initialized() else offsets
-
-    out_schema = pa.schema([
-        pa.field(id_col, pa.int64()), pa.field("n_tokens", pa.int64()),
-        pa.field("start_offset", pa.int64()), pa.field("bin_id", pa.int64()),
-    ])
-
-    def scan(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:  # empty sort partition: keep schema stable
-            return out_schema.empty_table()
-        offs = off_ref if isinstance(off_ref, dict) else ray.get(off_ref)
-        rid = int(group[_RANGE_COL][0].as_py())
-        idx = pc.sort_indices(group, sort_keys=[(id_col, "ascending")])
-        g = group.take(idx)
-        n = g["n_tokens"].to_numpy(zero_copy_only=False)
-        start = offs[rid] + np.concatenate(([0], np.cumsum(n)[:-1]))
-        return pa.table({
-            id_col: g[id_col],
-            "n_tokens": g["n_tokens"],
-            "start_offset": pa.array(start, type=pa.int64()),
-            "bin_id": pa.array(start // budget, type=pa.int64()),
-        })
-
-    return tagged.groupby(_RANGE_COL).map_groups(
-        scan, batch_format="pyarrow")
+    return prefix_scan(narrow, id_col, "start_offset", "n_tokens") \
+        .map_batches(bins, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def corpus_token_counts(docs_ds, *, text_col: str = "text"):
@@ -213,10 +158,9 @@ def token_freq_scores(docs_ds, stats_ds=None, *, text_col: str = "text",
                                zero_copy_batch=True)
 
 
-def exact_quantiles(ds, col: str, qs_permille: list[int], *,
-                    num_ranges: int = 64):
-    """EXACT distributed quantiles by rank selection — no full sort, no
-    driver materialization of values.
+def exact_quantiles(ds, col: str, qs_permille: list[int]):
+    """EXACT distributed quantiles by rank selection — the driver never
+    holds values.
 
     For each ``p`` in ``qs_permille`` the result row is the value at
     1-based rank ``max(1, ceil(p*n/1000))`` of the column sorted
@@ -225,85 +169,43 @@ def exact_quantiles(ds, col: str, qs_permille: list[int], *,
     bit-identical across engines (``0.1*n`` in binary floating point is
     not, and DuckDB would evaluate it in decimal).
 
-    Shape: one narrow pass projects the column; values range-partition on
-    uniform [min,max] cuts; per-range COUNTS (``num_ranges`` ints) come
-    to the driver, which locates each target rank's range and local rank;
-    only the ranges that hold a target sort locally and pick their
-    element. The driver never holds values, and the exchange is one
-    groupby of the single-column projection. Uniform cuts assume a
-    roughly uniform value distribution (fine for scores/measures); for
-    heavy skew the same machinery accepts more ranges.
+    Shape: one narrow pass projects and materializes the column (n is
+    its row count), ``prefix_scan`` gives every value its 0-based sorted
+    position, and each block keeps the rows at a target rank. The
+    exchange is one sort of the single-column projection.
 
     Returns a tiny Dataset: ``(q_permille, rank, value)``.
     """
-    import math
-
-    import ray
+    import ray.data as rd
 
     narrow = ds.select_columns([col]).materialize()
+    n = narrow.count()
     out_schema = pa.schema([
         pa.field("q_permille", pa.int64()), pa.field("rank", pa.int64()),
-        pa.field("value", ds.schema().types[ds.schema().names.index(col)]),
+        pa.field("value", narrow.schema().types[0]),
     ])
-
-    from ray.data.aggregate import Max, Min
-
-    lohi = narrow.aggregate(Min(col), Max(col))
-    if lohi is None or lohi[f"min({col})"] is None:  # empty input
-        import ray.data as rd
-
+    if not n:
         return rd.from_arrow(out_schema.empty_table())
-    lo, hi = float(lohi[f"min({col})"]), float(lohi[f"max({col})"])
-    if math.isfinite(lo) and math.isfinite(hi) and hi > lo:
-        step = (hi - lo) / num_ranges
-        bounds = np.array([lo + step * i for i in range(1, num_ranges)])
-    else:
-        bounds = np.array([])  # constant/degenerate column: one range
-
-    def tag(t: pa.Table) -> pa.Table:
-        v = t[col].to_numpy(zero_copy_only=False)
-        r = np.searchsorted(bounds, v, side="right")
-        return t.append_column(_RANGE_COL, pa.array(r, type=pa.int64()))
-
-    tagged = narrow.map_batches(tag, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    counts = {int(r[_RANGE_COL]): int(r["count()"])
-              for r in tagged.groupby(_RANGE_COL).count().take_all()}
-    n = sum(counts.values())  # total rows, free from the range counts
-
-    targets: dict[int, list[tuple[int, int]]] = {}
-    cum = 0
     ranks = {p: max(1, -(-p * n // 1000)) for p in qs_permille}
-    for rid in sorted(counts):
-        cnt = counts[rid]
-        for p, k in ranks.items():
-            if cum < k <= cum + cnt:
-                targets.setdefault(rid, []).append((p, k - cum))
-        cum += cnt
-    t_ref = ray.put(targets) if ray.is_initialized() else targets
+    at: dict[int, list[int]] = {}  # 0-based position -> its per-milles
+    for p, k in ranks.items():
+        at.setdefault(k - 1, []).append(p)
 
-    def pick(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return out_schema.empty_table()
-        tg = t_ref if isinstance(t_ref, dict) else ray.get(t_ref)
-        rid = int(group[_RANGE_COL][0].as_py())
-        want = tg.get(rid)
-        if not want:
-            return out_schema.empty_table()
-        v = np.sort(group[col].to_numpy(zero_copy_only=False))
-        return pa.table({
-            "q_permille": pa.array([p for p, _ in want], type=pa.int64()),
-            "rank": pa.array([ranks[p] for p, _ in want], type=pa.int64()),
-            "value": pa.array([v[lk - 1] for _, lk in want],
-                              type=out_schema.field("value").type),
-        })
+    def pick(t: pa.Table) -> pa.Table:
+        hit = t.filter(pc.is_in(t["__pos"], pa.array(list(at), pa.int64())))
+        pos = hit["__pos"].to_pylist()
+        return pa.Table.from_arrays([
+            pa.array([p for q in pos for p in at[q]], pa.int64()),
+            pa.array([q + 1 for q in pos for _ in at[q]], pa.int64()),
+            hit[col].take(pa.array(
+                [i for i, q in enumerate(pos) for _ in at[q]], pa.int64())),
+        ], schema=out_schema)
 
-    return tagged.groupby(_RANGE_COL).map_groups(
-        pick, batch_format="pyarrow")
+    return prefix_scan(narrow, col, "__pos").map_batches(
+        pick, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def with_global_index(ds, order_col: str, *, index_col: str = "index",
-                      num_ranges: int = 64):
+def with_global_index(ds, order_col: str, *, index_col: str = "index"):
     """Attach a contiguous 0-based global rank by ascending ``order_col``
     (the zipWithIndex / row_number primitive Ray Data lacks) — used for
     deterministic corpus shuffling (rank by ``md5(id)``) and training
@@ -313,66 +215,11 @@ def with_global_index(ds, order_col: str, *, index_col: str = "index",
     of one) so the total order — and therefore every rank — is unique
     and partitioning-independent.
 
-    Scale shape: range boundaries come from a per-block sample (up to
-    8 evenly spaced sorted keys per block — the
-    TeraSort partitioner; sampling skew only affects load balance, never
-    ranks); per-range COUNTS roll up to the driver (``num_ranges`` ints)
-    for an exclusive prefix, and each range sorts locally and adds its
-    offset. One bucketed exchange of the full rows; the driver never
+    Scale shape: ``prefix_scan`` of the row counts — one sort of the full
+    rows, one count per sorted block to the driver; the driver never
     holds row data.
     """
-    import ray
-
-    def sample_keys(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"k": pa.array([], type=t[order_col].type)})
-        arr = t[order_col]
-        idx = pc.sort_indices(arr)
-        take = np.linspace(0, t.num_rows - 1,
-                           min(8, t.num_rows)).astype(int)
-        return pa.table({"k": arr.take(idx.take(pa.array(take)))})
-
-    sample = [r["k"] for r in
-              ds.map_batches(sample_keys, batch_format="pyarrow",
-                             zero_copy_batch=True).take_all()]
-    sample.sort()
-    if len(sample) > 1:
-        cut_idx = np.linspace(0, len(sample) - 1, num_ranges + 1)[1:-1]
-        bounds = sorted({sample[int(i)] for i in cut_idx})
-    else:
-        bounds = []
-
-    def tag(t: pa.Table) -> pa.Table:
-        if not bounds:
-            r = np.zeros(t.num_rows, dtype=np.int64)
-        else:
-            keys = np.asarray(t[order_col].to_pylist())
-            r = np.searchsorted(np.asarray(bounds), keys, side="right")
-        return t.append_column(_RANGE_COL, pa.array(r, type=pa.int64()))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    counts = {int(r[_RANGE_COL]): int(r["count()"])
-              for r in tagged.groupby(_RANGE_COL).count().take_all()}
-    offsets, acc = {}, 0
-    for rid in sorted(counts):
-        offsets[rid] = acc
-        acc += counts[rid]
-    off_ref = ray.put(offsets) if ray.is_initialized() else offsets
-
-    def assign(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return group.drop_columns([_RANGE_COL]).append_column(
-                index_col, pa.array([], type=pa.int64()))
-        offs = off_ref if isinstance(off_ref, dict) else ray.get(off_ref)
-        rid = int(group[_RANGE_COL][0].as_py())
-        idx = pc.sort_indices(group, sort_keys=[(order_col, "ascending")])
-        g = group.take(idx).drop_columns([_RANGE_COL])
-        return g.append_column(index_col, pa.array(
-            offs[rid] + np.arange(g.num_rows), type=pa.int64()))
-
-    return tagged.groupby(_RANGE_COL).map_groups(
-        assign, batch_format="pyarrow")
+    return prefix_scan(ds, order_col, index_col)
 
 
 def doc_frequencies(docs_ds, *, text_col: str = "text"):

@@ -76,7 +76,7 @@ def test_exact_quantiles_uniform(ray_session):
     vals = rng.normal(50, 20, size=5000)
     ds = rd.from_arrow(pa.table({"value": pa.array(vals)})).repartition(9)
     permilles = [1, 100, 500, 900, 999, 1000]
-    out = exact_quantiles(ds, "value", permilles, num_ranges=16) \
+    out = exact_quantiles(ds, "value", permilles) \
         .to_pandas().set_index("q_permille")
     exp = _seq_quantiles(vals, permilles)
     assert len(out) == len(permilles)
@@ -90,13 +90,13 @@ def test_exact_quantiles_constant_and_duplicates(ray_session):
     # duplicates must still select by exact rank
     vals = [5.0] * 400 + [7.0] * 100
     ds = rd.from_arrow(pa.table({"value": pa.array(vals)})).repartition(5)
-    out = exact_quantiles(ds, "value", [500, 950], num_ranges=8) \
+    out = exact_quantiles(ds, "value", [500, 950]) \
         .to_pandas().set_index("q_permille")
     assert out.loc[500, "value"] == 5.0
     assert out.loc[950, "value"] == 7.0
 
     const = rd.from_arrow(pa.table({"value": pa.array([2.5] * 100)}))
-    out2 = exact_quantiles(const, "value", [500], num_ranges=8).to_pandas()
+    out2 = exact_quantiles(const, "value", [500]).to_pandas()
     assert len(out2) == 1 and out2.iloc[0]["value"] == 2.5
 
 

@@ -4,13 +4,15 @@ per-key groupby. ``bucketed_cogroup``: the same for two inputs, checked
 against a brute-force pandas grouping of both sides. ``bucketed_aggregate``:
 every op against a brute-force pandas grouping, with either bucket hash.
 ``bucketed_write_kinds``: several tables through one exchange, each key of
-each table whole in one call, against a pandas grouping."""
+each table whole in one call, against a pandas grouping. ``prefix_scan``:
+a numpy exclusive cumsum in sorted order, on skewed and duplicate keys."""
 
 from __future__ import annotations
 
 import uuid
 from collections import defaultdict
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -24,6 +26,7 @@ from fashion_knowledge_graph_ray.stages.bucketed import (
     bucketed_cogroup,
     bucketed_group_apply,
     bucketed_write_kinds,
+    prefix_scan,
     tag_kinds,
 )
 
@@ -407,3 +410,31 @@ def test_value_counts_without_polars_counts_nulls(ray_session,
     assert got == dict(zip(vc.field("values").to_pylist(),
                            vc.field("counts").to_pylist()))
     assert got[None] == 60
+
+
+def test_prefix_scan_matches_numpy(ray_session):
+    import ray
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    n = 4000
+    skewed = np.append(rng.random(n - 1) * 1000, 1e9)  # one far outlier
+    dups = rng.integers(0, 3, n).astype(np.float64)    # 3 distinct values
+    w = rng.integers(1, 50, n)
+    for keys, blocks in ((skewed, 20), (dups, 40)):
+        t = pa.table({"k": keys, "w": w, "i": np.arange(n)})
+        ds = rd.from_arrow(t).repartition(blocks)
+        for weight in (None, "w"):
+            out = prefix_scan(ds, "k", "pos", weight)
+            got = out.to_pandas().sort_values("pos")
+            step = np.ones(n, np.int64) if weight is None \
+                else got["w"].to_numpy()
+            assert got["pos"].tolist() == (np.cumsum(step) - step).tolist()
+            assert got["k"].tolist() == np.sort(keys).tolist()
+            # every input row exactly once, its columns untouched
+            assert sorted(zip(got["i"], got["k"], got["w"])) == \
+                sorted(zip(range(n), keys, w))
+            assert list(out.schema().names) == ["k", "w", "i", "pos"]
+        if keys is skewed:  # the sampled cuts spread the skewed column
+            sizes = [b.num_rows for b in ray.get(out.to_arrow_refs())]
+            assert sum(1 for x in sizes if x) > 1

@@ -33,7 +33,7 @@ def _docs(n=200, seed=7):
 def test_pack_bins_matches_sequential(ray_session):
     tbl = _docs()
     ds = rd.from_arrow(tbl).repartition(9)
-    out = pack_bins(ds, 32, num_ranges=7).to_pandas() \
+    out = pack_bins(ds, 32).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
 
     order = sorted(range(tbl.num_rows),
@@ -51,14 +51,22 @@ def test_pack_bins_matches_sequential(ray_session):
             == (n, start, b)
 
 
-def test_pack_bins_explicit_boundaries_same_result(ray_session):
+def test_pack_bins_same_result_for_any_block_layout(ray_session):
     tbl = _docs(80)
-    ds = rd.from_arrow(tbl).repartition(5)
-    a = pack_bins(ds, 16, num_ranges=4).to_pandas() \
+    a = pack_bins(rd.from_arrow(tbl), 16).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    b = pack_bins(ds, 16, boundaries=[40, 100, 170]).to_pandas() \
+    b = pack_bins(rd.from_arrow(tbl).repartition(5), 16).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert a.equals(b)
+
+
+def test_pack_bins_empty_input_is_typed(ray_session):
+    empty = pa.table({"doc_id": pa.array([], type=pa.int64()),
+                      "text": pa.array([], type=pa.string())})
+    out = pack_bins(rd.from_arrow(empty), 16)
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id", "n_tokens", "start_offset",
+                                  "bin_id"]
 
 
 def test_pack_bins_rejects_bad_budget(ray_session):
@@ -126,8 +134,8 @@ def test_with_global_index(ray_session):
     tbl = pa.table({"k": pa.array(keys, type=pa.string()),
                     "payload": pa.array(range(700), type=pa.int64())})
     out = with_global_index(
-        rd.from_arrow(tbl).repartition(8), "k", index_col="idx",
-        num_ranges=5).to_pandas().sort_values("idx")
+        rd.from_arrow(tbl).repartition(8), "k",
+        index_col="idx").to_pandas().sort_values("idx")
     # contiguous 0..n-1 ranks, ascending with the key order
     assert out["idx"].tolist() == list(range(700))
     assert out["k"].is_monotonic_increasing
@@ -144,6 +152,15 @@ def test_with_global_index_single_block(ray_session):
         .sort_values("index")
     assert out["k"].tolist() == ["a", "b", "c"]
     assert out["index"].tolist() == [0, 1, 2]
+
+
+def test_with_global_index_empty_input_is_typed(ray_session):
+    from fashion_knowledge_graph_ray.stages.corpus import with_global_index
+
+    empty = pa.table({"k": pa.array([], type=pa.string())})
+    out = with_global_index(rd.from_arrow(empty), "k")
+    assert out.count() == 0
+    assert out.schema().names == ["k", "index"]
 
 
 def test_tfidf_topk_matches_sequential(ray_session):
