@@ -231,7 +231,13 @@ def candidate_pairs(band_rows_ds, texts_ds, *,
     count routes to ``_verify_pairs_shuffle`` (even when the distinct
     count would fit the gate) — a fully bucketed semi-join +
     two-sided attach that never materializes anything on the driver, so a
-    duplicate-heavy crawl cannot OOM the coordinator."""
+    duplicate-heavy crawl cannot OOM the coordinator.
+
+    Both sides timed on the ``minhash_dedup_docs`` band rows (medians of
+    5 alternating runs, 4 CPUs, equal answers): sparse 0.71 s against
+    dense 1.33 s at sf0.01 (8,000 band rows), 9.60 s against 14.22 s at
+    sf0.1 (80,000 band rows). Both inputs sit far below the gate, so the
+    crossover is unmeasured."""
     import ray
     import ray.data
 
@@ -481,7 +487,13 @@ def connected_components(pairs_ds, nodes_ds, *, max_iters: int = 12,
     roughly square per round and ``max_iters=12`` covers any component a
     real machine can hold (diameter up to ~2^12 via doubling). If the
     label checksum is still changing after ``max_iters`` rounds the result
-    would be a silently-wrong partial clustering, so it raises instead."""
+    would be a silently-wrong partial clustering, so it raises instead.
+
+    Both sides timed on the ``minhash_dedup_docs`` pairs (medians of 5
+    alternating runs, 4 CPUs, equal answers): driver union-find 0.76 s
+    against distributed 1.74 s at sf0.01 (25 pairs), 0.81 s against
+    1.83 s at sf0.1 (256 pairs). Both inputs sit far below the gate, so
+    the crossover is unmeasured."""
     import ray
 
     pairs_ds = pairs_ds.materialize()

@@ -17,19 +17,15 @@ The floor quantization leaks ≤1 unit of mass per edge per iteration
 (bounded, deterministic); at scale=1e12 the relative error per iteration
 is ≤ E/1e12 of total mass — noise.
 
-Scale shape (per iteration, all tables narrow int64 columns):
-1. dangling mass = one filtered integer sum (aggregate, driver scalar);
-2. contributions = one hash-shuffle join of edges (src,dst) with the
-   rank state on src — per-batch pre-aggregation of (dst, contrib)
-   partials bounds hot destinations to one row per block;
-3. new state = one bucketed sum of partials left-joined onto the node
-   table (nodes with no in-edges keep the base mass).
-
-Above the broadcast gate the edge table is hash-partitioned by src ONCE
-into object-store shards that persist across iterations
-(``_pagerank_partitioned``); only the narrow (id, rank) state and
-(dst, contrib) partials move per iteration. Multigraph semantics:
-parallel (src,dst) duplicates each contribute; out-degree counts edges.
+Scale shape: one Ray Data execution materializes the narrow
+``(src, dst, w)`` edge table; raw tasks then hash-partition it by src
+ONCE into object-store shards that persist across iterations, each shard
+building its own node ids and out-mass from its edges and the dst ids
+routed to it. Per iteration only the narrow ``(dst, contrib)`` partials
+(per-shard pre-aggregated, so a hot destination is one row per shard)
+and the new ``(id, deg, rank)`` state shards move; dangling mass is one
+int per shard. Multigraph semantics: parallel (src,dst) duplicates each
+contribute; out-degree counts edges.
 """
 
 from __future__ import annotations
@@ -45,22 +41,9 @@ from .bucketed import (
 )
 
 
-def _distinct_ids(edges_ds, src_col: str, dst_col: str):
-    def explode(t: pa.Table) -> pa.Table:
-        ids = pa.concat_arrays([t[src_col].combine_chunks().cast(pa.int64()),
-                                t[dst_col].combine_chunks().cast(pa.int64())])
-        return pa.table({"id": ids})
-
-    return bucketed_aggregate(
-        edges_ds.map_batches(explode, batch_format="pyarrow",
-                             zero_copy_batch=True),
-        ["id"], {})
-
-
 def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
              weight_col: str | None = None, damping_pct: int = 85,
-             iters: int = 10, scale: int = 10 ** 12,
-             max_broadcast_nodes: int = 2_000_000):
+             iters: int = 10, scale: int = 10 ** 12):
     """Integer-quantized PageRank over a directed edge Dataset.
 
     Returns ``(id, rank)`` with ``rank`` in ``scale`` fixed-point units
@@ -81,21 +64,35 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     ``weight_col`` this ranks the engine's own KG edge table (weighted
     co-occurrence edges, stages/aggregate.py) directly.
 
-    Two regimes, identical results (same integer formula, switched on the
-    node count — the usual two-regime design of this engine):
+    One Ray Data execution (the narrow ``(src, dst, w)`` map,
+    materialized into B blocks), then raw Ray tasks: the Dataset API
+    cannot express "partition once, iterate in place" — a ``groupby``
+    re-exchanges its whole input every call — so this drops to the
+    engine's documented last-resort tier to pin the partitioning:
 
-    - **broadcast ranks** (n ≤ ``max_broadcast_nodes``): the rank vector
-      (8 B/node — 16 MB at the 2M default) broadcasts via ``ray.put``
-      each iteration; the STATIC materialized edge table streams through
-      a vectorized batch-local contribution kernel and ONE bucketed sum
-      per iteration collects per-dst totals (≤ n tiny rows) back to the
-      driver. Edges never re-shuffle.
-    - **persistent partitions** (above the gate): edges hash-partition
-      by src ONCE into object-store shards; per iteration only the
-      narrow (id, rank) state and (dst, contrib) partials move
-      (``_pagerank_partitioned``) — nothing driver-resident beyond B
-      refs, B being the block count of the edge table.
+    - **set-up, once**: each block splits into B edge pieces by
+      ``hash(src) % B`` and B dst-id pieces by ``hash(dst) % B``. Shard j
+      concatenates its edge pieces into an object-store shard that NEVER
+      moves again, and builds its own node state: ids = the distinct
+      sources plus routed dst ids, out-mass W = Σ w per source (every
+      edge of a source is in that source's shard). n = Σ shard sizes.
+    - **per iteration**: shard-local contribution kernels (vectorized
+      searchsorted join + the integer floor formula) emit per-bucket
+      ``(dst, contrib)`` partials via ``num_returns=B`` multi-returns —
+      the ONLY bytes that move are those narrow partials plus the new
+      state shards; dangling mass rides back as one int per shard.
+
+    Integer sums are order-independent, so ranks do not depend on B or
+    on the block layout; driver state is B refs + B ints. There is no
+    broadcast-ranks regime for small graphs: one (ranks ``ray.put`` plus
+    one sort exchange per iteration) was slower at every size measured,
+    medians on 4 CPUs: lineitem edges 0.86 / 1.48 / 5.10 s at sf0.001 /
+    sf0.01 / sf0.1 against 0.72 / 0.80 / 1.34 s here (5 iterations).
     """
+    import ray
+    import ray.data as rd
+
+    from .bucketed import BUCKET_COL, _polars_hash_ok, add_bucket_column
 
     def narrow(t: pa.Table) -> pa.Table:
         w = (t[weight_col].cast(pa.int64()) if weight_col
@@ -106,23 +103,104 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
 
     edges = edges_ds.map_batches(narrow, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
+    B = edges.num_blocks()
+    d = damping_pct
+    up = _polars_hash_ok()
 
-    nodes = _distinct_ids(edges, "src", "dst").materialize()
-    n = nodes.count()
+    def _typed(*cols: str) -> pa.Table:
+        return pa.table({c: pa.array([], type=pa.int64()) for c in cols})
+
+    def _split(tbl: pa.Table, key: str) -> list:
+        if B == 1:
+            return [tbl]
+        t = add_bucket_column(tbl, [key], use_polars=up)
+        bc = t[BUCKET_COL].to_numpy(zero_copy_only=False) % B
+        t = t.drop_columns([BUCKET_COL])
+        return [t.filter(pa.array(bc == j)) for j in range(B)]
+
+    def _split_block(t: pa.Table) -> tuple:
+        # Ray never maps a 0-row block, so the materialized narrow map can
+        # hold column-less empty blocks: they split into typed empties
+        if t.num_rows == 0:
+            t = _typed("src", "dst", "w")
+        ids = t.select(["dst"]).rename_columns(["id"])
+        return (*_split(t, "src"), *_split(ids, "id"))
+
+    def _setup(*pieces: pa.Table) -> tuple:
+        edge_t = pa.concat_tables(pieces[:B])
+        src = edge_t["src"].to_numpy(zero_copy_only=False)
+        ids = np.unique(np.concatenate(
+            [src, *(p["id"].to_numpy(zero_copy_only=False)
+                    for p in pieces[B:])]))
+        deg = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(deg, np.searchsorted(ids, src),
+                  edge_t["w"].to_numpy(zero_copy_only=False))
+        state = pa.table({"id": pa.array(ids, type=pa.int64()),
+                          "deg": pa.array(deg, type=pa.int64())})
+        return edge_t, state, len(ids)
+
+    def _contrib(edge_t: pa.Table, state_t: pa.Table):
+        import pandas as pd
+
+        out = _typed("dst", "contrib")
+        if edge_t.num_rows and state_t.num_rows:
+            # every src is co-located with its state row by the shared hash
+            dst, c = _contributions(
+                *(edge_t[k].to_numpy(zero_copy_only=False)
+                  for k in ("src", "dst", "w")),
+                *(state_t[k].to_numpy(zero_copy_only=False)
+                  for k in ("id", "deg", "rank")), d)
+            g = pd.DataFrame({"dst": dst, "contrib": c}) \
+                .groupby("dst", sort=True)["contrib"].sum()
+            out = pa.table({"dst": pa.array(g.index, type=pa.int64()),
+                            "contrib": pa.array(g.values, type=pa.int64())})
+        parts = _split(out, "dst")
+        # with num_returns=1 Ray hands the single return value (and its
+        # single ref) through unwrapped: one shard returns the bare table
+        return parts[0] if B == 1 else tuple(parts)
+
+    def _apply(state_t: pa.Table, base: int, *pieces: pa.Table) -> tuple:
+        ids = state_t["id"].to_numpy(zero_copy_only=False)
+        deg = state_t["deg"].to_numpy(zero_copy_only=False)
+        rank = np.full(len(ids), base, dtype=np.int64)
+        for p in pieces:
+            if p.num_rows:
+                np.add.at(rank, np.searchsorted(
+                    ids, p["dst"].to_numpy(zero_copy_only=False)),
+                    p["contrib"].to_numpy(zero_copy_only=False))
+        new_state = pa.table({"id": state_t["id"], "deg": state_t["deg"],
+                              "rank": pa.array(rank, type=pa.int64())})
+        return new_state, int(rank[deg == 0].sum())
+
+    split_block = ray.remote(num_returns=2 * B)(_split_block)
+    setup = ray.remote(num_returns=3)(_setup)
+    contrib = ray.remote(num_returns=B)(_contrib)
+    apply_ = ray.remote(num_returns=2)(_apply)
+
+    pieces = [split_block.remote(rb) for rb in edges.to_arrow_refs()]
+    shards = [setup.remote(*[p[j] for p in pieces],
+                           *[p[B + j] for p in pieces]) for j in range(B)]
+    edge_shards = [e for e, _, _ in shards]
+    del edges, pieces  # the shards hold the only copy the iterations read
+    n = sum(ray.get([k for _, _, k in shards]))
     if n == 0:
-        return nodes.map_batches(
-            lambda t: t.append_column("rank", pa.array([], type=pa.int64())),
-            batch_format="pyarrow")
+        return rd.from_arrow(_typed("id", "rank"))
 
-    # out-mass per src (Σ weights; = out-degree when unweighted)
-    degs = bucketed_aggregate(edges, ["src"], {"deg": ("w", "sum")}) \
-        .rename_columns({"src": "id"})
+    # the seed state is an apply with no partials: rank = scale // n
+    stepped = [apply_.remote(s, scale // n) for _, s, _ in shards]
+    for _ in range(iters):
+        dangling = sum(ray.get([g for _, g in stepped]))
+        base = (scale * (100 - d)) // (100 * n) + (dangling * d) // (100 * n)
+        state = [s for s, _ in stepped]
+        cons = [contrib.remote(edge_shards[j], state[j]) for j in range(B)]
+        cons = [[c] for c in cons] if B == 1 else cons
+        stepped = [apply_.remote(state[j], base,
+                                 *[cons[i][j] for i in range(B)])
+                   for j in range(B)]
 
-    if n <= max_broadcast_nodes:
-        return _pagerank_broadcast(edges, nodes, degs, n, damping_pct,
-                                   iters, scale)
-    return _pagerank_partitioned(edges, nodes, degs, n, damping_pct,
-                                 iters, scale)
+    return rd.from_arrow_refs([s for s, _ in stepped]).map_batches(
+        lambda t: t.select(["id", "rank"]),
+        batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _contributions(src, dst, w, ids, deg, rank, d):
@@ -147,201 +225,6 @@ def _contributions(src, dst, w, ids, deg, rank, d):
                       for r, ww, g in zip(sr, w, sd)], dtype=np.int64)
     mask = valid & (c > 0)
     return dst[mask], c[mask]
-
-
-def _pagerank_partitioned(edges, nodes, degs, n, d, iters, scale):
-    """Iteration-persistent hash-partitioned PageRank regime (above the
-    broadcast gate).
-
-    The Dataset API cannot express "partition once, iterate in place" —
-    a ``groupby`` re-exchanges its whole input every call — so this
-    regime drops to raw Ray tasks (the engine's documented last-resort
-    tier) to pin the partitioning:
-
-    - **setup, once**: the static narrow edge table is hash-partitioned
-      by ``hash(src) % B`` into B object-store shards (B = the block count
-      of the materialized edge table) that NEVER move again; the state
-      table (id, deg, rank) is partitioned by ``hash(id) % B``, so every
-      edge source is co-located with its rank.
-    - **per iteration**: shard-local contribution kernels (vectorized
-      searchsorted join + the integer floor formula) emit per-bucket
-      ``(dst, contrib)`` partials via ``num_returns=B`` multi-returns —
-      the ONLY bytes that move are those narrow partials plus the new
-      state shards; dangling mass rides back as one int per shard.
-
-    Bit-identical to the broadcast regime (integer sums are
-    order-independent); bounded driver state (B refs + B ints)."""
-    import ray
-    import ray.data as rd
-
-    from .bucketed import BUCKET_COL, _polars_hash_ok, add_bucket_column
-
-    B = edges.num_blocks()
-    up = _polars_hash_ok()
-
-    _empty_contrib = pa.table({"dst": pa.array([], type=pa.int64()),
-                               "contrib": pa.array([], type=pa.int64())})
-
-    def _split_by(tbl: pa.Table, key: str):
-        # B == 1: return the bare table — with num_returns=1 Ray hands the
-        # remote fn's single return value through unchanged, so a 1-tuple
-        # here would reach concat/_apply as a tuple instead of a table
-        if B == 1:
-            return tbl
-        t = add_bucket_column(tbl, [key], use_polars=up)
-        bc = t[BUCKET_COL].to_numpy(zero_copy_only=False) % B
-        t = t.drop_columns([BUCKET_COL])
-        return tuple(t.filter(pa.array(bc == j)) for j in range(B))
-
-    def _multi(remote_fn, *args):
-        refs = remote_fn.options(num_returns=B).remote(*args)
-        return refs if isinstance(refs, list) else [refs]
-
-    split_src = ray.remote(lambda tb: _split_by(tb, "src"))
-    split_id = ray.remote(lambda tb: _split_by(tb, "id"))
-    concat = ray.remote(lambda *ts: pa.concat_tables(ts))
-
-    # edges: partition ONCE; shards stay in the object store across all
-    # iterations
-    epieces = [_multi(split_src, rb) for rb in edges.to_arrow_refs()]
-    edge_shards = [concat.remote(*[p[j] for p in epieces])
-                   for j in range(B)]
-
-    npieces = [_multi(split_id, rb) for rb in nodes.to_arrow_refs()]
-    dpieces = [_multi(split_id, rb) for rb in degs.materialize()
-               .to_arrow_refs()]
-
-    def _seed(node_t: pa.Table, deg_t: pa.Table):
-        ids = np.sort(node_t["id"].to_numpy(zero_copy_only=False))
-        deg = np.zeros(len(ids), dtype=np.int64)
-        if deg_t.num_rows:
-            idx = np.searchsorted(ids,
-                                  deg_t["id"].to_numpy(zero_copy_only=False))
-            deg[idx] = deg_t["deg"].to_numpy(zero_copy_only=False)
-        state = pa.table({
-            "id": pa.array(ids, type=pa.int64()),
-            "deg": pa.array(deg, type=pa.int64()),
-            "rank": pa.array(np.full(len(ids), scale // n, dtype=np.int64),
-                             type=pa.int64())})
-        return state, int((scale // n) * int((deg == 0).sum()))
-
-    seed = ray.remote(num_returns=2)(_seed)
-    seeded = [seed.remote(concat.remote(*[p[j] for p in npieces]),
-                          concat.remote(*[p[j] for p in dpieces]))
-              for j in range(B)]
-    state = [s for s, _ in seeded]
-    dangle_refs = [g for _, g in seeded]
-
-    def _contrib(edge_t: pa.Table, state_t: pa.Table) -> tuple:
-        import pandas as pd
-
-        if edge_t.num_rows == 0 or state_t.num_rows == 0:
-            return _empty_contrib if B == 1 \
-                else tuple(_empty_contrib for _ in range(B))
-        # every src is co-located with its state row by the shared hash
-        dst, c = _contributions(
-            *(edge_t[k].to_numpy(zero_copy_only=False)
-              for k in ("src", "dst", "w")),
-            *(state_t[k].to_numpy(zero_copy_only=False)
-              for k in ("id", "deg", "rank")), d)
-        df = pd.DataFrame({"dst": dst, "contrib": c})
-        g = df.groupby("dst", sort=True)["contrib"].sum().reset_index()
-        out = pa.table({"dst": pa.array(g["dst"], type=pa.int64()),
-                        "contrib": pa.array(g["contrib"], type=pa.int64())})
-        return _split_by(out, "dst")
-
-    def _apply(state_t: pa.Table, base: int, *pieces: pa.Table):
-        ids = state_t["id"].to_numpy(zero_copy_only=False)
-        deg = state_t["deg"].to_numpy(zero_copy_only=False)
-        acc = np.zeros(len(ids), dtype=np.int64)
-        for p in pieces:
-            if p.num_rows:
-                idx = np.searchsorted(
-                    ids, p["dst"].to_numpy(zero_copy_only=False))
-                np.add.at(acc, idx,
-                          p["contrib"].to_numpy(zero_copy_only=False))
-        rank = acc + base
-        new_state = pa.table({
-            "id": state_t["id"], "deg": state_t["deg"],
-            "rank": pa.array(rank, type=pa.int64())})
-        return new_state, int(rank[deg == 0].sum())
-
-    contrib = ray.remote(_contrib)
-    apply_ = ray.remote(num_returns=2)(_apply)
-
-    for _ in range(iters):
-        dangling = sum(ray.get(dangle_refs))
-        base = (scale * (100 - d)) // (100 * n) + (dangling * d) // (100 * n)
-        cons = [_multi(contrib, edge_shards[j], state[j]) for j in range(B)]
-        stepped = [apply_.remote(state[j], base,
-                                 *[cons[i][j] for i in range(B)])
-                   for j in range(B)]
-        state = [s for s, _ in stepped]
-        dangle_refs = [g for _, g in stepped]
-
-    return rd.from_arrow_refs(state).map_batches(
-        lambda t: t.select(["id", "rank"]),
-        batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _pagerank_broadcast(edges, nodes, degs, n, d, iters, scale):
-    """Broadcast-ranks PageRank regime (see ``pagerank`` docstring).
-
-    Driver state: the sorted node-id array and one int64 rank vector
-    (8 B/node). Per iteration: ranks ``ray.put`` once; the static edge
-    table runs a vectorized contribution kernel (searchsorted src->index,
-    int64 multiply/divide, ``_contributions``); one bucketed sum of the
-    contributions streams ≤ n (dst, contrib) rows back.
-    """
-    import ray
-    import ray.data as rd
-
-    ids_sorted = np.sort(np.concatenate(
-        [b["id"].to_numpy(zero_copy_only=False) for b in
-         nodes.iter_batches(batch_format="pyarrow")] or
-        [np.array([], dtype=np.int64)]))
-    deg_arr = np.zeros(n, dtype=np.int64)
-    for b in degs.iter_batches(batch_format="pyarrow"):
-        idx = np.searchsorted(ids_sorted,
-                              b["id"].to_numpy(zero_copy_only=False))
-        deg_arr[idx] = b["deg"].to_numpy(zero_copy_only=False)
-    ids_ref = ray.put((ids_sorted, deg_arr)) if ray.is_initialized() \
-        else (ids_sorted, deg_arr)
-
-    rank = np.full(n, scale // n, dtype=np.int64)
-    dangling_mask = deg_arr == 0
-
-    for _ in range(iters):
-        dangling = int(rank[dangling_mask].sum())
-        base = (scale * (100 - d)) // (100 * n) + (dangling * d) // (100 * n)
-        rank_ref = ray.put(rank) if ray.is_initialized() else rank
-
-        def contrib_batch(t: pa.Table) -> pa.Table:
-            ids_s, degs_s = (ray.get(ids_ref)
-                             if not isinstance(ids_ref, tuple) else ids_ref)
-            rk = rank_ref if isinstance(rank_ref, np.ndarray) \
-                else ray.get(rank_ref)
-            dst, c = _contributions(
-                *(t[k].to_numpy(zero_copy_only=False)
-                  for k in ("src", "dst", "w")), ids_s, degs_s, rk, d)
-            return pa.table({"dst": pa.array(dst, type=pa.int64()),
-                             "contrib": pa.array(c, type=pa.int64())})
-
-        sums = bucketed_aggregate(
-            edges.map_batches(contrib_batch, batch_format="pyarrow",
-                              zero_copy_batch=True),
-            ["dst"], {"contrib": ("contrib", "sum")})
-        acc = np.zeros(n, dtype=np.int64)
-        for b in sums.iter_batches(batch_format="pyarrow"):
-            idx = np.searchsorted(ids_sorted,
-                                  b["dst"].to_numpy(zero_copy_only=False))
-            acc[idx] = b["contrib"].to_numpy(zero_copy_only=False)
-        rank = base + acc
-
-    return rd.from_arrow(pa.table({
-        "id": pa.array(ids_sorted, type=pa.int64()),
-        "rank": pa.array(rank, type=pa.int64()),
-    }))
 
 
 def triangle_counts(edges_ds, *, src_col: str = "src",
@@ -370,9 +253,18 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
     ``max_broadcast_nodes`` (8–30 B/node); above the gate step 3 becomes
     two ``shuffle_join``s against the degree table (same orientation
     rule, nothing driver-resident). Ids may be any hashable Arrow type
-    (the KG's string entity ids included).
+    (the KG's string entity ids included); with no triangle the result
+    is a typed empty table, ``id`` typed as ``src_col`` (int64 when the
+    input Dataset carries no schema).
+
+    Both sides timed on the ``triangles_parts`` edges (medians of 5
+    alternating runs, 4 CPUs, equal answers): broadcast orient 0.75 s
+    against shuffle orient 1.20 s at sf0.01 (11,910 edges), 3.08 s
+    against 4.31 s at sf0.1 (121,336 edges). Both inputs sit far below
+    the gate, so the crossover is unmeasured.
     """
     import ray
+    import ray.data as rd
 
     from .relational import shuffle_join
 
@@ -396,7 +288,18 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
         und.map_batches(ends, batch_format="pyarrow", zero_copy_batch=True),
         ["id"], {"deg": ("id", "count_all")})
 
+    def none_found():
+        # a typed empty result: Ray Data never maps a 0-row block, so the
+        # exchanges below return schema-less Datasets on an empty input
+        sch = edges_ds.schema()
+        it = dict(zip(sch.names, sch.types))[src_col] if sch else pa.int64()
+        return rd.from_arrow(pa.table({
+            "id": pa.array([], type=it),
+            "triangles": pa.array([], type=pa.int64())}))
+
     n = degs.count()
+    if n == 0:  # no non-loop edge
+        return none_found()
     if n <= max_broadcast_nodes:
         dm: dict = {}
         for b in degs.iter_batches(batch_format="pyarrow"):
@@ -496,5 +399,6 @@ def triangle_counts(edges_ds, *, src_col: str = "src",
         left_schema=pa.schema([("cu", ut), ("v", vt), ("w", vt)]),
         right_schema=pa.schema([("u", ut), ("v", vt)]),
         right_keys=["u", "v"])
-    return bucketed_aggregate(corners, ["id"],
-                              {"triangles": ("id", "count_all")})
+    out = bucketed_aggregate(corners, ["id"],
+                             {"triangles": ("id", "count_all")}).materialize()
+    return out if out.count() else none_found()

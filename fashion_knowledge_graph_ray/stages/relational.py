@@ -107,7 +107,13 @@ def anti_join_auto(left_ds, left_key: str, right_ds, right_key: str, *,
     broadcast uses the shuffle-free ``anti_join_keys`` path; a larger one
     routes to ``anti_join_shuffle``. The key side is materialized once so
     the routing ``count()`` and the chosen branch share one execution
-    (callers routinely pass derived datasets, not bare parquet reads)."""
+    (callers routinely pass derived datasets, not bare parquet reads).
+
+    Both sides timed on the ``anti_join_customers`` input (medians of 5
+    alternating runs, 4 CPUs, equal answers): broadcast 0.28 s against
+    shuffle 0.38 s at sf0.01 (4,538 keys), 0.39 s against 0.66 s at
+    sf0.1 (44,986 keys). Both inputs sit far below the default gate, so
+    the crossover is unmeasured."""
     right_ds = right_ds.materialize()
     if right_ds.count() <= max_broadcast_keys:
         keys = [r[right_key] for r in

@@ -3,6 +3,7 @@ result must be BIT-identical to a sequential Python-int reference."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from fashion_knowledge_graph_ray.stages.graph import pagerank
@@ -49,17 +50,54 @@ def test_pagerank_partition_invariance_random_graph(ray_session):
              for _ in range(300)]
     exp = _seq_pagerank(edges, iters=6)
     for parts in (1, 8):
-        # broadcast-ranks regime (default gate) and the forced shuffle-join
-        # regime must both reproduce the sequential ints exactly
-        for gate in (2_000_000, 0):
-            out = pagerank(_edges_ds(edges, parts), iters=6,
-                           max_broadcast_nodes=gate).to_pandas()
-            assert dict(zip(out["id"], out["rank"])) == exp
+        # one shard and eight shards must both reproduce the sequential
+        # ints exactly
+        out = pagerank(_edges_ds(edges, parts), iters=6).to_pandas()
+        assert dict(zip(out["id"], out["rank"])) == exp
 
 
 def test_pagerank_empty(ray_session):
-    out = pagerank(_edges_ds([], 1), iters=3).to_pandas()
-    assert len(out) == 0
+    ds = pagerank(_edges_ds([], 1), iters=3)
+    sch = ds.schema()
+    assert sch is not None
+    assert list(sch.names) == ["id", "rank"]
+    assert list(sch.types) == [pa.int64(), pa.int64()]
+    assert ds.count() == 0
+
+
+def test_pagerank_runs_no_dataset_exchange(ray_session, monkeypatch):
+    # set-up and iterations are raw tasks over shards partitioned once:
+    # no Dataset.sort and no bucketed_* exchange anywhere in the call
+    from fashion_knowledge_graph_ray.stages import bucketed, graph
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*a, **k):
+            calls.append(name)
+            return fn(*a, **k)
+        return wrapped
+
+    monkeypatch.setattr(rd.Dataset, "sort", spy("sort", rd.Dataset.sort))
+    for mod in (bucketed, graph):
+        for name in ("bucketed_aggregate", "bucketed_group_apply",
+                     "bucketed_cogroup"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    edges = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 3), (1, 2), (3, 7)]
+    out = pagerank(_edges_ds(edges, 4), iters=3).to_pandas()
+    assert calls == []
+    assert dict(zip(out["id"], out["rank"])) == _seq_pagerank(edges, iters=3)
+
+
+def test_pagerank_cycle_over_mostly_empty_shards(ray_session):
+    # 3 edges over 16 blocks: most blocks are empty (column-less after the
+    # narrow map) and most shards own no node
+    edges = [(1, 2), (2, 3), (3, 1)]
+    ds = _edges_ds(edges, 16)
+    assert ds.materialize().num_blocks() == 16
+    out = pagerank(ds, iters=7).to_pandas()
+    assert dict(zip(out["id"], out["rank"])) == _seq_pagerank(edges, iters=7)
 
 
 def test_pagerank_weighted_matches_sequential(ray_session):
@@ -72,11 +110,8 @@ def test_pagerank_weighted_matches_sequential(ray_session):
         "dst": pa.array([b for _, b, _ in edges_w], type=pa.int64()),
         "weight": pa.array([w for _, _, w in edges_w], type=pa.int64()),
     })
-    outs = [pagerank(rd.from_arrow(tbl).repartition(2),
-                     weight_col="weight", iters=8,
-                     max_broadcast_nodes=gate).to_pandas()
-            for gate in (2_000_000, 0)]
-    out = outs[0]
+    out = pagerank(rd.from_arrow(tbl).repartition(2),
+                   weight_col="weight", iters=8).to_pandas()
 
     ids = [1, 2, 3]
     n = len(ids)
@@ -90,8 +125,7 @@ def test_pagerank_weighted_matches_sequential(ray_session):
         for u, v, w in edges_w:
             acc[v] += (rank[u] * d * w) // (100 * W[u])
         rank = {i: base + acc[i] for i in ids}
-    for o in outs:
-        assert dict(zip(o["id"], o["rank"])) == rank
+    assert dict(zip(out["id"], out["rank"])) == rank
 
 
 def _seq_triangles(edges):
@@ -141,7 +175,7 @@ def test_triangle_counts_string_ids(ray_session):
 
 def test_pagerank_zero_weight_source_no_divide(ray_session):
     # a src whose weights sum to 0 must contribute nothing (and must not
-    # floor-divide by zero in the vectorized broadcast kernel)
+    # floor-divide by zero in the vectorized contribution kernel)
     import warnings
 
     tbl = pa.table({
@@ -170,13 +204,39 @@ def test_pagerank_zero_weight_source_no_divide(ray_session):
 
 
 def test_pagerank_partitioned_single_bucket(ray_session):
-    # a one-block edge table gives the partitioned regime one shard: it
-    # used to hand 1-tuples of tables through num_returns=1 remotes, so
-    # concat and _apply received tuples instead of tables. The B==1
-    # unwrap in _split_by must keep the regime exact.
+    # a one-block edge table gives one shard: it used to hand 1-tuples of
+    # tables through num_returns=1 remotes, so the shard tasks received
+    # tuples instead of tables. The B==1 unwrap must keep ranks exact.
     edges = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 3), (1, 2), (3, 7)]
     exp = _seq_pagerank(edges)
     one_block = _edges_ds(edges, 1)
     assert one_block.materialize().num_blocks() == 1
-    out = pagerank(one_block, iters=10, max_broadcast_nodes=0).to_pandas()
+    out = pagerank(one_block, iters=10).to_pandas()
     assert dict(zip(out["id"], out["rank"])) == exp
+
+
+_STR_EMPTY = pa.table({"src": pa.array([], type=pa.string()),
+                       "dst": pa.array([], type=pa.string())})
+
+
+@pytest.mark.parametrize("name", ["empty", "self_loops", "path"])
+def test_triangle_counts_none_found_is_typed_empty(ray_session, name):
+    # no non-loop edge (empty / self-loops only) used to raise on the
+    # schema-less oriented table; a triangle-free path returned a
+    # schema-less Dataset. All three give a typed empty (id, triangles),
+    # id typed as the input's src column.
+    from fashion_knowledge_graph_ray.stages.graph import triangle_counts
+
+    ds, id_type = {
+        "empty": lambda: (rd.from_arrow([_STR_EMPTY] * 3), pa.string()),
+        "self_loops": lambda: (_edges_ds([(1, 1), (2, 2), (2, 2)], 2),
+                               pa.int64()),
+        "path": lambda: (_edges_ds([(1, 2), (2, 3)], 2), pa.int64()),
+    }[name]()
+    for gate in (2_000_000, 0):  # broadcast-deg and shuffle-orient regimes
+        out = triangle_counts(ds, max_broadcast_nodes=gate)
+        sch = out.schema()
+        assert sch is not None, gate
+        assert dict(zip(sch.names, sch.types)) == \
+            {"id": id_type, "triangles": pa.int64()}, gate
+        assert out.count() == 0, gate
