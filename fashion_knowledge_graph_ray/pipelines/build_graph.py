@@ -3,9 +3,8 @@ triples/nodes/edges (the KG-build core; reference entry point
 `/root/reference/src/engine/process_social_media_images.py:13-149` +
 `process_catalog.py:15-84`, re-expressed per SURVEY.md §3.2).
 
-One narrow chain, shared by ``build_graph`` and the partitioned
-``build_graph_resumable`` (pipelines/resumable.py), and the plain build's
-KG writer:
+One narrow chain and one KG writer, shared by ``build_graph`` and the
+partitioned ``build_graph_resumable`` (pipelines/resumable.py):
 
     narrow_chain:
       pages = read_parquet(...)               # S4
@@ -16,21 +15,22 @@ KG writer:
         [-> apply_canonical_map]             # north-rule canonicalization
         -> materialize (in-memory blocks)
       pairs = linked -> pair flat-map         # G1, a plan over those blocks
-    write_kg, two waves of branches off the shared blocks:
-      wave 1: nodes = linked explode -> groupby(eid)     # G4
-              embeddings + index/ = taxonomy tables      # K2/T2/T3/K6
-              linked -> write linked/ parquet
-              pairs -> materialize
-      wave 2: edges = pairs groupby(src,dst,rel)         # G2/G3 (partial-combined)
-              triples = attr ∪ rel triples (dedup in-kernel, page-local —
-                        zero shuffle when pages are url-unique; see
-                        stages/triples.page_local_triples — else bucketed)
-              pairs -> write pairs/ parquet
+    write_finals, raw Ray tasks, no Ray Data execution:
+      one map task per unit (plain: a linked block; resume: linked/ files)
+        -> finals_partials per 1,024 pages:  # pairs (G1), node partials
+                                             # (G4), edge partials (G2/G3),
+                                             # triples deduped in the batch
+        -> split by key hash into S pieces   # S = number of units
+      one merge task per shard               # nodes, edges (and triples
+        -> merge whole keys, one file each   # unless page-local) at
+                                             # part-{j:05d}.parquet
+      embeddings + index/ on the driver meanwhile  # K2/T2/T3/K6
 
-The resumable build writes its partitions' ``linked/`` and ``pairs/``
-itself and folds edges, nodes and triples from every partition's
-``linked/`` in one execution (``resumable._write_finals``); only the
-taxonomy-table writer, ``write_taxonomy_tables``, is shared.
+The plain build's map tasks also write their block's ``linked/`` and
+``pairs/`` files and, when urls are unique, its triples (every duplicate
+is then within one page). The resumable build writes its partitions'
+``linked/`` and ``pairs/`` in the narrow chain and feeds the finals
+``linked/`` files of every partition.
 
 The expensive extraction/link pass runs ONCE into the in-memory
 materialization, and pairs derive from those blocks (no write-then-reread
@@ -60,66 +60,48 @@ import shutil
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..stages.aggregate import aggregate_edges, merge_nodes
-from ..stages.extract import dedup_pages
-from ..stages.pairs import explode_mentions, generate_pairs
-from ..stages.triples import (
-    dedup_triples,
-    emit_attr_triples,
-    emit_rel_triples,
-    page_local_triples,
+from ..schemas import ATTRS_STRUCT, NODES_SCHEMA, TRIPLES_SCHEMA
+from ..stages.aggregate import (
+    EDGE_KEYS,
+    EDGE_PARTIAL_SCHEMA,
+    NODE_PARTIAL_SCHEMA,
+    _merge_edges_bucket,
+    _merge_nodes_bucket,
+    _partial_nodes,
+    partial_edge_agg,
 )
-
-
-def _settle_fsspec_http() -> None:
-    """Make ``from fsspec.implementations.http import HTTPFileSystem``
-    deterministic before running Dataset pipelines from multiple threads.
-
-    Ray's path resolution attempts that import on EVERY read/write call and
-    catches ModuleNotFoundError (aiohttp absent in this environment). Under
-    concurrent first-imports from branch threads, CPython's import-lock
-    deadlock avoidance can expose a partially-initialized module, turning
-    the error into an uncaught ``ImportError: cannot import name``. If the
-    real import fails, register a minimal stub module whose
-    ``HTTPFileSystem`` is a never-instantiated marker class — Ray's
-    ``isinstance`` check then simply (and correctly) reports "not an HTTP
-    filesystem" for local paths, with no import attempt left to race."""
-    import sys
-    import types
-
-    name = "fsspec.implementations.http"
-    try:
-        __import__(name)
-        return
-    except Exception:
-        pass
-    if name in sys.modules:
-        return
-    stub = types.ModuleType(name)
-
-    class HTTPFileSystem:  # never instantiated; isinstance-marker only
-        pass
-
-    stub.HTTPFileSystem = HTTPFileSystem
-    sys.modules[name] = stub
+from ..stages.bucketed import (
+    _polars_hash_ok,
+    bucketed_write_kinds,
+    tag_kinds,
+    write_empty_if_bare,
+)
+from ..stages.extract import dedup_pages
+from ..stages.mentions import MENTION_STRUCT
+from ..stages.pairs import (
+    PAIRS_SCHEMA,
+    PairGenerator,
+    explode_mentions_batch,
+    generate_pairs,
+)
+from ..stages.triples import (
+    TRIPLE_KEYS,
+    _dedup_vectorized,
+    attr_triples_batch,
+    rel_triples_batch,
+)
 
 
 def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
     """Write ``ds`` as parquet under ``path``. An empty Dataset writes no
     files; leave a valid empty-parquet marker so downstream
     ``read_parquet`` of the directory always works."""
-    import pyarrow.parquet as pq
-
     ds.write_parquet(path)
     os.makedirs(path, exist_ok=True)
-    if not any(f.endswith(".parquet") for f in os.listdir(path)):
-        pq.write_table(schema.empty_table(), os.path.join(path, "empty.parquet"))
+    write_empty_if_bare(path, schema)
 
-
-from ..schemas import ATTRS_STRUCT, NODES_SCHEMA, TRIPLES_SCHEMA  # noqa: E402
-from ..stages.mentions import MENTION_STRUCT  # noqa: E402
-from ..stages.pairs import PAIRS_SCHEMA  # noqa: E402
 
 _LINKED_SCHEMA = pa.schema(
     [
@@ -341,60 +323,115 @@ def write_taxonomy_tables(out_dir: str, taxonomy: pa.Table,
         pq.write_table(tbl, os.path.join(path, "part-0.parquet"))
 
 
-def write_kg(out_dir: str, taxonomy: pa.Table, index: dict, linked, pairs,
+# The finals tables, each one kind of the one exchange: name, key, the
+# schema of the per-batch partial rows, the merge of whole keys, and the
+# schema written.
+_FINALS = (
+    ("nodes", ["entity_id"], NODE_PARTIAL_SCHEMA, _merge_nodes_bucket,
+     NODES_SCHEMA),
+    ("edges", EDGE_KEYS, EDGE_PARTIAL_SCHEMA, _merge_edges_bucket,
+     _EDGES_OUT_SCHEMA),
+    ("triples", TRIPLE_KEYS, TRIPLES_SCHEMA, _dedup_vectorized,
+     TRIPLES_SCHEMA),
+)
+# pages per partials call; 128-page batches measured slower on both
+# benchmark workloads and raised the resume's peak RSS to 1.8 GB
+FINALS_BATCH = 1024
+
+
+def finals_partials(pages: pa.Table, tax_ref, *, use_polars: bool,
+                    triples_kind: bool):
+    """The finals map of both builds over linked page rows, one
+    ``FINALS_BATCH``-page batch at a time -> ``(pairs, triples, tagged)``.
+
+    Per batch: the mentions explode into the node partials and the
+    attribute triples; the ``PairGenerator`` kernel re-derives the
+    batch's pairs (a per-page function of the linked rows and the
+    taxonomy, so they equal the narrow chain's) and gives the edge
+    partials and the relation triples; triples are deduped within the
+    batch. ``tagged`` holds the node and edge partials, and the triples
+    when ``triples_kind``, as ``tag_kinds`` rows for ``write_finals``.
+    ``use_polars`` is the driver's ``_polars_hash_ok()``."""
+    _, keys, schemas, _, _ = zip(*_FINALS)
+    out = []
+    for lo in range(0, pages.num_rows, FINALS_BATCH):
+        batch = pages.slice(lo, FINALS_BATCH)
+        flat = explode_mentions_batch(batch)
+        linked = flat.filter(pc.is_valid(flat["entity_id"]))
+        pairs = PairGenerator(tax_ref)(batch)
+        triples = _dedup_vectorized(pa.concat_tables(
+            [attr_triples_batch(flat), rel_triples_batch(pairs)]))
+        tagged = tag_kinds(
+            [_partial_nodes(linked) if linked.num_rows else None,
+             partial_edge_agg(pairs) if pairs.num_rows else None,
+             triples if triples_kind else None],
+            keys, schemas, use_polars=use_polars)
+        out.append((pairs, triples, tagged))
+    return tuple(pa.concat_tables(t) for t in zip(*out))
+
+
+def write_finals(out_dir: str, units, map_fn, *, meanwhile) -> None:
+    """nodes/, edges/ and triples/ under ``out_dir`` through the one
+    multi-table exchange, ``bucketed_write_kinds``: one map task per unit
+    (``map_fn(i, unit)`` returns ``finals_partials``' tagged rows), one
+    merge task per shard, and ``meanwhile()`` on the driver while they
+    run. The finals writer of both builds."""
+    names, _, schemas, merges, out_schemas = zip(*_FINALS)
+    paths = [os.path.join(out_dir, n) for n in names]
+    for p in paths:
+        shutil.rmtree(p, ignore_errors=True)
+    bucketed_write_kinds(units, map_fn, schemas, merges, paths, out_schemas,
+                         meanwhile=meanwhile)
+
+
+def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict, linked,
              *, page_local: bool) -> GraphBuildResult:
     """Write the plain build's KG under ``out_dir`` — the ``linked/`` and
     ``pairs/`` checkpoints, edges, nodes, triples and the taxonomy tables
     — and return it. The build owns the whole directory, so an earlier
     partitioned build's ``manifests/`` and ``metrics.json`` go too.
 
-    ``linked``/``pairs`` are this run's in-memory rows. ``page_local``:
-    every url appears in one linked row, so triples dedup page-locally
-    with no shuffle; otherwise by one bucketed exchange. All six output
-    branches run at once: on 4 CPUs they beat one serialized finals map
-    (the resume's ``bucketed_write_kinds`` shape) on ``build_dense``,
-    1,624-1,738 against 1,899-1,977 ms op_p50 (ROADMAP direction 1)."""
-    import concurrent.futures as cf
+    ``linked`` is this run's materialized Dataset; each non-empty block
+    is one unit of ``write_finals``. Its map task writes the block's
+    ``linked/`` file, derives the block's pairs (``finals_partials``) and
+    writes its ``pairs/`` file, and emits the node and edge partials.
+    ``page_local``: every url appears in one linked row, so every triple
+    duplicate is within one batch and the map writes the block's deduped
+    triples itself; otherwise the triples are a kind of the exchange.
+    The taxonomy tables are written on the driver while the tasks run.
+    No Ray Data execution runs here."""
+    import pyarrow.parquet as pq
 
-    paths = {k: os.path.join(out_dir, k)
-             for k in ("triples", "nodes", "edges", "linked", "pairs")}
-    # Outputs must be overwrite-semantics: Ray's write_parquet APPENDS part
-    # files into an existing directory, which would double-count on re-run —
-    # the exact reference bug (SURVEY.md §4.4) this pipeline exists to fix.
+    paths = {k: os.path.join(out_dir, k) for k in ("linked", "pairs")}
+    # overwrite semantics: part files left in place would be read again
+    # and double-count on re-run — the exact reference bug (SURVEY.md §4.4)
     for p in paths.values():
         shutil.rmtree(p, ignore_errors=True)
+        os.makedirs(p)
     shutil.rmtree(os.path.join(out_dir, "manifests"), ignore_errors=True)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "metrics.json"))
+    triples_dir = os.path.join(out_dir, "triples")
+    up = _polars_hash_ok()  # driver decision, captured in the closure
 
-    _settle_fsspec_http()
-    # Plans are BUILT on this thread (Dataset plan construction is not
-    # guaranteed thread-safe); the pool threads only execute them, each
-    # reading shared immutable block refs. Two waves: the linked-only
-    # branches are submitted first and overlap with the pairs
-    # materialization — the pairs barrier was a measured slice of the
-    # idle time on the critical path.
-    with cf.ThreadPoolExecutor(max_workers=6) as ex:
-        futs = [ex.submit(write_taxonomy_tables, out_dir, taxonomy, index),
-                ex.submit(_write_parquet,
-                          merge_nodes(explode_mentions(linked)),
-                          paths["nodes"], NODES_SCHEMA),
-                ex.submit(_write_parquet, linked, paths["linked"],
-                          _LINKED_SCHEMA)]
-        # pairs feed three branches: materialize them once
-        pairs = ex.submit(pairs.materialize).result()
-        triples = (page_local_triples(linked, pairs) if page_local
-                   else dedup_triples(
-                       emit_attr_triples(explode_mentions(linked))
-                       .union(emit_rel_triples(pairs))))
-        futs += [ex.submit(_write_parquet, aggregate_edges(pairs),
-                           paths["edges"], _EDGES_OUT_SCHEMA),
-                 ex.submit(_write_parquet, triples, paths["triples"],
-                           TRIPLES_SCHEMA),
-                 ex.submit(_write_parquet, pairs, paths["pairs"],
-                           PAIRS_SCHEMA)]
-        for f in futs:
-            f.result()
+    def block_map(i: int, block: pa.Table) -> pa.Table:
+        pairs, triples, tagged = finals_partials(
+            block, tax_ref, use_polars=up, triples_kind=not page_local)
+        name = f"part-{i:05d}.parquet"
+        pq.write_table(block, os.path.join(paths["linked"], name))
+        if pairs.num_rows:
+            pq.write_table(pairs, os.path.join(paths["pairs"], name))
+        if page_local and triples.num_rows:
+            pq.write_table(triples, os.path.join(triples_dir, name))
+        return tagged
+
+    # a sort of an empty input leaves column-less 0-row blocks: skip them
+    units = [ref for bundle in linked.iter_internal_ref_bundles()
+             for ref, meta in bundle.blocks if meta.num_rows]
+    write_finals(out_dir, units, block_map, meanwhile=lambda:
+                 write_taxonomy_tables(out_dir, taxonomy, index))
+    write_empty_if_bare(paths["linked"], _LINKED_SCHEMA)
+    write_empty_if_bare(paths["pairs"], PAIRS_SCHEMA)
     return graph_result(out_dir)
 
 
@@ -413,21 +450,20 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
 
     Execution shape: ``narrow_chain`` runs the expensive
     extract->detect->attrs->link chain ONCE into an in-memory
-    materialization, with pairs derived from it in memory; then
-    ``write_kg`` runs every output branch concurrently off the
-    materialized blocks — the two parquet checkpoints (``linked/``,
-    ``pairs/``) plus edges/nodes/triples and the taxonomy tables. Earlier
-    rounds wrote linked/pairs to parquet and re-read them before fan-out;
-    that extra parquet round-trip was a measured slice of the 8->32-CPU
-    scaling loss (BASELINE.md history)."""
+    materialization; then ``write_kg`` writes every table from those
+    blocks with raw tasks (``write_finals``), the ``linked/`` and
+    ``pairs/`` checkpoints included. Earlier rounds wrote linked/pairs to
+    parquet and re-read them before fan-out; that extra parquet
+    round-trip was a measured slice of the 8->32-CPU scaling loss
+    (BASELINE.md history)."""
     tax_ref, index, cmap = taxonomy_state(taxonomy, canonicalize)
-    linked, pairs = narrow_chain(pages_ds, tax_ref, index, cmap,
-                                 link_mode=link_mode,
-                                 single_product_mode=single_product_mode,
-                                 dedup=dedup, concurrency=concurrency)
+    linked, _ = narrow_chain(pages_ds, tax_ref, index, cmap,
+                             link_mode=link_mode,
+                             single_product_mode=single_product_mode,
+                             dedup=dedup, concurrency=concurrency)
     # dedup=True guarantees url-unique linked rows, which makes every
-    # triple-duplicate group page-local — the shuffle-free path.
-    # dedup=False keeps the general bucketed dedup (url collisions can
+    # triple-duplicate group page-local — no exchange for triples.
+    # dedup=False sends them through the exchange (url collisions can
     # then span blocks).
-    return write_kg(out_dir, taxonomy, index, linked, pairs,
+    return write_kg(out_dir, taxonomy, tax_ref, index, linked,
                     page_local=dedup)

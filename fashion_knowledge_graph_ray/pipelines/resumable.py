@@ -7,11 +7,12 @@ chain (extract → detect → attrs → link → pairs) per partition — the sa
 ``narrow_chain`` as ``build_graph``, pairs made from the in-memory linked
 rows — writing ``out/linked/part=i`` + ``out/pairs/part=i`` + a lineage
 manifest (state/manifests.py). The finals then recompute the wide
-aggregations (edges, nodes, triples) from ALL partitions' ``linked/`` in
-one Ray Data execution — one read, one map, one keyed exchange for the
-three tables and one multi-table sink (``_write_finals``) — and
-``write_taxonomy_tables`` writes the embeddings and ``index/`` tables, as
-for ``build_graph``. Resume = re-invoke with the same arguments:
+aggregations (edges, nodes, triples) from ALL partitions' ``linked/``
+with the plain build's writer, ``write_finals``: raw Ray tasks, one map
+per group of ``linked/`` files and one merge per shard, no Ray Data
+execution (``_write_finals``); ``write_taxonomy_tables`` writes the
+embeddings and ``index/`` tables on the driver while they run, as for
+``build_graph``. Resume = re-invoke with the same arguments:
 partitions whose manifest validates are skipped; everything else
 recomputes; partitions of an earlier run that this run does not have are
 deleted. Finals are always recomputed from the partials — cheap relative
@@ -48,24 +49,8 @@ import uuid
 import pyarrow as pa
 
 from .. import __version__
-from ..schemas import NODES_SCHEMA, TRIPLES_SCHEMA
-from ..stages.aggregate import (
-    EDGE_KEYS,
-    EDGE_PARTIAL_SCHEMA,
-    NODE_PARTIAL_SCHEMA,
-    _merge_edges_bucket,
-    _merge_nodes_bucket,
-    _partial_nodes,
-    partial_edge_agg,
-)
-from ..stages.bucketed import _polars_hash_ok, bucketed_write_kinds, tag_kinds
-from ..stages.pairs import PAIRS_SCHEMA, PairGenerator, explode_mentions_batch
-from ..stages.triples import (
-    TRIPLE_KEYS,
-    _dedup_vectorized,
-    attr_triples_batch,
-    rel_triples_batch,
-)
+from ..stages.bucketed import _polars_hash_ok
+from ..stages.pairs import PAIRS_SCHEMA
 from ..state.manifests import (
     STAGE_VERSIONS,
     PartitionManifest,
@@ -77,13 +62,15 @@ from ..state.manifests import (
     write_manifest,
 )
 from .build_graph import (
-    _EDGES_OUT_SCHEMA,
+    FINALS_BATCH,
     GraphBuildResult,
     _LINKED_SCHEMA,
     _write_parquet,
+    finals_partials,
     graph_result,
     narrow_chain,
     taxonomy_state,
+    write_finals,
     write_taxonomy_tables,
 )
 
@@ -158,63 +145,49 @@ def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
     return m
 
 
-# The finals tables, each one kind of the one exchange: name, key, the
-# schema of the per-batch partial rows, the merge of whole keys, and the
-# schema written.
-_FINALS = (
-    ("nodes", ["entity_id"], NODE_PARTIAL_SCHEMA, _merge_nodes_bucket,
-     NODES_SCHEMA),
-    ("edges", EDGE_KEYS, EDGE_PARTIAL_SCHEMA, _merge_edges_bucket,
-     _EDGES_OUT_SCHEMA),
-    ("triples", TRIPLE_KEYS, TRIPLES_SCHEMA, _dedup_vectorized,
-     TRIPLES_SCHEMA),
-)
+def _write_finals(out_dir: str, tax_ref, meanwhile) -> None:
+    """nodes/, edges/ and triples/ from every partition's ``linked/``
+    through ``write_finals``, the plain build's writer: raw Ray tasks,
+    no Ray Data execution.
 
+    The units are the sorted parquet files under ``linked/`` in groups of
+    at least ``FINALS_BATCH`` rows (row counts from the parquet footers),
+    and each group's map task runs ``finals_partials`` over its pages.
+    Triples are deduped within each batch and again per shard: urls are
+    unique only within a partition. Grouping keeps the task count (and so
+    the worker processes, each importing pyarrow, pandas and polars) at
+    what the 1,024-page map had: one task per file measured 1,834-1,851 MB
+    peak RSS against 1,372-1,407 MB grouped (``resume_one_part``, 4
+    CPUs). This pass takes 0.17-0.19 s where the one Ray Data execution
+    it replaces (read, map, sort, multi-table sink) took 0.47-0.49 s,
+    mostly waiting on the streaming executor's 100 ms polls."""
+    import pyarrow.parquet as pq
 
-def _write_finals(out_dir: str, tax_ref) -> None:
-    """nodes/, edges/ and triples/ from every partition's ``linked/`` in
-    ONE Ray Data execution: one read, one map per 1,024-page batch, one
-    sort and one multi-table sink (``bucketed_write_kinds``).
-
-    The map explodes the batch's mentions and emits the node partials
-    and the attribute triples; it re-derives the batch's pairs with the
-    ``PairGenerator`` kernel (a per-page function of the linked rows and
-    the taxonomy, so they equal the ``pairs/`` checkpoints) and emits the
-    edge partials and the relation triples. Triples are deduped within
-    the batch and again per shuffled block: urls are unique only within
-    a partition. The three sequential executions this replaces (a read,
-    a sort and a write each, with tasks that ran for milliseconds) took
-    0.98 s of a 1.42 s one-partition resume on 4 CPUs; this one takes
-    0.53 s (medians of 7, ``resume_one_part`` seed 1)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    names, keys, schemas, merges, out_schemas = zip(*_FINALS)
-    paths = [os.path.join(out_dir, n) for n in names]
-    for p in paths:
-        shutil.rmtree(p, ignore_errors=True)
+    files = sorted(os.path.join(d, f)
+                   for d, _, fs in os.walk(os.path.join(out_dir, "linked"))
+                   for f in fs if f.endswith(".parquet"))
+    groups, group, rows = [], [], 0
+    for f in files:
+        n = pq.read_metadata(f).num_rows
+        if n:
+            group.append(f)
+            rows += n
+        if rows >= FINALS_BATCH:
+            groups.append(group)
+            group, rows = [], 0
+    if group:
+        groups.append(group)
     up = _polars_hash_ok()  # driver decision, captured in the closure
 
-    def partials(batch: pa.Table) -> pa.Table:
-        flat = explode_mentions_batch(batch)
-        linked = flat.filter(pc.is_valid(flat["entity_id"]))
-        pairs = PairGenerator(tax_ref)(batch)
-        triples = _dedup_vectorized(pa.concat_tables(
-            [attr_triples_batch(flat), rel_triples_batch(pairs)]))
-        return tag_kinds(
-            [_partial_nodes(linked) if linked.num_rows else None,
-             partial_edge_agg(pairs) if pairs.num_rows else None, triples],
-            keys, schemas, use_polars=up)
+    def group_map(i: int, paths: list[str]) -> pa.Table:
+        # partitioning=None: the part=i layout must NOT hive-inject a
+        # `part` column — partition lineage lives in the manifests
+        pages = pa.concat_tables([pq.read_table(p, partitioning=None)
+                                  for p in paths])
+        return finals_partials(pages, tax_ref, use_polars=up,
+                               triples_kind=True)[2]
 
-    # partitioning=None: the part=i layout must NOT hive-inject a `part`
-    # column — partition lineage lives in the manifests, not the schema.
-    # 128-page batches measured slower on both workloads and raised the
-    # resume's peak RSS to 1.8 GB
-    tagged = rd.read_parquet(os.path.join(out_dir, "linked"),
-                             partitioning=None).map_batches(
-        partials, batch_format="pyarrow", batch_size=1024,
-        zero_copy_batch=True)
-    bucketed_write_kinds(tagged, schemas, merges, paths, out_schemas)
+    write_finals(out_dir, groups, group_map, meanwhile=meanwhile)
 
 
 def _drop_stale_partitions(out_dir: str, num_parts: int) -> None:
@@ -280,8 +253,8 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
     _drop_stale_partitions(out_dir, len(parts))
 
     # Finals over the union of all partitions
-    write_taxonomy_tables(out_dir, taxonomy, index)
-    _write_finals(out_dir, tax_ref)
+    _write_finals(out_dir, tax_ref, lambda: write_taxonomy_tables(
+        out_dir, taxonomy, index))
     res = graph_result(out_dir)
 
     built = [m for m in manifests if m.run_id == run_id]

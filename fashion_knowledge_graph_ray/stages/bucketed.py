@@ -2,7 +2,7 @@
 two-sided keyed exchanges (``bucketed_group_apply`` for one input,
 ``bucketed_cogroup`` for two, ``bucketed_aggregate`` for a decomposable
 keyed aggregate over one input, and ``bucketed_write_kinds`` for several
-tables, each on its own key, reduced and written in one execution), and
+tables, each on its own key, reduced and written by raw Ray tasks), and
 the one ordered exchange, ``prefix_scan`` (a global sort plus an exclusive
 prefix sum, the scan under packing, quantiles and global row indexes).
 
@@ -13,15 +13,19 @@ the key and run ONE vectorized function per shuffled block — each block
 holds one or more whole keys — that does the per-key work with
 Arrow/pandas groupby kernels inside.
 
-The bucket is the 64-bit key hash itself, and ``Dataset.sort`` on it sizes
-the exchange: its range partitioner makes as many output blocks as the
-sort has input blocks (``ray/data/_internal/planner/sort.py``) and never
-splits one value across two of them. So all rows of a key land in one
+The bucket is the 64-bit key hash itself, and ``Dataset.sort`` on it
+sizes the Dataset exchanges: its range partitioner makes as many output
+blocks as the sort has input blocks (``ray/data/_internal/planner/sort.py``)
+and never splits one value across two of them. So all rows of a key land in one
 block and per-key semantics are exact, while the fan-out follows the
 input instead of a per-query constant (*Hyper Dimension Shuffle*, VLDB
 2019); the tag stage batches 16384 rows, so small blocks coalesce before
-the sort. The hash is process-stable, so bucket assignment is deterministic
-(never use builtin ``hash``).
+the sort. ``bucketed_write_kinds`` sizes its fan-out the same way, S
+shards for S input units, but routes ``__bucket mod S`` with raw tasks:
+the KG finals are a few short tasks, and Ray Data's streaming executor,
+which polls running tasks every 100 ms, made up most of their wall time.
+The hash is process-stable, so bucket assignment is deterministic (never
+use builtin ``hash``).
 
 Skewed keys: a single hot KEY cannot be split across blocks, but every
 caller here pre-aggregates per input batch first (partial combine;
@@ -35,7 +39,6 @@ fixture. Split a key only where a measured hot bucket calls for it
 from __future__ import annotations
 
 import os
-import uuid
 import zlib
 
 import numpy as np
@@ -246,43 +249,87 @@ def tag_kinds(tables, keys, schemas, *, use_polars: bool) -> pa.Table:
     return pa.concat_tables(parts) if parts else padded.empty_table()
 
 
-def bucketed_write_kinds(tagged, schemas, fns, paths, out_schemas) -> None:
-    """The multi-table exchange: sort ``tagged`` (rows of ``tag_kinds``)
-    on ``__bucket`` and, in every shuffled block, apply ``fns[k]``
-    (pa.Table -> pa.Table, keyed, as in ``bucketed_group_apply``) to kind
-    ``k``'s rows and write the result as one parquet file under
-    ``paths[k]``.
-
-    Each call holds ALL rows of every key of its kind that it sees. The
-    plan that makes ``tagged``, the sort and every write run as ONE Ray
-    Data execution, so several output tables pay for one exchange
-    instead of one each. A path that got no file gets a typed empty one
-    of ``out_schemas[k]``, so every output reads back with its schema."""
+def write_empty_if_bare(path: str, schema: pa.Schema) -> None:
+    """Leave a typed empty parquet file in ``path`` if it holds no parquet
+    file, so the directory always reads back with ``schema``."""
     import pyarrow.parquet as pq
-    from ray.data import Datasink
 
-    class KindsDatasink(Datasink):
-        def on_write_start(self) -> None:
-            for p in paths:
-                os.makedirs(p, exist_ok=True)
+    if not any(f.endswith(".parquet") for f in os.listdir(path)):
+        pq.write_table(schema.empty_table(), os.path.join(path,
+                                                          "empty.parquet"))
 
-        def write(self, blocks, ctx) -> None:
-            for t in blocks:
-                if not t.num_rows:  # an empty sort partition has no columns
-                    continue
-                for k, fn in enumerate(fns):
-                    rows = _unpad(t, k, schemas)
-                    if rows.num_rows:
-                        pq.write_table(fn(rows), os.path.join(
-                            paths[k], f"{uuid.uuid4().hex}.parquet"))
 
-        def on_write_complete(self, write_result) -> None:
-            for p, schema in zip(paths, out_schemas):
-                if not any(f.endswith(".parquet") for f in os.listdir(p)):
-                    pq.write_table(schema.empty_table(),
-                                   os.path.join(p, "empty.parquet"))
+def _split_kinds(i: int, unit, map_fn, s: int):
+    """Map task of ``bucketed_write_kinds``: ``map_fn(i, unit)`` (rows of
+    ``tag_kinds``) in ``s`` pieces, piece j holding the rows whose
+    ``__bucket mod s`` is j. Each piece is its own ``take``: a pickled
+    slice would carry the whole table's buffers."""
+    t = map_fn(i, unit)
+    shard = np.mod(t[BUCKET_COL].to_numpy(), s)
+    order = np.argsort(shard, kind="stable")
+    ends = np.cumsum(np.bincount(shard, minlength=s))
+    pieces = [t.take(order[lo:hi]) for lo, hi in zip(
+        np.concatenate([[0], ends[:-1]]), ends)]
+    return pieces if s > 1 else pieces[0]
 
-    tagged.sort(BUCKET_COL).write_datasink(KindsDatasink())
+
+def _merge_kinds(j: int, spec, *pieces) -> None:
+    """Merge task of ``bucketed_write_kinds``: shard ``j``'s pieces, each
+    kind's rows through its fn, one file per kind at a path fixed by
+    ``j``, so a retried task overwrites its own files."""
+    import pyarrow.parquet as pq
+
+    schemas, fns, paths = spec
+    t = pa.concat_tables(pieces)
+    for k, fn in enumerate(fns):
+        rows = _unpad(t, k, schemas)
+        if rows.num_rows:
+            pq.write_table(fn(rows), os.path.join(paths[k],
+                                                  f"part-{j:05d}.parquet"))
+
+
+def bucketed_write_kinds(units, map_fn, schemas, fns, paths, out_schemas, *,
+                         meanwhile=None) -> None:
+    """The multi-table exchange, on raw Ray tasks: several tables, each
+    reduced on its own key and written under its own path.
+
+    Each unit gets one map task, ``map_fn(i, unit)`` (an ObjectRef unit
+    arrives resolved), which returns ``tag_kinds`` rows and splits them
+    by ``__bucket mod S`` into S pieces, S being the number of units (as
+    ``Dataset.sort`` makes one output block per input block). Merge task
+    j concatenates its S pieces, applies ``fns[k]`` (pa.Table ->
+    pa.Table, keyed, as in ``bucketed_group_apply``) to kind ``k``'s rows
+    and writes ``paths[k]/part-{j:05d}.parquet``. Every row of a key of a
+    kind lands in one shard. A path that got no file gets a typed empty
+    one of ``out_schemas[k]``, so every output reads back with its
+    schema. ``meanwhile`` (no arguments) runs on the driver once every
+    task is submitted.
+
+    No Ray Data execution runs. Its streaming executor polls running
+    tasks every 100 ms: through it (one read, map, sort and multi-table
+    sink) the ``resume_one_part`` finals took 0.47-0.49 s on 4 CPUs, on
+    raw tasks 0.17-0.19 s (medians of 5, seeds 1-3)."""
+    import ray
+
+    for p in paths:
+        os.makedirs(p, exist_ok=True)
+    s = len(units)
+    done = []
+    if s:
+        split = ray.remote(_split_kinds).options(num_returns=s)
+        fn_ref = ray.put(map_fn)
+        pieces = [split.remote(i, u, fn_ref, s) for i, u in enumerate(units)]
+        if s == 1:
+            pieces = [[p] for p in pieces]
+        merge = ray.remote(_merge_kinds)
+        spec = ray.put((list(schemas), list(fns), list(paths)))
+        done = [merge.remote(j, spec, *[p[j] for p in pieces])
+                for j in range(s)]
+    if meanwhile is not None:
+        meanwhile()
+    ray.get(done)
+    for p, schema in zip(paths, out_schemas):
+        write_empty_if_bare(p, schema)
 
 
 def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,

@@ -4,11 +4,13 @@ per-key groupby. ``bucketed_cogroup``: the same for two inputs, checked
 against a brute-force pandas grouping of both sides. ``bucketed_aggregate``:
 every op against a brute-force pandas grouping, with either bucket hash.
 ``bucketed_write_kinds``: several tables through one exchange, each key of
-each table whole in one call, against a pandas grouping. ``prefix_scan``:
+each table whole in one call, against a pandas grouping; a merge task run
+again overwrites its own files. ``prefix_scan``:
 a numpy exclusive cumsum in sorted order, on skewed and duplicate keys."""
 
 from __future__ import annotations
 
+import os
 import uuid
 from collections import defaultdict
 
@@ -233,7 +235,6 @@ def test_write_kinds_whole_keys_per_call_match_pandas(ray_session,
     the results match a pandas grouping, and kind 2 reads back as a typed
     empty table."""
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     up = bucketed._polars_hash_ok()
     schemas = [pa.schema([("key", pa.string()), ("v", pa.int64())]),
@@ -264,11 +265,9 @@ def test_write_kinds_whole_keys_per_call_match_pandas(ray_session,
         raise AssertionError("a kind with no rows got a call")
 
     blocks = _blocks(5, n_hot=3000, n_cold=200)
-    tagged = rd.from_arrow(blocks).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True)
     paths = [str(tmp_path / f"kind{k}") for k in range(3)]
-    bucketed_write_kinds(tagged, schemas, [per_key, per_key, never], paths,
-                         out_schemas)
+    bucketed_write_kinds(blocks, lambda i, t: tag(t), schemas,
+                         [per_key, per_key, never], paths, out_schemas)
 
     df = pa.concat_tables(blocks).to_pandas()
     brute = [df.groupby("key")["v"], df.assign(
@@ -282,6 +281,57 @@ def test_write_kinds_whole_keys_per_call_match_pandas(ray_session,
     assert len(want) == 2999 // 7 + 1  # v runs 0..2999
     empty = pq.read_table(paths[2])
     assert empty.num_rows == 0 and empty.schema.equals(out_schemas[2])
+
+
+def test_write_kinds_merge_retry_overwrites_its_own_files(ray_session,
+                                                         tmp_path):
+    """A merge task run again (as Ray retries a task) writes the same
+    files under the same names: one file per kind and shard, the same
+    rows, no duplicate."""
+    import pyarrow.parquet as pq
+
+    up = bucketed._polars_hash_ok()
+    schemas = [pa.schema([("key", pa.string()), ("v", pa.int64())]),
+               pa.schema([("key", pa.string()), ("n", pa.int64())])]
+    keys = [["key"], ["key"]]
+
+    def tag(i: int, t: pa.Table) -> pa.Table:
+        return tag_kinds([t, t.rename_columns(["key", "n"])], keys, schemas,
+                         use_polars=up)
+
+    def total(col):
+        def fn(t: pa.Table) -> pa.Table:
+            g = t.group_by(["key"]).aggregate([(col, "sum")])
+            return pa.table({"key": g["key"], "s": g[f"{col}_sum"]})
+        return fn
+
+    blocks = _blocks(3, n_hot=500, n_cold=50)
+    paths = [str(tmp_path / f"kind{k}") for k in range(2)]
+    fns = [total("v"), total("n")]
+    out_schema = pa.schema([("key", pa.string()), ("s", pa.int64())])
+    bucketed_write_kinds(blocks, tag, schemas, fns, paths,
+                         [out_schema, out_schema])
+
+    def snapshot():
+        return {p: {f: pq.read_table(os.path.join(p, f)).sort_by("key")
+                    for f in sorted(os.listdir(p))} for p in paths}
+
+    first = snapshot()
+    assert all(len(files) == len(blocks) for files in first.values())
+    pieces = [bucketed._split_kinds(i, t, tag, len(blocks))
+              for i, t in enumerate(blocks)]
+    for j in range(len(blocks)):  # every shard's merge, once more
+        bucketed._merge_kinds(j, (schemas, fns, paths),
+                              *[p[j] for p in pieces])
+    again = snapshot()
+    assert {p: list(f) for p, f in again.items()} == \
+        {p: list(f) for p, f in first.items()}
+    assert all(again[p][f].equals(first[p][f])
+               for p in paths for f in first[p])
+    for p in paths:
+        t = pq.read_table(p)
+        assert t["key"].to_pylist() and len(set(t["key"].to_pylist())) == \
+            t.num_rows
 
 
 def _brute_aggregate(t: pa.Table, keys, aggs) -> dict:

@@ -1,9 +1,12 @@
-"""MinHash-LSH canonicalization: signatures, blocking, CC, cluster ids."""
+"""MinHash-LSH canonicalization: signatures, blocking, CC, cluster ids;
+the vectorized driver regime against the pure oracle; the sparse
+candidate verify spread over several tasks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from fashion_knowledge_graph_ray.stages.canonicalize import (
     canonicalize_taxonomy,
@@ -210,3 +213,100 @@ def test_band_exchange_fans_out_over_band_blocks(ray_session, monkeypatch,
     assert len(os.listdir(calls)) > 1
     assert {(r["a"], r["b"]) for r in out.take_all()} == \
         {(f"d{i:05d}", f"d{i + 2500:05d}") for i in range(2500)}
+
+
+def _spy_verify_tasks(monkeypatch, calls) -> None:
+    """Touch one file per Ray task that runs ``candidate_pairs``'
+    ``verify``, named by its task id."""
+    import ray
+    import ray.data as rd
+
+    real = rd.Dataset.map_batches
+
+    def spy(self, fn, *a, **kw):
+        if getattr(fn, "__name__", "") == "verify":
+            inner = fn
+
+            def fn(t: pa.Table) -> pa.Table:  # noqa: F811
+                task = ray.get_runtime_context().get_task_id()
+                (calls / str(task)).touch()
+                return inner(t)
+        return real(self, fn, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", spy)
+
+
+def test_sparse_verify_runs_on_several_tasks(ray_session, monkeypatch,
+                                            tmp_path):
+    """The sparse regime splits its candidates into about one block per
+    CPU, so the exact-Jaccard ``verify`` runs on more than one task; from
+    one ``from_arrow`` block it ran as one task on one core."""
+    import os
+
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.stages import canonicalize as cz
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    _spy_verify_tasks(monkeypatch, calls)
+    rng = np.random.default_rng(11)
+    vocab = ["".join(rng.choice(list("abcdefghijklmnop"), 6))
+             for _ in range(2000)]
+    texts = [" ".join(rng.choice(vocab, 8)) for _ in range(400)] * 2
+    n = len(texts)
+    docs = pa.table({"id": [f"d{i:04d}" for i in range(n)], "text": texts})
+    ds = rd.from_arrow([docs.slice(i, 100) for i in range(0, n, 100)])
+    out = cz.candidate_pairs(cz.lsh_band_rows(ds, "text", "id"), ds,
+                             threshold=0.9)
+    assert {(r["a"], r["b"]) for r in out.take_all()} == \
+        {(f"d{i:04d}", f"d{i + 400:04d}") for i in range(400)}
+    assert len(os.listdir(calls)) > 1
+
+
+def _tax(rows) -> pa.Table:
+    """A taxonomy of ``(entity_id, surface, aliases)`` rows."""
+    from fashion_knowledge_graph_ray.schemas import TAXONOMY_SCHEMA
+
+    n = len(rows)
+    return pa.table({
+        "entity_id": [r[0] for r in rows], "surface": [r[1] for r in rows],
+        "aliases": [r[2] for r in rows], "category": ["top"] * n,
+        "gender": ["unisex"] * n, "color": ["black"] * n,
+        "material": [[]] * n, "style": [[]] * n}, schema=TAXONOMY_SCHEMA)
+
+
+@pytest.mark.parametrize("case", [
+    "gen_taxonomy", "short_forms", "shared_form", "empty_null_aliases",
+    "empty"])
+def test_driver_regime_equals_pure_oracle(case):
+    """``canonicalize_taxonomy``'s in-process regime returns
+    ``canonical_map_pure``'s map: on ``gen_taxonomy`` seeds 1-10, on
+    forms shorter than the shingle width, on one form owned by two
+    entities, on empty and null aliases, and on an empty taxonomy."""
+    from fashion_knowledge_graph_ray.datagen import gen_taxonomy
+    from fashion_knowledge_graph_ray.stages.canonicalize import (
+        canonical_map_pure,
+    )
+
+    taxes = {
+        "gen_taxonomy": [gen_taxonomy(seed) for seed in range(1, 11)],
+        "short_forms": [_tax([("p-3", "ab", ["a", "ab "]), ("p-1", "ab", []),
+                              ("p-2", "x", ["a"]), ("p-4", "", [])])],
+        "shared_form": [_tax([("p-9", "navy blazer", ["navy blazr"]),
+                              ("p-4", "navy blazer", []),
+                              ("p-6", "navy blazr", ["red scarf"]),
+                              ("p-5", "red scarf", [])])],
+        "empty_null_aliases": [_tax([
+            ("p-2", "black tee", ["", None, "black tee"]),
+            ("p-1", "black tee", None), ("p-3", None, ["", None]),
+            ("p-0", "", [None])])],
+        "empty": [_tax([])],
+    }[case]
+    for tax in taxes:
+        want = canonical_map_pure(tax)
+        assert canonicalize_taxonomy(tax) == want
+        if case == "gen_taxonomy":
+            assert sum(k != v for k, v in want.items()) == 163
+    if case in ("short_forms", "shared_form", "empty_null_aliases"):
+        assert any(k != v for k, v in want.items())

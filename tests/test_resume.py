@@ -10,8 +10,10 @@ Invariants under test:
 - a plain build into a partitioned build's dir leaves no resume state;
 - a resume after deleting one partition rebuilds it alone and equals a
   fresh build, table for table; a changed taxonomy rebuilds them all;
-- the finals read ``linked/`` once and run one sort; pages that link no
-  entity still get typed empty finals.
+- the finals read only ``linked/`` and run no Ray Data execution; the
+  plain build runs one sort (the url dedup) and writes with raw tasks;
+  without url dedup, triples dedup across blocks to the earliest crawl;
+  pages that link no entity still get typed empty tables.
 """
 
 import json
@@ -353,19 +355,11 @@ def test_taxonomy_change_rebuilds_every_partition(ray_session, sharded_pages,
         tax2.take(pa.array(range(tax2.num_rows - 1, -1, -1))))
 
 
-def test_finals_read_linked_once_with_one_sort(ray_session, sharded_pages,
-                                               tmp_path, monkeypatch):
-    # with every partition valid only the finals run: one read of
-    # linked/ (never pairs/), one sort and one multi-table write, which
-    # executes the whole plan once (write_datasink materializes it)
+def _spy_dataset_runs(monkeypatch, seen: list) -> None:
+    """Record every Ray Data ``read_parquet``, ``sort``, ``write_datasink``
+    and ``write_parquet`` call in ``seen``."""
     import ray.data as rd
 
-    shards, tax = sharded_pages
-    out = str(tmp_path / "kg")
-    build_graph_resumable(shards, tax, out, num_partitions=2,
-                          link_mode="gazetteer")
-    first = _table_sets(out)
-    seen = []
     for name in ("sort", "write_datasink", "write_parquet"):
         real = getattr(rd.Dataset, name)
 
@@ -376,16 +370,162 @@ def test_finals_read_linked_once_with_one_sort(ray_session, sharded_pages,
     real_read = rd.read_parquet
 
     def read_spy(path, *a, **kw):
-        seen.append(("read", os.path.relpath(path, out)))
+        seen.append(("read", path))
         return real_read(path, *a, **kw)
     monkeypatch.setattr(rd, "read_parquet", read_spy)
+
+
+def test_finals_read_only_linked_with_no_dataset_execution(
+        ray_session, sharded_pages, tmp_path, monkeypatch):
+    # with every partition valid only the finals run: raw tasks over the
+    # linked/ files (never pairs/), no Ray Data read, sort or write
+    from fashion_knowledge_graph_ray.pipelines import build_graph as bg
+
+    shards, tax = sharded_pages
+    out = str(tmp_path / "kg")
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer")
+    first = _table_sets(out)
+    seen, units = [], []
+    _spy_dataset_runs(monkeypatch, seen)
+    real_write = bg.bucketed_write_kinds
+
+    def write_spy(u, *a, **kw):
+        units.extend(u)
+        return real_write(u, *a, **kw)
+    monkeypatch.setattr(bg, "bucketed_write_kinds", write_spy)
     build_graph_resumable(shards, tax, out, num_partitions=2,
                           link_mode="gazetteer")
     metrics = json.load(open(os.path.join(out, "metrics.json")))
     assert metrics["partitions_skipped"] == 2
-    assert seen == [("read", "linked"), "sort", "write_datasink"]
+    assert seen == []
+    files = [f for group in units for f in group]
+    assert files and all(os.path.relpath(f, out).startswith("linked" + os.sep)
+                         for f in files)
     got = _table_sets(out)
     assert all(got[k].equals(first[k]) for k in first)
+
+
+def test_plain_build_sorts_once_and_writes_with_tasks(
+        ray_session, sharded_pages, tmp_path, monkeypatch):
+    # after the narrow chain (whose one exchange is the url dedup sort)
+    # the plain build writes every table with raw tasks
+    import ray.data as rd
+
+    shards, tax = sharded_pages
+    out = str(tmp_path / "kg")
+    seen = []
+    pages = rd.read_parquet(shards)
+    _spy_dataset_runs(monkeypatch, seen)
+    build_graph(pages, tax, out, link_mode="gazetteer")
+    assert seen == ["sort"]
+    for name in ("linked", "pairs", "triples", "nodes", "edges"):
+        assert pq.read_table(os.path.join(out, name)).num_rows > 0, name
+
+
+def _brute_triples(linked: pa.Table, pairs: pa.Table) -> dict:
+    """(subj, pred, obj, url) -> min warc_ts over every linked row and
+    pair row, with plain loops: the attribute triples of every linked
+    mention and the relation triples of every pair."""
+    from fashion_knowledge_graph_ray.vocab import (
+        LIST_FIELDS,
+        SCALAR_FIELDS,
+        UNKNOWN,
+    )
+
+    rows = []
+    for page in linked.to_pylist():
+        for m in page["mentions"] or []:
+            eid = m["entity_id"]
+            if not eid:
+                continue
+            attrs = m["attrs"] or {}
+            for f in SCALAR_FIELDS:
+                v = attrs.get(f)
+                if v not in (None, "", UNKNOWN):
+                    rows.append((eid, f"has_{f}", v, page["url"],
+                                 page["warc_ts"]))
+            for f in LIST_FIELDS:
+                for v in attrs.get(f) or []:
+                    rows.append((eid, f"has_{f}", v, page["url"],
+                                 page["warc_ts"]))
+    rows += [(p["src"], p["rel"], p["dst"], p["url"], p["warc_ts"])
+             for p in pairs.to_pylist()]
+    best = {}
+    for *key, ts in rows:
+        key = tuple(key)
+        best[key] = min(best.get(key, ts), ts)
+    return best
+
+
+def test_plain_build_without_dedup_dedups_triples_across_blocks(
+        ray_session, sharded_pages, tmp_path):
+    # re-crawls of the same urls in another shard, earlier and later:
+    # with dedup=False every crawl stays in linked/, and a triple seen on
+    # several crawls keeps its earliest warc_ts through the exchange
+    import datetime
+
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    shards, tax = sharded_pages
+    first = pq.read_table(list_parquet_files(shards)[0])
+    crawls = str(tmp_path / "crawls")
+    os.makedirs(crawls)
+    for k, days in enumerate((-3, 5)):
+        again = first.set_column(
+            first.schema.get_field_index("warc_ts"), "warc_ts",
+            pc.add(first["warc_ts"], pa.scalar(
+                datetime.timedelta(days=days), pa.duration("us"))))
+        pq.write_table(again, os.path.join(crawls, f"crawl-{k}.parquet"))
+    files = list_parquet_files(shards) + list_parquet_files(crawls)
+    out = str(tmp_path / "kg")
+    build_graph(rd.read_parquet(files, override_num_blocks=len(files)), tax,
+                out, link_mode="gazetteer", dedup=False)
+    linked = pq.read_table(os.path.join(out, "linked"))
+    assert linked.num_rows == N_PAGES + 2 * first.num_rows
+    want = _brute_triples(linked, pq.read_table(os.path.join(out, "pairs")))
+    got = pq.read_table(os.path.join(out, "triples")).to_pylist()
+    assert len(got) == len(want)
+    assert {(r["subj"], r["pred"], r["obj"], r["url"]): r["warc_ts"]
+            for r in got} == want
+
+
+@pytest.mark.parametrize("pages_kept", [N_PAGES, 0])
+def test_plain_build_linking_nothing_writes_typed_empty_tables(
+        ray_session, sharded_pages, tmp_path, pages_kept):
+    # one entity no page mentions; with no pages at all linked/ is empty
+    # too. Every table reads back typed; only linked/ has rows, one per url
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.pipelines.build_graph import (
+        _EDGES_OUT_SCHEMA,
+        _LINKED_SCHEMA,
+    )
+    from fashion_knowledge_graph_ray.schemas import (
+        NODES_SCHEMA,
+        TRIPLES_SCHEMA,
+    )
+    from fashion_knowledge_graph_ray.stages.pairs import PAIRS_SCHEMA
+
+    shards, tax = sharded_pages
+    lone = tax.slice(0, 1)
+    for col, val in (("surface", ["zzqxv"]), ("aliases", [[]])):
+        lone = lone.set_column(lone.schema.get_field_index(col), col,
+                               pa.array(val, type=lone.schema.field(col).type))
+    pages = pq.read_table(shards).slice(0, pages_kept)
+    src = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, src)
+    out = str(tmp_path / "kg")
+    build_graph(rd.read_parquet(src), lone, out, link_mode="gazetteer")
+    linked = pq.read_table(os.path.join(out, "linked"))
+    assert linked.num_rows == len(set(pages["url"].to_pylist()))
+    assert linked.schema.equals(_LINKED_SCHEMA)
+    for name, schema in (("pairs", PAIRS_SCHEMA), ("nodes", NODES_SCHEMA),
+                         ("edges", _EDGES_OUT_SCHEMA),
+                         ("triples", TRIPLES_SCHEMA)):
+        t = pq.read_table(os.path.join(out, name))
+        assert t.num_rows == 0 and t.schema.equals(schema), name
 
 
 def test_unlinked_pages_write_typed_empty_finals(ray_session, sharded_pages,
