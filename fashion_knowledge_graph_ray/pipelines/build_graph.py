@@ -4,36 +4,37 @@ triples/nodes/edges (the KG-build core; reference entry point
 `process_catalog.py:15-84`, re-expressed per SURVEY.md §3.2).
 
 One narrow chain and one KG writer, shared by ``build_graph`` and the
-partitioned ``build_graph_resumable`` (pipelines/resumable.py):
+partitioned ``build_graph_resumable`` (pipelines/resumable.py). The only
+Ray Data execution of a build (of each built partition, in a resume) is
+the read and the enrichment; raw Ray tasks do the rest:
 
-    narrow_chain:
+    narrow_chain, one Ray Data execution:
       pages = read_parquet(...)               # S4
         -> EnrichmentStage task stage        # FUSED extract+detect+attrs+link
                                              # (M13 + M6/T1 + M8/M9 + J1/T8),
                                              # state memoized per worker
-        -> dedup by url                      # G7 (narrow rows, keep-first)
-        [-> apply_canonical_map]             # north-rule canonicalization
-        -> materialize (in-memory blocks)
-      pairs = linked -> pair flat-map         # G1, a plan over those blocks
-    write_finals, raw Ray tasks, no Ray Data execution:
-      one map task per unit (plain: a linked block; resume: linked/ files)
-        -> finals_partials per 1,024 pages:  # pairs (G1), node partials
-                                             # (G4), edge partials (G2/G3),
-                                             # triples deduped in the batch
-        -> split by key hash into S pieces   # S = number of units
-      one merge task per shard               # nodes, edges (and triples
-        -> merge whole keys, one file each   # unless page-local) at
+        -> materialize: S non-empty blocks
+      with url dedup and S > 1, one routing  # S url shards; shard j holds
+        task per block: hash(url) mod S      # piece j of every block
+    one task per url shard (linked_rows):
+      concat -> dedup by url                 # G7 (keep earliest warc_ts)
+        [-> remap_entity_ids]                # north-rule canonicalization
+        -> plain build: write_finals' map    # writes linked/, pairs/ (and
+           (finals_partials per 1,024 pages: #   page-local triples), splits
+           pairs (G1), node partials (G4),   #   the partials by key hash
+           edge partials (G2/G3), triples    #   into S pieces
+           deduped in the batch)
+        -> resume: write the partition's linked/ and pairs/ part files
+    write_finals' merge task per shard       # nodes, edges (and triples
+      -> merge whole keys, one file each     # unless page-local) at
                                              # part-{j:05d}.parquet
-      embeddings + index/ on the driver meanwhile  # K2/T2/T3/K6
+    embeddings + index/ on the driver meanwhile  # K2/T2/T3/K6
 
-The plain build's map tasks also write their block's ``linked/`` and
-``pairs/`` files and, when urls are unique, its triples (every duplicate
-is then within one page). The resumable build writes its partitions'
-``linked/`` and ``pairs/`` in the narrow chain and feeds the finals
-``linked/`` files of every partition.
+The resumable build feeds ``write_finals`` the ``linked/`` files of every
+partition instead of url shards.
 
 The expensive extraction/link pass runs ONCE into the in-memory
-materialization, and pairs derive from those blocks (no write-then-reread
+materialization, and pairs derive from those rows (no write-then-reread
 round-trip — removing it raised 8->32-CPU scaling efficiency 0.73 -> 0.85,
 BASELINE.md). The ``linked/`` and ``pairs/`` parquet tables are the
 (per-partition) resume checkpoints — final aggregations are always
@@ -75,32 +76,20 @@ from ..stages.aggregate import (
 from ..stages.bucketed import (
     _polars_hash_ok,
     bucketed_write_kinds,
+    hash_partition,
     tag_kinds,
     write_empty_if_bare,
 )
-from ..stages.extract import dedup_pages
+from ..stages.canonicalize import remap_entity_ids
+from ..stages.extract import _dedup_urls_bucket, dedup_pages
 from ..stages.mentions import MENTION_STRUCT
-from ..stages.pairs import (
-    PAIRS_SCHEMA,
-    PairGenerator,
-    explode_mentions_batch,
-    generate_pairs,
-)
+from ..stages.pairs import PAIRS_SCHEMA, PairGenerator, explode_mentions_batch
 from ..stages.triples import (
     TRIPLE_KEYS,
     _dedup_vectorized,
     attr_triples_batch,
     rel_triples_batch,
 )
-
-
-def _write_parquet(ds, path: str, schema: pa.Schema) -> None:
-    """Write ``ds`` as parquet under ``path``. An empty Dataset writes no
-    files; leave a valid empty-parquet marker so downstream
-    ``read_parquet`` of the directory always works."""
-    ds.write_parquet(path)
-    os.makedirs(path, exist_ok=True)
-    write_empty_if_bare(path, schema)
 
 
 _LINKED_SCHEMA = pa.schema(
@@ -263,38 +252,64 @@ def taxonomy_state(taxonomy: pa.Table, canonicalize: bool):
     (not per partition or per output table): the broadcast taxonomy ref,
     the ANN index — it feeds the enrichment broadcast in embedding mode
     and the persisted ``index/`` table in both link modes — and, with
-    ``canonicalize``, the canonical-id map (else None)."""
+    ``canonicalize``, the broadcast canonical-id remap
+    (``canonical_remap``; None without ``canonicalize`` or when the map
+    changes no id)."""
     import ray
 
     from ..stages.linker import EmbeddingLinker
 
     tax_ref = ray.put(taxonomy) if ray.is_initialized() else taxonomy
-    cmap = None
+    remap = None
     if canonicalize:
-        from ..stages.canonicalize import canonicalize_taxonomy
+        from ..stages.canonicalize import (
+            canonical_remap,
+            canonicalize_taxonomy,
+        )
 
-        cmap = canonicalize_taxonomy(taxonomy)
-    return tax_ref, EmbeddingLinker.build_index(taxonomy), cmap
+        remap = canonical_remap(canonicalize_taxonomy(taxonomy))
+        if remap is not None and ray.is_initialized():
+            remap = ray.put(remap)
+    return tax_ref, EmbeddingLinker.build_index(taxonomy), remap
 
 
-def narrow_chain(pages_ds, tax_ref, index: dict, canonical_map, *,
-                 link_mode: str, single_product_mode: bool, dedup: bool,
-                 concurrency):
-    """pages -> (linked, pairs), the narrow chain of both builds:
-    ``build_linked`` -> ``apply_canonical_map`` (when ``canonical_map`` is
-    not None) -> materialize. ``linked`` is materialized in memory;
-    ``pairs`` is a plan over those blocks, so no caller writes ``linked``
-    and reads it back to make pairs."""
+def narrow_chain(pages_ds, tax_ref, index: dict, *, link_mode: str,
+                 single_product_mode: bool, dedup: bool,
+                 concurrency) -> list[list]:
+    """pages -> the url shards of both builds. ``build_linked`` without
+    its dedup is the build's one Ray Data execution, materialized in
+    memory; its S non-empty blocks become S shards. With ``dedup`` the
+    rows are routed by the hash of their url (``hash_partition``), so
+    every crawl of a url lands in one shard; without it each block is a
+    shard. Each shard is a list of blocks (ObjectRefs) that one task of
+    the caller turns into linked rows with ``linked_rows``: the url dedup
+    and the canonical remap run there, not as Ray Data operators."""
     linked = build_linked(pages_ds, tax_ref, link_mode=link_mode,
                           single_product_mode=single_product_mode,
-                          dedup=dedup, concurrency=concurrency,
-                          prebuilt_index=index)
-    if canonical_map is not None:
-        from ..stages.canonicalize import apply_canonical_map
+                          dedup=False, concurrency=concurrency,
+                          prebuilt_index=index).materialize()
+    blocks = [ref for bundle in linked.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows]
+    return hash_partition(blocks, ["url"]) if dedup \
+        else [[b] for b in blocks]
 
-        linked = apply_canonical_map(linked, canonical_map)
-    linked = linked.materialize()
-    return linked, generate_pairs(linked, tax_ref)
+
+def linked_rows(parts: list[pa.Table], *, dedup: bool, remap) -> pa.Table:
+    """A url shard's linked rows, inside the task that consumes it: the
+    shard's pieces concatenated, the earliest ``warc_ts`` per url kept
+    when ``dedup`` (``_dedup_urls_bucket``, the kernel of ``dedup_pages``)
+    and the canonical ids applied when ``remap`` (``taxonomy_state``'s)
+    is not None (``remap_entity_ids``, the kernel of
+    ``apply_canonical_map``)."""
+    import ray
+
+    t = pa.concat_tables(parts)
+    if dedup:
+        t = _dedup_urls_bucket(t)
+    if remap is not None:
+        t = remap_entity_ids(t, remap if isinstance(remap, tuple)
+                             else ray.get(remap))
+    return t
 
 
 def graph_result(out_dir: str) -> GraphBuildResult:
@@ -351,8 +366,13 @@ def finals_partials(pages: pa.Table, tax_ref, *, use_polars: bool,
     partials and the relation triples; triples are deduped within the
     batch. ``tagged`` holds the node and edge partials, and the triples
     when ``triples_kind``, as ``tag_kinds`` rows for ``write_finals``.
-    ``use_polars`` is the driver's ``_polars_hash_ok()``."""
+    ``use_polars`` is the driver's ``_polars_hash_ok()``. No pages give
+    typed empty tables (a url shard may get no rows)."""
     _, keys, schemas, _, _ = zip(*_FINALS)
+    if not pages.num_rows:
+        return (PAIRS_SCHEMA.empty_table(), TRIPLES_SCHEMA.empty_table(),
+                tag_kinds([None] * len(keys), keys, schemas,
+                          use_polars=use_polars))
     out = []
     for lo in range(0, pages.num_rows, FINALS_BATCH):
         batch = pages.slice(lo, FINALS_BATCH)
@@ -384,22 +404,22 @@ def write_finals(out_dir: str, units, map_fn, *, meanwhile) -> None:
                          meanwhile=meanwhile)
 
 
-def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict, linked,
-             *, page_local: bool) -> GraphBuildResult:
+def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
+             shards: list[list], *, dedup: bool, remap) -> GraphBuildResult:
     """Write the plain build's KG under ``out_dir`` — the ``linked/`` and
     ``pairs/`` checkpoints, edges, nodes, triples and the taxonomy tables
     — and return it. The build owns the whole directory, so an earlier
     partitioned build's ``manifests/`` and ``metrics.json`` go too.
 
-    ``linked`` is this run's materialized Dataset; each non-empty block
-    is one unit of ``write_finals``. Its map task writes the block's
-    ``linked/`` file, derives the block's pairs (``finals_partials``) and
-    writes its ``pairs/`` file, and emits the node and edge partials.
-    ``page_local``: every url appears in one linked row, so every triple
-    duplicate is within one batch and the map writes the block's deduped
-    triples itself; otherwise the triples are a kind of the exchange.
-    The taxonomy tables are written on the driver while the tasks run.
-    No Ray Data execution runs here."""
+    Each url shard of ``narrow_chain`` is one unit of ``write_finals``.
+    Its map task makes the shard's linked rows (``linked_rows``: url
+    dedup, canonical remap), writes them to ``linked/``, derives their
+    pairs (``finals_partials``), writes ``pairs/`` and emits the node and
+    edge partials. With ``dedup`` every url appears in one linked row, so
+    every triple duplicate is within one batch and the map writes the
+    shard's deduped triples itself; otherwise the triples are a kind of
+    the exchange. The taxonomy tables are written on the driver while
+    the tasks run. No Ray Data execution runs here."""
     import pyarrow.parquet as pq
 
     paths = {k: os.path.join(out_dir, k) for k in ("linked", "pairs")}
@@ -414,21 +434,18 @@ def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict, linked,
     triples_dir = os.path.join(out_dir, "triples")
     up = _polars_hash_ok()  # driver decision, captured in the closure
 
-    def block_map(i: int, block: pa.Table) -> pa.Table:
+    def shard_map(i: int, parts: list[pa.Table]) -> pa.Table:
+        block = linked_rows(parts, dedup=dedup, remap=remap)
         pairs, triples, tagged = finals_partials(
-            block, tax_ref, use_polars=up, triples_kind=not page_local)
+            block, tax_ref, use_polars=up, triples_kind=not dedup)
         name = f"part-{i:05d}.parquet"
-        pq.write_table(block, os.path.join(paths["linked"], name))
-        if pairs.num_rows:
-            pq.write_table(pairs, os.path.join(paths["pairs"], name))
-        if page_local and triples.num_rows:
-            pq.write_table(triples, os.path.join(triples_dir, name))
+        for path, t in ((paths["linked"], block), (paths["pairs"], pairs),
+                        (triples_dir if dedup else None, triples)):
+            if path is not None and t.num_rows:
+                pq.write_table(t, os.path.join(path, name))
         return tagged
 
-    # a sort of an empty input leaves column-less 0-row blocks: skip them
-    units = [ref for bundle in linked.iter_internal_ref_bundles()
-             for ref, meta in bundle.blocks if meta.num_rows]
-    write_finals(out_dir, units, block_map, meanwhile=lambda:
+    write_finals(out_dir, shards, shard_map, meanwhile=lambda:
                  write_taxonomy_tables(out_dir, taxonomy, index))
     write_empty_if_bare(paths["linked"], _LINKED_SCHEMA)
     write_empty_if_bare(paths["pairs"], PAIRS_SCHEMA)
@@ -450,20 +467,20 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
 
     Execution shape: ``narrow_chain`` runs the expensive
     extract->detect->attrs->link chain ONCE into an in-memory
-    materialization; then ``write_kg`` writes every table from those
-    blocks with raw tasks (``write_finals``), the ``linked/`` and
+    materialization, the build's only Ray Data execution, and routes it
+    into url shards; then ``write_kg`` writes every table from those
+    shards with raw tasks (``write_finals``), the ``linked/`` and
     ``pairs/`` checkpoints included. Earlier rounds wrote linked/pairs to
     parquet and re-read them before fan-out; that extra parquet
     round-trip was a measured slice of the 8->32-CPU scaling loss
     (BASELINE.md history)."""
-    tax_ref, index, cmap = taxonomy_state(taxonomy, canonicalize)
-    linked, _ = narrow_chain(pages_ds, tax_ref, index, cmap,
-                             link_mode=link_mode,
-                             single_product_mode=single_product_mode,
-                             dedup=dedup, concurrency=concurrency)
+    tax_ref, index, remap = taxonomy_state(taxonomy, canonicalize)
+    shards = narrow_chain(pages_ds, tax_ref, index, link_mode=link_mode,
+                          single_product_mode=single_product_mode,
+                          dedup=dedup, concurrency=concurrency)
     # dedup=True guarantees url-unique linked rows, which makes every
     # triple-duplicate group page-local — no exchange for triples.
     # dedup=False sends them through the exchange (url collisions can
-    # then span blocks).
-    return write_kg(out_dir, taxonomy, tax_ref, index, linked,
-                    page_local=dedup)
+    # then span shards).
+    return write_kg(out_dir, taxonomy, tax_ref, index, shards, dedup=dedup,
+                    remap=remap)

@@ -2,11 +2,14 @@
 
 The north-rule obligation the plain ``build_graph`` does not cover:
 ``resumable from checkpoint with per-partition lineage + metrics``. This
-pipeline splits the input file list into P partitions, runs the narrow
-chain (extract → detect → attrs → link → pairs) per partition — the same
-``narrow_chain`` as ``build_graph``, pairs made from the in-memory linked
-rows — writing ``out/linked/part=i`` + ``out/pairs/part=i`` + a lineage
-manifest (state/manifests.py). The finals then recompute the wide
+pipeline splits the input file list into P partitions and runs the narrow
+chain per partition — the same ``narrow_chain`` as ``build_graph``: one
+Ray Data execution (read → enrich) into memory, its rows routed by url
+hash into S shards, then one raw task per shard that dedups its urls,
+applies the canonical remap and writes its ``linked/`` rows and their
+pairs as ``out/linked/part=i/part-{j:05d}.parquet`` and
+``out/pairs/part=i/...`` — plus a lineage manifest
+(state/manifests.py). The finals then recompute the wide
 aggregations (edges, nodes, triples) from ALL partitions' ``linked/``
 with the plain build's writer, ``write_finals``: raw Ray tasks, one map
 per group of ``linked/`` files and one merge per shard, no Ray Data
@@ -49,8 +52,8 @@ import uuid
 import pyarrow as pa
 
 from .. import __version__
-from ..stages.bucketed import _polars_hash_ok
-from ..stages.pairs import PAIRS_SCHEMA
+from ..stages.bucketed import _polars_hash_ok, write_empty_if_bare
+from ..stages.pairs import PAIRS_SCHEMA, PairGenerator
 from ..state.manifests import (
     STAGE_VERSIONS,
     PartitionManifest,
@@ -65,9 +68,9 @@ from .build_graph import (
     FINALS_BATCH,
     GraphBuildResult,
     _LINKED_SCHEMA,
-    _write_parquet,
     finals_partials,
     graph_result,
+    linked_rows,
     narrow_chain,
     taxonomy_state,
     write_finals,
@@ -94,35 +97,55 @@ def list_parquet_files(path: str) -> list[str]:
             if f.endswith(".parquet")]
 
 
+def _write_shard(j: int, spec, *parts) -> None:
+    """Task of one url shard of a partition: its linked rows
+    (``linked_rows``) and their pairs, written as ``part-{j:05d}.parquet``
+    into the partition's ``.tmp`` dirs. ``spec`` is the put
+    ``(dirs, tax_ref, dedup, remap)``; ``parts`` are the shard's blocks."""
+    import pyarrow.parquet as pq
+
+    dirs, tax_ref, dedup, remap = spec
+    rows = linked_rows(list(parts), dedup=dedup, remap=remap)
+    pairs = PairGenerator(tax_ref)(rows)
+    for table, t in (("linked", rows), ("pairs", pairs)):
+        if t.num_rows:
+            pq.write_table(t, os.path.join(dirs[table],
+                                           f"part-{j:05d}.parquet"))
+
+
 def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
-                     run_id: str, tax_ref, index: dict,
-                     canonical_map: dict | None,
+                     run_id: str, tax_ref, index: dict, remap,
                      tax_digest: str) -> PartitionManifest:
     """Run the shared narrow chain for one partition, write its
-    ``linked/`` and ``pairs/`` from the in-memory rows, then its manifest.
-    Output dirs are rebuilt from scratch (tmp + swap) so a partition is
-    either fully present or absent — never half-appended."""
+    ``linked/`` and ``pairs/`` with one raw task per url shard, then its
+    manifest. Output dirs are rebuilt from scratch (tmp + swap) so a
+    partition is either fully present or absent — never half-appended."""
+    import ray
     import ray.data as rd
 
     t0 = time.time()
     dirs = {t: os.path.join(out_dir, t, f"part={part}")
             for t in ("linked", "pairs")}
-    for d in dirs.values():
+    tmp = {t: d + ".tmp" for t, d in dirs.items()}
+    for t, d in dirs.items():
         shutil.rmtree(d, ignore_errors=True)
-        shutil.rmtree(d + ".tmp", ignore_errors=True)
+        shutil.rmtree(tmp[t], ignore_errors=True)
+        os.makedirs(tmp[t])
 
-    linked, pairs = narrow_chain(
-        rd.read_parquet(files), tax_ref, index, canonical_map,
+    shards = narrow_chain(
+        rd.read_parquet(files), tax_ref, index,
         link_mode=config["link_mode"],
         single_product_mode=config["single_product_mode"],
         dedup=config["dedup"],
         concurrency=(None if config["concurrency"] == "auto"
                      else config["concurrency"]),
     )
-    for name, ds, schema in (("linked", linked, _LINKED_SCHEMA),
-                             ("pairs", pairs, PAIRS_SCHEMA)):
-        _write_parquet(ds, dirs[name] + ".tmp", schema)
-        os.replace(dirs[name] + ".tmp", dirs[name])
+    spec = ray.put((tmp, tax_ref, config["dedup"], remap))
+    write = ray.remote(_write_shard)
+    ray.get([write.remote(j, spec, *parts) for j, parts in enumerate(shards)])
+    for name, schema in (("linked", _LINKED_SCHEMA), ("pairs", PAIRS_SCHEMA)):
+        write_empty_if_bare(tmp[name], schema)
+        os.replace(tmp[name], dirs[name])
 
     from ..stages.metrics import mention_label_counts
 
@@ -236,7 +259,7 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
         "concurrency": "auto" if concurrency is None else int(concurrency),
     }
     parts = assign_partitions(list_parquet_files(pages_path), num_partitions)
-    tax_ref, index, cmap = taxonomy_state(taxonomy, canonicalize)
+    tax_ref, index, remap = taxonomy_state(taxonomy, canonicalize)
     tax_digest = taxonomy_digest(taxonomy)
     run_id = uuid.uuid4().hex[:12]
 
@@ -248,7 +271,7 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
             skipped += 1
         else:
             m = _build_partition(files, i, out_dir, config, run_id, tax_ref,
-                                 index, cmap, tax_digest)
+                                 index, remap, tax_digest)
         manifests.append(m)
     _drop_stale_partitions(out_dir, len(parts))
 

@@ -1,10 +1,12 @@
 """Bucketed group application — the scale-shape for keyed reductions and
 two-sided keyed exchanges (``bucketed_group_apply`` for one input,
 ``bucketed_cogroup`` for two, ``bucketed_aggregate`` for a decomposable
-keyed aggregate over one input, and ``bucketed_write_kinds`` for several
-tables, each on its own key, reduced and written by raw Ray tasks), and
-the one ordered exchange, ``prefix_scan`` (a global sort plus an exclusive
-prefix sum, the scan under packing, quantiles and global row indexes).
+keyed aggregate over one input), the raw-task exchanges of the KG builds
+(``hash_partition`` routes rows to shards by a key hash,
+``bucketed_write_kinds`` reduces and writes several tables, each on its
+own key), and the one ordered exchange, ``prefix_scan`` (a global sort
+plus an exclusive prefix sum, the scan under packing, quantiles and
+global row indexes).
 
 ``Dataset.groupby(keys).map_groups(fn)`` invokes ``fn`` once per group; with
 millions of tiny groups (edge keys, triple keys) the per-group Python
@@ -20,10 +22,12 @@ and never splits one value across two of them. So all rows of a key land in one
 block and per-key semantics are exact, while the fan-out follows the
 input instead of a per-query constant (*Hyper Dimension Shuffle*, VLDB
 2019); the tag stage batches 16384 rows, so small blocks coalesce before
-the sort. ``bucketed_write_kinds`` sizes its fan-out the same way, S
-shards for S input units, but routes ``__bucket mod S`` with raw tasks:
-the KG finals are a few short tasks, and Ray Data's streaming executor,
-which polls running tasks every 100 ms, made up most of their wall time.
+the sort. ``hash_partition`` and ``bucketed_write_kinds`` size their
+fan-out the same way, S shards for S input blocks or units, but route
+``__bucket mod S`` with raw tasks that share one split (``_split_rows``):
+a build's url dedup and KG finals are a few short tasks, and Ray Data's
+streaming executor, which polls running tasks every 100 ms, made up most
+of their wall time.
 The hash is process-stable, so bucket assignment is deterministic (never
 use builtin ``hash``).
 
@@ -259,18 +263,51 @@ def write_empty_if_bare(path: str, schema: pa.Schema) -> None:
                                                           "empty.parquet"))
 
 
-def _split_kinds(i: int, unit, map_fn, s: int):
-    """Map task of ``bucketed_write_kinds``: ``map_fn(i, unit)`` (rows of
-    ``tag_kinds``) in ``s`` pieces, piece j holding the rows whose
-    ``__bucket mod s`` is j. Each piece is its own ``take``: a pickled
-    slice would carry the whole table's buffers."""
-    t = map_fn(i, unit)
+def _split_rows(t: pa.Table, s: int) -> list[pa.Table]:
+    """``t`` in ``s`` pieces, piece j holding the rows whose ``__bucket
+    mod s`` is j. Each piece is its own ``take``: a pickled slice would
+    carry the whole table's buffers."""
     shard = np.mod(t[BUCKET_COL].to_numpy(), s)
     order = np.argsort(shard, kind="stable")
     ends = np.cumsum(np.bincount(shard, minlength=s))
-    pieces = [t.take(order[lo:hi]) for lo, hi in zip(
+    return [t.take(order[lo:hi]) for lo, hi in zip(
         np.concatenate([[0], ends[:-1]]), ends)]
+
+
+def _split_kinds(i: int, unit, map_fn, s: int, *parts):
+    """Map task of ``bucketed_write_kinds``: ``map_fn(i, unit)`` (rows of
+    ``tag_kinds``) in ``s`` pieces by ``__bucket mod s``. A list unit
+    arrives as ``parts`` (``unit`` None), each ObjectRef in it resolved."""
+    pieces = _split_rows(map_fn(i, list(parts) if unit is None else unit), s)
     return pieces if s > 1 else pieces[0]
+
+
+def _route(t: pa.Table, keys: list[str], s: int, use_polars: bool):
+    """Routing task of ``hash_partition``: ``t`` in ``s`` pieces by the
+    hash of ``keys`` mod ``s``, without the bucket column."""
+    pieces = [p.drop_columns([BUCKET_COL]) for p in _split_rows(
+        add_bucket_column(t, keys, use_polars=use_polars), s)]
+    return pieces if s > 1 else pieces[0]
+
+
+def hash_partition(blocks, keys: list[str]) -> list[list]:
+    """The rows of ``blocks`` (tables or ObjectRefs of them) in S shards
+    by the hash of ``keys`` mod S, S being the number of blocks: shard j
+    is the list of piece j of every block (ObjectRefs), so all rows of a
+    key are in one shard. One raw routing task per block, splitting as
+    ``bucketed_write_kinds`` does; one block is its own shard, with no
+    task.
+    A consumer passes a shard to a task as separate arguments (or as a
+    list unit of ``bucketed_write_kinds``) so its pieces arrive resolved."""
+    import ray
+
+    s = len(blocks)
+    if s <= 1:
+        return [list(blocks)] if s else []
+    route = ray.remote(_route).options(num_returns=s)
+    up = _polars_hash_ok()
+    pieces = [route.remote(b, keys, s, up) for b in blocks]
+    return [[p[j] for p in pieces] for j in range(s)]
 
 
 def _merge_kinds(j: int, spec, *pieces) -> None:
@@ -293,17 +330,19 @@ def bucketed_write_kinds(units, map_fn, schemas, fns, paths, out_schemas, *,
     """The multi-table exchange, on raw Ray tasks: several tables, each
     reduced on its own key and written under its own path.
 
-    Each unit gets one map task, ``map_fn(i, unit)`` (an ObjectRef unit
-    arrives resolved), which returns ``tag_kinds`` rows and splits them
-    by ``__bucket mod S`` into S pieces, S being the number of units (as
-    ``Dataset.sort`` makes one output block per input block). Merge task
+    Each unit gets one map task, ``map_fn(i, unit)``, which returns
+    ``tag_kinds`` rows and splits them by ``__bucket mod S`` into S
+    pieces, S being the number of units (as ``Dataset.sort`` makes one
+    output block per input block). Merge task
     j concatenates its S pieces, applies ``fns[k]`` (pa.Table ->
     pa.Table, keyed, as in ``bucketed_group_apply``) to kind ``k``'s rows
     and writes ``paths[k]/part-{j:05d}.parquet``. Every row of a key of a
     kind lands in one shard. A path that got no file gets a typed empty
     one of ``out_schemas[k]``, so every output reads back with its
     schema. ``meanwhile`` (no arguments) runs on the driver once every
-    task is submitted.
+    task is submitted. An ObjectRef unit arrives resolved; a list unit
+    (a ``hash_partition`` shard, a group of files) goes to its task as
+    separate arguments, so each ObjectRef in it arrives resolved too.
 
     No Ray Data execution runs. Its streaming executor polls running
     tasks every 100 ms: through it (one read, map, sort and multi-table
@@ -318,7 +357,9 @@ def bucketed_write_kinds(units, map_fn, schemas, fns, paths, out_schemas, *,
     if s:
         split = ray.remote(_split_kinds).options(num_returns=s)
         fn_ref = ray.put(map_fn)
-        pieces = [split.remote(i, u, fn_ref, s) for i, u in enumerate(units)]
+        pieces = [split.remote(i, None, fn_ref, s, *u) if isinstance(u, list)
+                  else split.remote(i, u, fn_ref, s)
+                  for i, u in enumerate(units)]
         if s == 1:
             pieces = [[p] for p in pieces]
         merge = ray.remote(_merge_kinds)

@@ -834,38 +834,54 @@ def canonical_map_pure(taxonomy: pa.Table, *, threshold: float =
     return _entity_map_from_components(forms, comp_map)
 
 
+def canonical_remap(canonical_map: dict[str, str]):
+    """The non-identity entries of ``canonical_map`` as ``(keys, values)``
+    string arrays sorted by key, the broadcast form of the map that
+    ``remap_entity_ids`` reads; None when every id maps to itself."""
+    nonid = sorted((k, v) for k, v in canonical_map.items() if k != v)
+    if not nonid:
+        return None
+    return (pa.array([k for k, _ in nonid], type=pa.string()),
+            pa.array([v for _, v in nonid], type=pa.string()))
+
+
+def remap_entity_ids(batch: pa.Table, remap) -> pa.Table:
+    """Linked page rows with every mention's entity id rewritten through
+    ``remap`` (``canonical_remap``'s arrays; ids not in it stay).
+    Vectorized flat-struct surgery: one ``index_in`` + ``take`` +
+    ``coalesce`` over the flattened mention structs, no per-row Python.
+    The one remap kernel: ``apply_canonical_map`` maps it over a Dataset,
+    and both builds call it on each url shard's rows."""
+    from .attributes import flat_mentions, rewrap_mentions
+
+    keys, vals = remap
+    col, flat = flat_mentions(batch)
+    if len(flat) == 0:
+        return batch
+    ent = flat.field("entity_id")
+    new_ent = pc.coalesce(pc.take(vals, pc.index_in(ent, value_set=keys)),
+                          ent)
+    fields = list(flat.type)
+    arrays = [new_ent if f.name == "entity_id" else flat.field(f.name)
+              for f in fields]
+    return rewrap_mentions(batch, col,
+                           pa.StructArray.from_arrays(arrays, fields=fields))
+
+
 def apply_canonical_map(linked_ds, canonical_map: dict[str, str]):
     """Rewrite entity ids in linked page-mentions via the broadcast map
-    (identity for unmapped ids). Vectorized flat-struct surgery: only the
-    non-identity entries ship, and the remap is one ``index_in`` + ``take``
-    + ``coalesce`` over the flattened mention structs — no per-row Python
-    (this stage sits INSIDE the hot linked chain when canonicalize=True)."""
-    import pyarrow.compute as pc
+    (identity for unmapped ids): ``remap_entity_ids`` per batch, with only
+    the non-identity entries shipped."""
     import ray
 
-    nonid = {k: v for k, v in canonical_map.items() if k != v}
-    if not nonid:
+    remap = canonical_remap(canonical_map)
+    if remap is None:
         return linked_ds
-    keys = pa.array(sorted(nonid), type=pa.string())
-    vals_a = pa.array([nonid[k] for k in sorted(nonid)], type=pa.string())
-    ref = (ray.put((keys, vals_a)) if ray.is_initialized()
-           else (keys, vals_a))
+    ref = ray.put(remap) if ray.is_initialized() else remap
 
-    def remap(batch: pa.Table) -> pa.Table:
-        from .attributes import flat_mentions, rewrap_mentions
+    def remap_batch(batch: pa.Table) -> pa.Table:
+        return remap_entity_ids(
+            batch, ref if isinstance(ref, tuple) else ray.get(ref))
 
-        k, v = ray.get(ref) if not isinstance(ref, tuple) else ref
-        col, flat = flat_mentions(batch)
-        if len(flat) == 0:
-            return batch
-        ent = flat.field("entity_id")
-        idx = pc.index_in(ent, value_set=k)
-        new_ent = pc.coalesce(pc.take(v, idx), ent)
-        fields = list(flat.type)
-        arrays = [new_ent if f.name == "entity_id" else flat.field(f.name)
-                  for f in fields]
-        new_flat = pa.StructArray.from_arrays(arrays, fields=fields)
-        return rewrap_mentions(batch, col, new_flat)
-
-    return linked_ds.map_batches(remap, batch_format="pyarrow",
+    return linked_ds.map_batches(remap_batch, batch_format="pyarrow",
                                  zero_copy_batch=True)

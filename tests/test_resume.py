@@ -10,10 +10,16 @@ Invariants under test:
 - a plain build into a partitioned build's dir leaves no resume state;
 - a resume after deleting one partition rebuilds it alone and equals a
   fresh build, table for table; a changed taxonomy rebuilds them all;
-- the finals read only ``linked/`` and run no Ray Data execution; the
-  plain build runs one sort (the url dedup) and writes with raw tasks;
-  without url dedup, triples dedup across blocks to the earliest crawl;
-  pages that link no entity still get typed empty tables.
+- the finals read only ``linked/`` and run no Ray Data execution; a
+  plain build, and a resume rebuilding one partition, run no Ray Data
+  sort or write (the url dedup and every write are raw tasks), and the
+  resume reads only that partition's files;
+- the url dedup keeps the earliest crawl of a url whatever block each
+  crawl is in: 1, 3 or 8 blocks, canonical ids on or off, give the same
+  tables, and ``linked/`` equals the Dataset operators' result;
+- without url dedup, triples dedup across blocks to the earliest crawl;
+  pages that link no entity, no pages at all, and a url shard with no
+  rows still give typed tables in both builds.
 """
 
 import json
@@ -406,10 +412,10 @@ def test_finals_read_only_linked_with_no_dataset_execution(
     assert all(got[k].equals(first[k]) for k in first)
 
 
-def test_plain_build_sorts_once_and_writes_with_tasks(
+def test_plain_build_runs_no_dataset_sort_or_write(
         ray_session, sharded_pages, tmp_path, monkeypatch):
-    # after the narrow chain (whose one exchange is the url dedup sort)
-    # the plain build writes every table with raw tasks
+    # the narrow chain's one Ray Data execution is read -> enrich; the url
+    # dedup and every table's write run on raw tasks
     import ray.data as rd
 
     shards, tax = sharded_pages
@@ -418,9 +424,165 @@ def test_plain_build_sorts_once_and_writes_with_tasks(
     pages = rd.read_parquet(shards)
     _spy_dataset_runs(monkeypatch, seen)
     build_graph(pages, tax, out, link_mode="gazetteer")
-    assert seen == ["sort"]
+    assert seen == []
     for name in ("linked", "pairs", "triples", "nodes", "edges"):
         assert pq.read_table(os.path.join(out, name)).num_rows > 0, name
+
+
+def test_resume_rebuilding_one_partition_reads_once_and_sorts_nothing(
+        ray_session, sharded_pages, tmp_path, monkeypatch):
+    shards, tax = sharded_pages
+    out = str(tmp_path / "kg")
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer")
+    first = _all_tables(out)
+    os.remove(mf.manifest_path(out, 1))
+    seen = []
+    _spy_dataset_runs(monkeypatch, seen)
+    build_graph_resumable(shards, tax, out, num_partitions=2,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_built"] == 1
+    parts = assign_partitions(list_parquet_files(shards), 2)
+    assert seen == [("read", parts[1])]
+    got = _all_tables(out)
+    assert all(got[k].equals(first[k]) for k in first)
+
+
+def _one_block_per_input_block(monkeypatch) -> list:
+    """Make every non-empty input block its own enriched block, so a
+    build's url shards are as many as its input blocks (enrichment
+    otherwise bundles small blocks up to its 512-page batch), and record
+    the block count each ``hash_partition`` call routes."""
+    import functools
+
+    from fashion_knowledge_graph_ray.pipelines import build_graph as bg
+    from fashion_knowledge_graph_ray.stages import linker
+
+    monkeypatch.setattr(linker, "enrich_pages",
+                        functools.partial(linker.enrich_pages, batch_size=1))
+    routed = []
+    real = bg.hash_partition
+
+    def spy(blocks, keys):
+        routed.append(len(blocks))
+        return real(blocks, keys)
+    monkeypatch.setattr(bg, "hash_partition", spy)
+    return routed
+
+
+def _shift_days(t: pa.Table, days: int) -> pa.Table:
+    import datetime
+
+    import pyarrow.compute as pc
+
+    return t.set_column(
+        t.schema.get_field_index("warc_ts"), "warc_ts",
+        pc.add(t["warc_ts"], pa.scalar(datetime.timedelta(days=days),
+                                       pa.duration("us"))))
+
+
+@pytest.mark.parametrize("canonicalize", [False, True])
+def test_url_dedup_across_blocks(ray_session, tmp_path, monkeypatch,
+                                 canonicalize):
+    # every third url crawled again a day later with another page's text,
+    # the re-crawls first in row order, so they sit in other blocks than
+    # their first crawl; the earliest crawl must win in every layout
+    import ray
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.pipelines.build_graph import (
+        _LINKED_SCHEMA,
+    )
+    from fashion_knowledge_graph_ray.stages.canonicalize import (
+        apply_canonical_map,
+        canonical_remap,
+        canonicalize_taxonomy,
+    )
+    from fashion_knowledge_graph_ray.stages.extract import dedup_pages
+    from fashion_knowledge_graph_ray.stages.linker import enrich_pages
+
+    tax = gen_taxonomy(42)
+    pages = gen_pages_table(42, 120, tax)
+    again = list(range(0, 120, 3))
+    other = pages.take([(i + 1) % 120 for i in again])
+    recrawl = _shift_days(pages.take(again), 1)
+    for col in ("html", "text"):
+        recrawl = recrawl.set_column(recrawl.schema.get_field_index(col),
+                                     col, other[col])
+    corpus = pa.concat_tables([recrawl, pages])
+    cmap = canonicalize_taxonomy(tax) if canonicalize else {}
+    assert (canonical_remap(cmap) is not None) == canonicalize
+    want = apply_canonical_map(dedup_pages(enrich_pages(
+        rd.from_arrow(corpus), ray.put(tax), link_mode="gazetteer")), cmap)
+    want = pa.Table.from_pylist(want.take_all(), schema=_LINKED_SCHEMA) \
+        .sort_by("url")
+    assert want.num_rows == len(set(pages["url"].to_pylist()))
+
+    routed = _one_block_per_input_block(monkeypatch)
+    got = {}
+    for n in (1, 3, 8):
+        step = -(-corpus.num_rows // n)
+        blocks = [corpus.slice(k * step, step) for k in range(n)]
+        out = str(tmp_path / f"kg{n}")
+        build_graph(rd.from_arrow(blocks), tax, out, link_mode="gazetteer",
+                    canonicalize=canonicalize)
+        got[n] = _all_tables(out)
+        assert got[n]["linked"].equals(want), n
+    assert routed == [1, 3, 8]
+    for n in (3, 8):
+        for name in got[1]:
+            assert got[n][name].num_rows > 0, name
+            assert got[n][name].equals(got[1][name]), (n, name)
+
+
+@pytest.mark.parametrize("n_pages", [0, 2])
+def test_empty_corpus_and_empty_shard_write_typed_tables(
+        ray_session, sharded_pages, tmp_path, monkeypatch, n_pages):
+    # four input files, two of them empty: no pages at all, or two crawls
+    # of one url — two url shards, one of which gets no rows
+    import ray.data as rd
+
+    from fashion_knowledge_graph_ray.pipelines.build_graph import (
+        _EDGES_OUT_SCHEMA,
+        _LINKED_SCHEMA,
+    )
+    from fashion_knowledge_graph_ray.schemas import (
+        NODES_SCHEMA,
+        TRIPLES_SCHEMA,
+    )
+    from fashion_knowledge_graph_ray.stages.pairs import PAIRS_SCHEMA
+
+    shards, tax = sharded_pages
+    first = pq.read_table(list_parquet_files(shards)[0]).slice(0, 1)
+    crawls = [first, _shift_days(first, 1)][:n_pages]
+    blocks = [crawls[0], first.slice(0, 0), crawls[1], first.slice(0, 0)] \
+        if n_pages else [first.slice(0, 0)] * 4
+    src = str(tmp_path / "pages")
+    os.makedirs(src)
+    for k, t in enumerate(blocks):
+        pq.write_table(t, os.path.join(src, f"shard-{k}.parquet"))
+    routed = _one_block_per_input_block(monkeypatch)
+    plain, part = str(tmp_path / "plain"), str(tmp_path / "part")
+    build_graph(rd.read_parquet(src), tax, plain, link_mode="gazetteer")
+    build_graph_resumable(src, tax, part, num_partitions=1,
+                          link_mode="gazetteer")
+    assert routed == [n_pages, n_pages]
+    schemas = {"linked": _LINKED_SCHEMA, "pairs": PAIRS_SCHEMA,
+               "nodes": NODES_SCHEMA, "edges": _EDGES_OUT_SCHEMA,
+               "triples": TRIPLES_SCHEMA}
+    for out in (plain, part):
+        for name, schema in schemas.items():
+            t = pq.read_table(os.path.join(out, name), partitioning=None)
+            assert t.schema.equals(schema), (out, name)
+            assert (t.num_rows > 0) == bool(n_pages), (out, name)
+        linked = pq.read_table(os.path.join(out, "linked"),
+                               partitioning=None)
+        assert linked["warc_ts"].to_pylist() == \
+            first["warc_ts"].to_pylist()[:min(n_pages, 1)]
+    want = _all_tables(plain)
+    got = _all_tables(part)
+    assert all(got[k].equals(want[k]) for k in want)
 
 
 def _brute_triples(linked: pa.Table, pairs: pa.Table) -> dict:
