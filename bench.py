@@ -148,7 +148,8 @@ def run_headline(num_cpus: int) -> dict:
     # blocks per core; default 128 MiB blocks would give this ~65 MB corpus
     # only 1-2 tasks (observed serialized in ds.stats()).
     pages = rd.read_parquet(pages_dir, override_num_blocks=4 * num_cpus)
-    # concurrency=None -> enrichment tasks capped from cluster CPUs
+    # the build caps enrichment tasks from the cluster CPU count
+    # (resolve_pool_sizes)
     res = build_graph(pages, tax, out_dir, link_mode="embedding")
     dt = time.time() - t0
     n_triples = sum(

@@ -14,19 +14,19 @@ the read and the enrichment; raw Ray tasks do the rest:
                                              # (M13 + M6/T1 + M8/M9 + J1/T8),
                                              # state memoized per worker
         -> materialize: S non-empty blocks
-      with url dedup and S > 1, one routing  # S url shards; shard j holds
-        task per block: hash(url) mod S      # piece j of every block
+      if S > 1, one routing task per block:  # S url shards; shard j holds
+        hash(url) mod S                      # piece j of every block
     one task per url shard (linked_rows):
       concat -> dedup by url                 # G7 (keep earliest warc_ts)
         [-> remap_entity_ids]                # north-rule canonicalization
-        -> plain build: write_finals' map    # writes linked/, pairs/ (and
-           (finals_partials per 1,024 pages: #   page-local triples), splits
+        -> plain build: write_finals' map    # writes linked/, pairs/ and
+           (finals_partials per 1,024 pages: #   page-local triples, splits
            pairs (G1), node partials (G4),   #   the partials by key hash
            edge partials (G2/G3), triples    #   into S pieces
            deduped in the batch)
         -> resume: write the partition's linked/ and pairs/ part files
-    write_finals' merge task per shard       # nodes, edges (and triples
-      -> merge whole keys, one file each     # unless page-local) at
+    write_finals' merge task per shard       # nodes, edges (and, in a
+      -> merge whole keys, one file each     # resume, triples) at
                                              # part-{j:05d}.parquet
     embeddings + index/ on the driver meanwhile  # K2/T2/T3/K6
 
@@ -74,14 +74,13 @@ from ..stages.aggregate import (
     partial_edge_agg,
 )
 from ..stages.bucketed import (
-    _polars_hash_ok,
     bucketed_write_kinds,
     hash_partition,
     tag_kinds,
     write_empty_if_bare,
 )
 from ..stages.canonicalize import remap_entity_ids
-from ..stages.extract import _dedup_urls_bucket, dedup_pages
+from ..stages.extract import _dedup_urls_bucket
 from ..stages.mentions import MENTION_STRUCT
 from ..stages.pairs import PAIRS_SCHEMA, PairGenerator, explode_mentions_batch
 from ..stages.triples import (
@@ -170,24 +169,22 @@ class GraphBuildResult:
                                partitioning=None)
 
 
-def resolve_pool_sizes(concurrency=None) -> int:
+def resolve_pool_sizes() -> int:
     """Cap on concurrent enrichment tasks (the fused extract+detect+
     attrs+link stage — see stages/linker.EnrichmentStage for why one
     stage instead of two: an integer split of a small cluster between two
     stages sets a serial floor under whichever gets one worker).
 
-    ``concurrency``: None auto-sizes from the cluster CPU count; an int
-    pins the cap. No CPUs - 1 clamp: it existed because a fixed actor
-    pool holding EVERY CPU slot starved the read and shuffle tasks and
-    deadlocked the streaming executor (observed at ``num_cpus=4``).
+    Sized from the cluster CPU count, never from a knob. No CPUs - 1
+    clamp: it existed because a fixed actor pool holding EVERY CPU slot
+    starved the read and shuffle tasks and deadlocked the streaming
+    executor (observed at ``num_cpus=4``).
     An enrichment task holds its CPU only until its input bundle is
     done, so the executor always schedules the other operators' tasks;
     measured on 4 CPUs, a cap of CPUs ran both benchmark workloads faster
     than CPUs - 1 (CHANGES.md)."""
     import ray
 
-    if concurrency is not None:
-        return max(1, int(concurrency))
     ncpu = int(ray.cluster_resources().get("CPU", 8)) \
         if ray.is_initialized() else 8
     # measured optima: small clusters want every CPU enriching (as an
@@ -202,49 +199,6 @@ def resolve_pool_sizes(concurrency=None) -> int:
     if ncpu <= 8:
         return max(1, ncpu)
     return max(8, ncpu * 3 // 4)
-
-
-def build_linked(pages_ds, taxonomy_ref, *, link_mode: str = "embedding",
-                 single_product_mode: bool = False, dedup: bool = True,
-                 concurrency=None, prebuilt_index: dict | None = None):
-    """pages -> linked page-mentions Dataset (the narrow one-pass chain).
-
-    ``concurrency``: None (recommended) caps concurrent enrichment tasks
-    from the cluster CPU count via ``resolve_pool_sizes``; an int pins the
-    cap."""
-    from ..stages.linker import enrich_pages
-
-    cap = resolve_pool_sizes(concurrency)
-    # Enrich FIRST, dedup the narrow linked rows after. Two scale wins
-    # over dedup-first: (a) no sort barrier between the read and the
-    # enrichment tasks, so enrichment streams while blocks are still being
-    # read; (b) the dedup shuffle moves (url, warc_ts, lang, mentions)
-    # instead of raw html — the "shuffle narrow, not wide" rule. The
-    # output is identical (keep-earliest-warc_ts per url; enrichment is a
-    # deterministic per-row function). Trade-off: duplicate pages cost
-    # enrichment CPU before being dropped — a duplicate-HEAVY crawl
-    # should run exact url dedup as its own partitioned pass first
-    # (pipelines/resumable.py notes the shard-unique layout).
-    link_kw = {}
-    if link_mode == "embedding":
-        # build the ANN index ONCE on the driver and broadcast it: the
-        # float matrix rides zero-copy from the object store into every
-        # worker instead of each worker re-embedding the taxonomy when it
-        # builds its EnrichmentStage (taxonomy-sized work x workers)
-        import ray
-
-        from ..stages.linker import EmbeddingLinker
-
-        idx = prebuilt_index
-        if idx is None:
-            tax = taxonomy_ref if isinstance(taxonomy_ref, pa.Table) \
-                else ray.get(taxonomy_ref)
-            idx = EmbeddingLinker.build_index(tax)
-        link_kw["index_ref"] = ray.put(idx) if ray.is_initialized() else idx
-    ds = enrich_pages(pages_ds, taxonomy_ref, link_mode=link_mode,
-                      single_product_mode=single_product_mode,
-                      concurrency=cap, **link_kw)
-    return dedup_pages(ds) if dedup else ds
 
 
 def taxonomy_state(taxonomy: pa.Table, canonicalize: bool):
@@ -274,38 +228,52 @@ def taxonomy_state(taxonomy: pa.Table, canonicalize: bool):
 
 
 def narrow_chain(pages_ds, tax_ref, index: dict, *, link_mode: str,
-                 single_product_mode: bool, dedup: bool,
-                 concurrency) -> list[list]:
-    """pages -> the url shards of both builds. ``build_linked`` without
-    its dedup is the build's one Ray Data execution, materialized in
-    memory; its S non-empty blocks become S shards. With ``dedup`` the
-    rows are routed by the hash of their url (``hash_partition``), so
-    every crawl of a url lands in one shard; without it each block is a
-    shard. Each shard is a list of blocks (ObjectRefs) that one task of
-    the caller turns into linked rows with ``linked_rows``: the url dedup
-    and the canonical remap run there, not as Ray Data operators."""
-    linked = build_linked(pages_ds, tax_ref, link_mode=link_mode,
-                          single_product_mode=single_product_mode,
-                          dedup=False, concurrency=concurrency,
-                          prebuilt_index=index).materialize()
-    blocks = [ref for bundle in linked.iter_internal_ref_bundles()
-              for ref, meta in bundle.blocks if meta.num_rows]
-    return hash_partition(blocks, ["url"]) if dedup \
-        else [[b] for b in blocks]
+                 single_product_mode: bool) -> list[list]:
+    """pages -> the url shards of both builds.
 
+    The enrichment (``enrich_pages``, at most ``resolve_pool_sizes()``
+    concurrent tasks) is the build's one Ray Data execution, materialized
+    in memory. In embedding mode the driver-built ANN ``index``
+    (``taxonomy_state``'s) is broadcast, so the float matrix rides
+    zero-copy from the object store into every worker instead of each
+    worker re-embedding the taxonomy. The S non-empty blocks are routed
+    by the hash of their url into S shards (``hash_partition``), so every
+    crawl of a url lands in one shard. Each shard is a list of blocks
+    (ObjectRefs) that one task of the caller turns into linked rows with
+    ``linked_rows``: the url dedup and the canonical remap run there, not
+    as Ray Data operators.
 
-def linked_rows(parts: list[pa.Table], *, dedup: bool, remap) -> pa.Table:
-    """A url shard's linked rows, inside the task that consumes it: the
-    shard's pieces concatenated, the earliest ``warc_ts`` per url kept
-    when ``dedup`` (``_dedup_urls_bucket``, the kernel of ``dedup_pages``)
-    and the canonical ids applied when ``remap`` (``taxonomy_state``'s)
-    is not None (``remap_entity_ids``, the kernel of
-    ``apply_canonical_map``)."""
+    Enrich first, dedup after: no sort barrier stands between the read
+    and the enrichment, and the url exchange moves the narrow linked rows
+    instead of raw html. The output is the same (keep the earliest
+    ``warc_ts`` per url; enrichment is a deterministic per-row function);
+    duplicate pages cost enrichment CPU before they are dropped."""
     import ray
 
-    t = pa.concat_tables(parts)
-    if dedup:
-        t = _dedup_urls_bucket(t)
+    from ..stages.linker import enrich_pages
+
+    link_kw = {}
+    if link_mode == "embedding":
+        link_kw["index_ref"] = ray.put(index) if ray.is_initialized() \
+            else index
+    linked = enrich_pages(pages_ds, tax_ref, link_mode=link_mode,
+                          single_product_mode=single_product_mode,
+                          concurrency=resolve_pool_sizes(),
+                          **link_kw).materialize()
+    blocks = [ref for bundle in linked.iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks if meta.num_rows]
+    return hash_partition(blocks, ["url"])
+
+
+def linked_rows(parts: list[pa.Table], *, remap) -> pa.Table:
+    """A url shard's linked rows, inside the task that consumes it: the
+    shard's pieces concatenated, the earliest ``warc_ts`` per url kept
+    (``_dedup_urls_bucket``, the kernel of ``dedup_pages``) and the
+    canonical ids applied when ``remap`` (``taxonomy_state``'s) is not
+    None (``remap_entity_ids``, the kernel of ``apply_canonical_map``)."""
+    import ray
+
+    t = _dedup_urls_bucket(pa.concat_tables(parts))
     if remap is not None:
         t = remap_entity_ids(t, remap if isinstance(remap, tuple)
                              else ray.get(remap))
@@ -354,8 +322,7 @@ _FINALS = (
 FINALS_BATCH = 1024
 
 
-def finals_partials(pages: pa.Table, tax_ref, *, use_polars: bool,
-                    triples_kind: bool):
+def finals_partials(pages: pa.Table, tax_ref, *, triples_kind: bool):
     """The finals map of both builds over linked page rows, one
     ``FINALS_BATCH``-page batch at a time -> ``(pairs, triples, tagged)``.
 
@@ -366,13 +333,11 @@ def finals_partials(pages: pa.Table, tax_ref, *, use_polars: bool,
     partials and the relation triples; triples are deduped within the
     batch. ``tagged`` holds the node and edge partials, and the triples
     when ``triples_kind``, as ``tag_kinds`` rows for ``write_finals``.
-    ``use_polars`` is the driver's ``_polars_hash_ok()``. No pages give
-    typed empty tables (a url shard may get no rows)."""
+    No pages give typed empty tables (a url shard may get no rows)."""
     _, keys, schemas, _, _ = zip(*_FINALS)
     if not pages.num_rows:
         return (PAIRS_SCHEMA.empty_table(), TRIPLES_SCHEMA.empty_table(),
-                tag_kinds([None] * len(keys), keys, schemas,
-                          use_polars=use_polars))
+                tag_kinds([None] * len(keys), keys, schemas))
     out = []
     for lo in range(0, pages.num_rows, FINALS_BATCH):
         batch = pages.slice(lo, FINALS_BATCH)
@@ -385,7 +350,7 @@ def finals_partials(pages: pa.Table, tax_ref, *, use_polars: bool,
             [_partial_nodes(linked) if linked.num_rows else None,
              partial_edge_agg(pairs) if pairs.num_rows else None,
              triples if triples_kind else None],
-            keys, schemas, use_polars=use_polars)
+            keys, schemas)
         out.append((pairs, triples, tagged))
     return tuple(pa.concat_tables(t) for t in zip(*out))
 
@@ -405,7 +370,7 @@ def write_finals(out_dir: str, units, map_fn, *, meanwhile) -> None:
 
 
 def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
-             shards: list[list], *, dedup: bool, remap) -> GraphBuildResult:
+             shards: list[list], *, remap) -> GraphBuildResult:
     """Write the plain build's KG under ``out_dir`` — the ``linked/`` and
     ``pairs/`` checkpoints, edges, nodes, triples and the taxonomy tables
     — and return it. The build owns the whole directory, so an earlier
@@ -415,11 +380,11 @@ def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
     Its map task makes the shard's linked rows (``linked_rows``: url
     dedup, canonical remap), writes them to ``linked/``, derives their
     pairs (``finals_partials``), writes ``pairs/`` and emits the node and
-    edge partials. With ``dedup`` every url appears in one linked row, so
-    every triple duplicate is within one batch and the map writes the
-    shard's deduped triples itself; otherwise the triples are a kind of
-    the exchange. The taxonomy tables are written on the driver while
-    the tasks run. No Ray Data execution runs here."""
+    edge partials. Every url appears in one linked row, so every triple
+    duplicate is within one batch and the map writes the shard's deduped
+    triples itself; the triples take no part in the exchange. The
+    taxonomy tables are written on the driver while the tasks run. No Ray
+    Data execution runs here."""
     import pyarrow.parquet as pq
 
     paths = {k: os.path.join(out_dir, k) for k in ("linked", "pairs")}
@@ -432,16 +397,15 @@ def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "metrics.json"))
     triples_dir = os.path.join(out_dir, "triples")
-    up = _polars_hash_ok()  # driver decision, captured in the closure
 
     def shard_map(i: int, parts: list[pa.Table]) -> pa.Table:
-        block = linked_rows(parts, dedup=dedup, remap=remap)
-        pairs, triples, tagged = finals_partials(
-            block, tax_ref, use_polars=up, triples_kind=not dedup)
+        block = linked_rows(parts, remap=remap)
+        pairs, triples, tagged = finals_partials(block, tax_ref,
+                                                 triples_kind=False)
         name = f"part-{i:05d}.parquet"
         for path, t in ((paths["linked"], block), (paths["pairs"], pairs),
-                        (triples_dir if dedup else None, triples)):
-            if path is not None and t.num_rows:
+                        (triples_dir, triples)):
+            if t.num_rows:
                 pq.write_table(t, os.path.join(path, name))
         return tagged
 
@@ -455,9 +419,7 @@ def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
 def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
                 link_mode: str = "embedding",
                 single_product_mode: bool = False,
-                dedup: bool = True,
-                canonicalize: bool = False,
-                concurrency=None) -> GraphBuildResult:
+                canonicalize: bool = False) -> GraphBuildResult:
     """Run the full KG build, writing Parquet tables under ``out_dir``.
 
     ``canonicalize=True`` inserts the MinHash-LSH canonicalization pass
@@ -470,17 +432,12 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
     materialization, the build's only Ray Data execution, and routes it
     into url shards; then ``write_kg`` writes every table from those
     shards with raw tasks (``write_finals``), the ``linked/`` and
-    ``pairs/`` checkpoints included. Earlier rounds wrote linked/pairs to
-    parquet and re-read them before fan-out; that extra parquet
-    round-trip was a measured slice of the 8->32-CPU scaling loss
-    (BASELINE.md history)."""
+    ``pairs/`` checkpoints included. Every build keeps one crawl per url,
+    so every triple duplicate is page-local and the triples take no
+    exchange. Earlier rounds wrote linked/pairs to parquet and re-read
+    them before fan-out; that extra parquet round-trip was a measured
+    slice of the 8->32-CPU scaling loss (BASELINE.md history)."""
     tax_ref, index, remap = taxonomy_state(taxonomy, canonicalize)
     shards = narrow_chain(pages_ds, tax_ref, index, link_mode=link_mode,
-                          single_product_mode=single_product_mode,
-                          dedup=dedup, concurrency=concurrency)
-    # dedup=True guarantees url-unique linked rows, which makes every
-    # triple-duplicate group page-local — no exchange for triples.
-    # dedup=False sends them through the exchange (url collisions can
-    # then span shards).
-    return write_kg(out_dir, taxonomy, tax_ref, index, shards, dedup=dedup,
-                    remap=remap)
+                          single_product_mode=single_product_mode)
+    return write_kg(out_dir, taxonomy, tax_ref, index, shards, remap=remap)

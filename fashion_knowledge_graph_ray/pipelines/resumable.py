@@ -31,11 +31,16 @@ Scale shape (100 TB / 256 nodes):
 - partitions run sequentially on the driver; each is internally parallel.
   At real scale you submit one `ray job` per partition range and the
   manifests make the jobs idempotent and mergeable.
-- exact page dedup is WITHIN-partition here (urls are assumed
-  shard-unique, which a Common-Crawl-style layout provides). When
-  cross-shard duplicate urls matter, run the global ``dedup_pages`` pass
-  once as its own partitioned job and feed its output here. The finals
-  therefore dedup triples with the bucketed exchange, not page-locally.
+- exact page dedup is WITHIN-partition here, as in every build (urls
+  are assumed shard-unique, which a Common-Crawl-style layout provides).
+  When cross-shard duplicate urls matter, run the global ``dedup_pages``
+  pass once as its own partitioned job and feed its output here. The
+  finals therefore dedup triples with the bucketed exchange, not
+  page-locally.
+- a manifest's ``config`` holds ``link_mode``, ``single_product_mode``
+  and ``canonicalize``, plus ``"dedup": True`` and ``"concurrency":
+  "auto"``: fixed values, kept so that manifests written while those
+  were options stay valid.
 
 Metrics: ``out/metrics.json`` aggregates per-partition row counts, wall
 times and triples/sec — derived from manifests, as the north rule asks.
@@ -52,7 +57,7 @@ import uuid
 import pyarrow as pa
 
 from .. import __version__
-from ..stages.bucketed import _polars_hash_ok, write_empty_if_bare
+from ..stages.bucketed import write_empty_if_bare
 from ..stages.pairs import PAIRS_SCHEMA, PairGenerator
 from ..state.manifests import (
     STAGE_VERSIONS,
@@ -101,11 +106,11 @@ def _write_shard(j: int, spec, *parts) -> None:
     """Task of one url shard of a partition: its linked rows
     (``linked_rows``) and their pairs, written as ``part-{j:05d}.parquet``
     into the partition's ``.tmp`` dirs. ``spec`` is the put
-    ``(dirs, tax_ref, dedup, remap)``; ``parts`` are the shard's blocks."""
+    ``(dirs, tax_ref, remap)``; ``parts`` are the shard's blocks."""
     import pyarrow.parquet as pq
 
-    dirs, tax_ref, dedup, remap = spec
-    rows = linked_rows(list(parts), dedup=dedup, remap=remap)
+    dirs, tax_ref, remap = spec
+    rows = linked_rows(list(parts), remap=remap)
     pairs = PairGenerator(tax_ref)(rows)
     for table, t in (("linked", rows), ("pairs", pairs)):
         if t.num_rows:
@@ -136,11 +141,8 @@ def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
         rd.read_parquet(files), tax_ref, index,
         link_mode=config["link_mode"],
         single_product_mode=config["single_product_mode"],
-        dedup=config["dedup"],
-        concurrency=(None if config["concurrency"] == "auto"
-                     else config["concurrency"]),
     )
-    spec = ray.put((tmp, tax_ref, config["dedup"], remap))
+    spec = ray.put((tmp, tax_ref, remap))
     write = ray.remote(_write_shard)
     ray.get([write.remote(j, spec, *parts) for j, parts in enumerate(shards)])
     for name, schema in (("linked", _LINKED_SCHEMA), ("pairs", PAIRS_SCHEMA)):
@@ -200,15 +202,13 @@ def _write_finals(out_dir: str, tax_ref, meanwhile) -> None:
             group, rows = [], 0
     if group:
         groups.append(group)
-    up = _polars_hash_ok()  # driver decision, captured in the closure
 
     def group_map(i: int, paths: list[str]) -> pa.Table:
         # partitioning=None: the part=i layout must NOT hive-inject a
         # `part` column — partition lineage lives in the manifests
         pages = pa.concat_tables([pq.read_table(p, partitioning=None)
                                   for p in paths])
-        return finals_partials(pages, tax_ref, use_polars=up,
-                               triples_kind=True)[2]
+        return finals_partials(pages, tax_ref, triples_kind=True)[2]
 
     write_finals(out_dir, groups, group_map, meanwhile=meanwhile)
 
@@ -234,9 +234,7 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
                           num_partitions: int | None = None,
                           link_mode: str = "embedding",
                           single_product_mode: bool = False,
-                          dedup: bool = True,
-                          canonicalize: bool = False,
-                          concurrency=None) -> GraphBuildResult:
+                          canonicalize: bool = False) -> GraphBuildResult:
     """Partitioned, manifest-checkpointed KG build over a parquet file or
     directory. Re-invoking with identical arguments skips every partition
     whose lineage manifest validates and recomputes only the rest, then
@@ -245,18 +243,18 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
     ``canonicalize=True`` applies the taxonomy canonical-id map inside
     every partition's narrow chain (the map is taxonomy-derived, identical
     across partitions, and part of the manifest config so toggling it
-    invalidates prior partitions). ``concurrency`` is None or an int, as
-    for ``build_graph``; an int is stored in the manifest config as is.
-    A changed taxonomy (the columns the narrow chain reads) invalidates
-    every partition through the manifests' ``taxonomy_digest``."""
+    invalidates prior partitions). A changed taxonomy (the columns the
+    narrow chain reads) invalidates every partition through the
+    manifests' ``taxonomy_digest``."""
+    # "dedup" and "concurrency" are no longer options: their fixed values
+    # keep the checkpoints of builds that had them valid ("auto", not the
+    # resolved cap, so a resume on another cluster size skips them too)
     config = {
         "link_mode": link_mode,
         "single_product_mode": single_product_mode,
-        "dedup": dedup,
+        "dedup": True,
         "canonicalize": canonicalize,
-        # "auto" (not resolved sizes) so manifests stay valid when a resume
-        # runs on a different cluster size
-        "concurrency": "auto" if concurrency is None else int(concurrency),
+        "concurrency": "auto",
     }
     parts = assign_partitions(list_parquet_files(pages_path), num_partitions)
     tax_ref, index, remap = taxonomy_state(taxonomy, canonicalize)

@@ -28,8 +28,13 @@ fan-out the same way, S shards for S input blocks or units, but route
 a build's url dedup and KG finals are a few short tasks, and Ray Data's
 streaming executor, which polls running tasks every 100 ms, made up most
 of their wall time.
-The hash is process-stable, so bucket assignment is deterministic (never
-use builtin ``hash``).
+There is one bucket hash, polars' xxhash ``Expr.hash`` with seed 0: it
+is process-stable, so every task of a run buckets a key alike and bucket
+assignment is deterministic (never use builtin ``hash``). polars is a
+required dependency, imported inside ``add_bucket_column`` so that only
+the processes that hash load it: with numpy, pyarrow and pandas loaded,
+importing polars 1.42 takes a Python 3.11 process from 101 to 124-125 MB
+RSS.
 
 Skewed keys: a single hot KEY cannot be split across blocks, but every
 caller here pre-aggregates per input batch first (partial combine;
@@ -43,7 +48,6 @@ fixture. Split a key only where a measured hot bucket calls for it
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -53,68 +57,28 @@ BUCKET_COL = "__bucket"
 _KIND_COL = "__kind"
 
 
-def _polars_hash_ok() -> bool:
-    """Probed ONCE on the DRIVER at pipeline-construction time; the result
-    is captured in the stage closures shipped to workers, so every task of
-    a run buckets with the SAME engine even if a worker's local polars
-    import would have resolved differently. (Cross-worker polars *version*
-    skew is out of scope: Ray clusters ship one runtime image; this guard
-    removes the presence/absence hazard, which is the realistic one.)"""
-    try:
-        import polars as pl
-
-        return bool(
-            pl.DataFrame({"k": ["probe"]})
-            .select(pl.col("k").hash(seed=0))
-            .height == 1
-        )
-    except Exception:
-        return False
-
-
-def add_bucket_column(batch: pa.Table, keys: list[str],
-                      use_polars: bool | None = None) -> pa.Table:
-    """Vectorized int64 bucket: the hash of the concatenated key columns.
-
-    Fast path: polars' xxhash-based ``Expr.hash`` (seed 0) viewed as int64
-    — vectorized and stable across worker processes within a run, which is
-    all bucketing needs (outputs never depend on WHICH bucket a key lands
-    in, only on co-location). Fallback: per-row crc32. ``use_polars``
-    should be the driver-probed ``_polars_hash_ok()`` decision; ``None``
-    probes locally (only correct on the driver)."""
+def add_bucket_column(batch: pa.Table, keys: list[str]) -> pa.Table:
+    """Vectorized int64 bucket: the hash of the concatenated key columns,
+    polars' xxhash-based ``Expr.hash`` (seed 0) viewed as int64 — stable
+    across worker processes, which is all bucketing needs (outputs never
+    depend on WHICH bucket a key lands in, only on co-location)."""
     if batch.num_rows == 0:
         return batch.append_column(BUCKET_COL, pa.array([], type=pa.int64()))
-    if use_polars is None:
-        use_polars = _polars_hash_ok()
-    if use_polars:
-        import polars as pl
+    import polars as pl
 
-        df = pl.from_arrow(batch.select(keys))
-        if len(keys) == 1 and pa.types.is_integer(
-                batch.schema.field(keys[0]).type):
-            # integer keys (band_key, content hashes) hash natively —
-            # no per-row int->utf8 cast on the tag stage of every shuffle
-            expr = pl.col(keys[0])
-        elif len(keys) > 1:
-            expr = pl.concat_str([pl.col(k).cast(pl.Utf8) for k in keys],
-                                 separator="\x1f")
-        else:
-            expr = pl.col(keys[0]).cast(pl.Utf8)
-        b = df.select(expr.hash(seed=0).alias("h"))["h"].to_numpy() \
-            .view(np.int64)
+    df = pl.from_arrow(batch.select(keys))
+    if len(keys) == 1 and pa.types.is_integer(
+            batch.schema.field(keys[0]).type):
+        # integer keys (band_key, content hashes) hash natively —
+        # no per-row int->utf8 cast on the tag stage of every shuffle
+        expr = pl.col(keys[0])
+    elif len(keys) > 1:
+        expr = pl.concat_str([pl.col(k).cast(pl.Utf8) for k in keys],
+                             separator="\x1f")
     else:
-        sep = pa.scalar("\x1f")
-        cols = [batch[k].cast(pa.string()) for k in keys]
-        joined = cols[0]
-        for c in cols[1:]:
-            joined = pc.binary_join_element_wise(joined, c, sep)
-        vals = joined.to_pylist()
-        # a null in any key column joins to null: every such key hashes to
-        # 0, so equal keys still share a bucket
-        b = np.fromiter(
-            (0 if v is None else zlib.crc32(v.encode("utf-8")) for v in vals),
-            dtype=np.int64, count=len(vals),
-        )
+        expr = pl.col(keys[0]).cast(pl.Utf8)
+    b = df.select(expr.hash(seed=0).alias("h"))["h"].to_numpy() \
+        .view(np.int64)
     return batch.append_column(BUCKET_COL, pa.array(b))
 
 
@@ -130,10 +94,8 @@ def bucketed_group_apply(ds, keys: list[str], bucket_fn):
     other keys in the table). ``bucket_fn`` receives the table without
     the bucket column; empty blocks are skipped."""
 
-    up = _polars_hash_ok()  # driver decision, captured in the closure
-
     def tag(batch: pa.Table) -> pa.Table:
-        return add_bucket_column(batch, keys, use_polars=up)
+        return add_bucket_column(batch, keys)
 
     def apply(t: pa.Table):
         if t.num_rows:
@@ -238,16 +200,16 @@ def _unpad(t: pa.Table, kind: int, schemas) -> pa.Table:
         .filter(pc.equal(t[_KIND_COL], kind)).rename_columns(s.names)
 
 
-def tag_kinds(tables, keys, schemas, *, use_polars: bool) -> pa.Table:
+def tag_kinds(tables, keys, schemas) -> pa.Table:
     """Several tables in one padded layout for ``bucketed_write_kinds``.
 
     ``tables[k]`` (None or empty for none) holds kind ``k``'s rows with
     the columns of ``schemas[k]``; each row's ``__bucket`` is the hash of
     its own kind's ``keys[k]``, so one sort co-locates the whole keys of
-    every kind. ``use_polars`` is the driver's ``_polars_hash_ok()``."""
+    every kind."""
     padded = _padded_schema(schemas)
-    parts = [_pad(t, add_bucket_column(t, kk, use_polars=use_polars)
-                  [BUCKET_COL], k, schemas, padded)
+    parts = [_pad(t, add_bucket_column(t, kk)[BUCKET_COL], k, schemas,
+                  padded)
              for k, (t, kk) in enumerate(zip(tables, keys))
              if t is not None and t.num_rows]
     return pa.concat_tables(parts) if parts else padded.empty_table()
@@ -282,11 +244,11 @@ def _split_kinds(i: int, unit, map_fn, s: int, *parts):
     return pieces if s > 1 else pieces[0]
 
 
-def _route(t: pa.Table, keys: list[str], s: int, use_polars: bool):
+def _route(t: pa.Table, keys: list[str], s: int):
     """Routing task of ``hash_partition``: ``t`` in ``s`` pieces by the
     hash of ``keys`` mod ``s``, without the bucket column."""
     pieces = [p.drop_columns([BUCKET_COL]) for p in _split_rows(
-        add_bucket_column(t, keys, use_polars=use_polars), s)]
+        add_bucket_column(t, keys), s)]
     return pieces if s > 1 else pieces[0]
 
 
@@ -305,8 +267,7 @@ def hash_partition(blocks, keys: list[str]) -> list[list]:
     if s <= 1:
         return [list(blocks)] if s else []
     route = ray.remote(_route).options(num_returns=s)
-    up = _polars_hash_ok()
-    pieces = [route.remote(b, keys, s, up) for b in blocks]
+    pieces = [route.remote(b, keys, s) for b in blocks]
     return [[p[j] for p in pieces] for j in range(s)]
 
 
@@ -402,7 +363,6 @@ def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
     key_types = [left_schema.types[list(left_schema.names).index(k)]
                  for k in lk]
     padded = _padded_schema(schemas)
-    up = _polars_hash_ok()  # driver decision, captured in the closures
 
     def tagger(side: int):
         kn = rk if side else lk
@@ -417,8 +377,8 @@ def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,
             # co-locate keys that then fail to match
             kt = pa.table([t[k].cast(typ, safe=False)
                            for k, typ in zip(kn, key_types)], names=lk)
-            return _pad(t, add_bucket_column(kt, lk, use_polars=up)
-                        [BUCKET_COL], side, schemas, padded)
+            return _pad(t, add_bucket_column(kt, lk)[BUCKET_COL], side,
+                        schemas, padded)
         return tag
 
     def apply(t: pa.Table):

@@ -92,7 +92,7 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
     import ray
     import ray.data as rd
 
-    from .bucketed import BUCKET_COL, _polars_hash_ok, add_bucket_column
+    from .bucketed import _route
 
     def narrow(t: pa.Table) -> pa.Table:
         w = (t[weight_col].cast(pa.int64()) if weight_col
@@ -105,18 +105,13 @@ def pagerank(edges_ds, *, src_col: str = "src", dst_col: str = "dst",
                                  zero_copy_batch=True).materialize()
     B = edges.num_blocks()
     d = damping_pct
-    up = _polars_hash_ok()
 
     def _typed(*cols: str) -> pa.Table:
         return pa.table({c: pa.array([], type=pa.int64()) for c in cols})
 
     def _split(tbl: pa.Table, key: str) -> list:
-        if B == 1:
-            return [tbl]
-        t = add_bucket_column(tbl, [key], use_polars=up)
-        bc = t[BUCKET_COL].to_numpy(zero_copy_only=False) % B
-        t = t.drop_columns([BUCKET_COL])
-        return [t.filter(pa.array(bc == j)) for j in range(B)]
+        # hash_partition's routing split: piece j holds hash(key) mod B == j
+        return [tbl] if B == 1 else _route(tbl, [key], B)
 
     def _split_block(t: pa.Table) -> tuple:
         # Ray never maps a 0-row block, so the materialized narrow map can

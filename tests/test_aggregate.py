@@ -318,8 +318,7 @@ def test_pipeline_partition_invariance(ray_session, tmp_path):
 
     def run(n_blocks, out):
         ds = rd.from_arrow(pages).repartition(n_blocks)
-        res = build_graph(ds, tax, str(tmp_path / out), link_mode="embedding",
-                          concurrency=2)
+        res = build_graph(ds, tax, str(tmp_path / out), link_mode="embedding")
         tr = res.dataset("triples").to_pandas().sort_values(
             ["subj", "pred", "obj", "url"]).reset_index(drop=True)
         ed = res.dataset("edges").to_pandas().sort_values(

@@ -2,7 +2,8 @@
 call holding every row of the keys it sees, and the output of a plain
 per-key groupby. ``bucketed_cogroup``: the same for two inputs, checked
 against a brute-force pandas grouping of both sides. ``bucketed_aggregate``:
-every op against a brute-force pandas grouping, with either bucket hash.
+every op against a brute-force pandas grouping. ``add_bucket_column``: the
+one bucket hash gives a key the same bucket in every process.
 ``bucketed_write_kinds``: several tables through one exchange, each key of
 each table whole in one call, against a pandas grouping; a merge task run
 again overwrites its own files. ``prefix_scan``:
@@ -236,7 +237,6 @@ def test_write_kinds_whole_keys_per_call_match_pandas(ray_session,
     empty table."""
     import pyarrow.parquet as pq
 
-    up = bucketed._polars_hash_ok()
     schemas = [pa.schema([("key", pa.string()), ("v", pa.int64())]),
                pa.schema([("key", pa.int64()), ("v", pa.float64())]),
                pa.schema([("g", pa.string()), ("w", pa.int32())])]
@@ -251,7 +251,7 @@ def test_write_kinds_whole_keys_per_call_match_pandas(ray_session,
                          "v": pc.multiply(t["v"].cast(pa.float64()), 0.5)})
 
     def tag(t: pa.Table) -> pa.Table:
-        return tag_kinds([t, kind1(t), None], keys, schemas, use_polars=up)
+        return tag_kinds([t, kind1(t), None], keys, schemas)
 
     def per_key(t: pa.Table) -> pa.Table:
         """Per call: every key it saw, with its row count and value sum."""
@@ -290,14 +290,12 @@ def test_write_kinds_merge_retry_overwrites_its_own_files(ray_session,
     rows, no duplicate."""
     import pyarrow.parquet as pq
 
-    up = bucketed._polars_hash_ok()
     schemas = [pa.schema([("key", pa.string()), ("v", pa.int64())]),
                pa.schema([("key", pa.string()), ("n", pa.int64())])]
     keys = [["key"], ["key"]]
 
     def tag(i: int, t: pa.Table) -> pa.Table:
-        return tag_kinds([t, t.rename_columns(["key", "n"])], keys, schemas,
-                         use_polars=up)
+        return tag_kinds([t, t.rename_columns(["key", "n"])], keys, schemas)
 
     def total(col):
         def fn(t: pa.Table) -> pa.Table:
@@ -368,11 +366,7 @@ def _aggregate(blocks, keys, aggs) -> tuple[dict, dict]:
     return got, dict(zip(schema.names, schema.types)) if schema else {}
 
 
-@pytest.mark.parametrize("use_polars", [True, False])
-def test_aggregate_every_op_matches_pandas(ray_session, monkeypatch,
-                                           use_polars):
-    if not use_polars:
-        monkeypatch.setattr(bucketed, "_polars_hash_ok", lambda: False)
+def test_aggregate_every_op_matches_pandas(ray_session):
     # 6 blocks; "hot" and the null key have rows in every block, "allnull"
     # has only null values; floats are halves, so every sum is exact
     n = 600
@@ -435,22 +429,47 @@ def test_aggregate_distinct_keys_and_empty_input(ray_session):
     assert got == {}
 
 
-def test_crc32_bucketing_puts_null_keys_in_one_bucket():
-    t = pa.table({"a": pa.array(["x", None, "y", None]),
-                  "b": pa.array([1, 2, None, 2], type=pa.int64())})
-    for keys in (["a"], ["a", "b"]):
-        b = add_bucket_column(t, keys, use_polars=False)
-        b = b[bucketed.BUCKET_COL].to_pylist()
-        assert b[1] == b[3]
+def test_bucket_is_the_same_in_every_process(ray_session):
+    """``add_bucket_column`` gives every row the same ``__bucket`` on the
+    driver and in two worker processes, for a string key with nulls, an
+    int64 key and the three string columns of ``EDGE_KEYS`` (with nulls);
+    equal keys, null ones included, share a bucket."""
+    import ray
+
+    from fashion_knowledge_graph_ray.stages.aggregate import EDGE_KEYS
+
+    n = 60
+    t = pa.table({
+        "s": [None if i % 4 == 1 else f"w{i % 9}" for i in range(n)],
+        "i": pa.array([i % 13 - 6 for i in range(n)], type=pa.int64()),
+        "src": [f"e{i % 5}" for i in range(n)],
+        "dst": [None if i % 7 == 3 else f"e{i % 3}" for i in range(n)],
+        "rel": [("worn_with", "complemented_by")[i % 2] for i in range(n)]})
+    shapes = [["s"], ["i"], list(EDGE_KEYS)]
+
+    def buckets(t: pa.Table):
+        return os.getpid(), [add_bucket_column(t, k)[bucketed.BUCKET_COL]
+                             .to_pylist() for k in shapes]
+
+    # max_calls=1: a worker exits after one task, so each task runs in a
+    # process of its own
+    task = ray.remote(max_calls=1)(buckets)
+    runs = [buckets(t)] + ray.get([task.remote(t) for _ in range(2)])
+    assert len({pid for pid, _ in runs}) == 3
+    assert all(b == runs[0][1] for _, b in runs)
+    for keys, b in zip(shapes, runs[0][1]):
+        first = {}
+        for key, v in zip(zip(*(t[k].to_pylist() for k in keys)), b):
+            assert first.setdefault(key, v) == v, (keys, key)
+        assert len(set(b)) > 1, keys
 
 
-def test_value_counts_without_polars_counts_nulls(ray_session,
-                                                  monkeypatch):
+def test_value_counts_without_polars_counts_nulls(ray_session):
+    # the null value is one value with its count, through the exchange
     import ray.data as rd
 
     from fashion_knowledge_graph_ray.stages.metrics import value_counts
 
-    monkeypatch.setattr(bucketed, "_polars_hash_ok", lambda: False)
     vals = pa.array([None if i % 5 == 0 else f"v{i % 7}"
                      for i in range(300)])
     ds = rd.from_arrow([pa.table({"c": vals.slice(i * 60, 60)})

@@ -15,6 +15,7 @@ import pytest
 from fashion_knowledge_graph_ray.datagen import gen_pages_table, gen_taxonomy
 from fashion_knowledge_graph_ray.stages import linker
 from fashion_knowledge_graph_ray.stages.linker import (
+    EmbeddingLinker,
     EnrichmentStage,
     EnrichmentStageTask,
     enrich_pages,
@@ -67,15 +68,22 @@ def test_build_path_plans_no_actor_pool(ray_session, taxes, pages):
     import ray
     import ray.data as rd
 
-    from fashion_knowledge_graph_ray.pipelines.build_graph import build_linked
+    from fashion_knowledge_graph_ray.pipelines.build_graph import (
+        resolve_pool_sizes,
+    )
 
     tax_ref = ray.put(taxes[0])
     enrich = enrich_pages(rd.from_arrow(pages), tax_ref, concurrency=2)
     names = [op.name for op in _physical_ops(enrich)]
     assert any("EnrichmentStage" in n for n in names), names
+    index_ref = ray.put(EmbeddingLinker.build_index(taxes[0]))
     for mode in ("embedding", "gazetteer"):
-        ops = _physical_ops(build_linked(rd.from_arrow(pages), tax_ref,
-                                         link_mode=mode))
+        # as narrow_chain plans it: the build's cap, the broadcast index
+        kw = {"index_ref": index_ref} if mode == "embedding" else {}
+        ops = _physical_ops(enrich_pages(rd.from_arrow(pages), tax_ref,
+                                         link_mode=mode,
+                                         concurrency=resolve_pool_sizes(),
+                                         **kw))
         kinds = [type(op).__name__ for op in ops]
         assert "ActorPoolMapOperator" not in kinds, kinds
         assert any("EnrichmentStage" in op.name for op in ops), kinds
@@ -85,12 +93,11 @@ def test_memo_never_serves_a_previous_build(ray_session, taxes, pages):
     import ray
     import ray.data as rd
 
-    from fashion_knowledge_graph_ray.pipelines.build_graph import build_linked
-
     def ds():
         return rd.from_arrow(pages).repartition(8)
 
     refs = [ray.put(t) for t in taxes]
+    index_refs = [ray.put(EmbeddingLinker.build_index(t)) for t in taxes]
     want = {(i, mode): EnrichmentStage(t, link_mode=mode)(pages)
             for i, t in enumerate(taxes)
             for mode in ("embedding", "gazetteer")}
@@ -99,8 +106,10 @@ def test_memo_never_serves_a_previous_build(ray_session, taxes, pages):
 
     runs = [
         # the build path: driver-built index broadcast as ``index_ref``
-        ((0, "embedding"), build_linked(ds(), refs[0], dedup=False)),
-        ((1, "embedding"), build_linked(ds(), refs[1], dedup=False)),
+        ((0, "embedding"), enrich_pages(ds(), refs[0],
+                                        index_ref=index_refs[0])),
+        ((1, "embedding"), enrich_pages(ds(), refs[1],
+                                        index_ref=index_refs[1])),
         # same taxonomy ref, only the link mode differs
         ((1, "embedding"), enrich_pages(ds(), refs[1], batch_size=32)),
         ((1, "gazetteer"), enrich_pages(ds(), refs[1], batch_size=32,

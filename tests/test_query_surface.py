@@ -106,7 +106,7 @@ def test_build_graph_writes_embeddings_table(ray_session, tmp_path, tax):
 
     pages = gen_pages_table(42, 50, tax)
     res = build_graph(rd.from_arrow(pages), tax, str(tmp_path / "kg"),
-                      link_mode="gazetteer", concurrency=1)
+                      link_mode="gazetteer")
     t = pq.read_table(res.embeddings_path)
     assert t.num_rows == tax.num_rows
     assert "style_embedding" in t.schema.names

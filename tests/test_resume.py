@@ -17,8 +17,8 @@ Invariants under test:
 - the url dedup keeps the earliest crawl of a url whatever block each
   crawl is in: 1, 3 or 8 blocks, canonical ids on or off, give the same
   tables, and ``linked/`` equals the Dataset operators' result;
-- without url dedup, triples dedup across blocks to the earliest crawl;
-  pages that link no entity, no pages at all, and a url shard with no
+- a manifest's ``config`` keeps its five keys and fixed values;
+- pages that link no entity, no pages at all, and a url shard with no
   rows still give typed tables in both builds.
 """
 
@@ -226,22 +226,26 @@ def test_config_change_invalidates(ray_session, sharded_pages, tmp_path):
     assert metrics["partitions_skipped"] == 0
 
 
-def test_int_concurrency_builds_and_resumes(ray_session, sharded_pages,
-                                            tmp_path):
-    # build_graph takes an int cap; the resumable build must too, store it
-    # in the manifest config, and skip every partition on an identical call
+def test_manifest_config_format_is_unchanged(ray_session, sharded_pages,
+                                             tmp_path):
+    # the checkpoint format: five keys, "dedup" and "concurrency" fixed
+    # from when they were options, so older manifests stay valid; the
+    # dict perfbench's ledger validates with must match it too
     shards, tax = sharded_pages
     out = str(tmp_path / "kg")
     build_graph_resumable(shards, tax, out, num_partitions=2,
-                          link_mode="gazetteer", concurrency=2)
-    assert mf.load_manifest(out, 0).config["concurrency"] == 2
-    first = _table_sets(out)
+                          link_mode="gazetteer", canonicalize=True)
+    want = {"link_mode": "gazetteer", "single_product_mode": False,
+            "dedup": True, "canonicalize": True, "concurrency": "auto"}
+    parts = assign_partitions(list_parquet_files(shards), 2)
+    for i, files in enumerate(parts):
+        with open(mf.manifest_path(out, i)) as fh:
+            assert json.load(fh)["config"] == want
+        assert mf.validate_manifest(out, i, files, want) is not None
     build_graph_resumable(shards, tax, out, num_partitions=2,
-                          link_mode="gazetteer", concurrency=2)
+                          link_mode="gazetteer", canonicalize=True)
     metrics = json.load(open(os.path.join(out, "metrics.json")))
     assert metrics["partitions_skipped"] == 2
-    got = _table_sets(out)
-    assert all(got[k].equals(first[k]) for k in first)
 
 
 def test_stage_version_bump_invalidates(ray_session, sharded_pages, tmp_path,
@@ -583,74 +587,6 @@ def test_empty_corpus_and_empty_shard_write_typed_tables(
     want = _all_tables(plain)
     got = _all_tables(part)
     assert all(got[k].equals(want[k]) for k in want)
-
-
-def _brute_triples(linked: pa.Table, pairs: pa.Table) -> dict:
-    """(subj, pred, obj, url) -> min warc_ts over every linked row and
-    pair row, with plain loops: the attribute triples of every linked
-    mention and the relation triples of every pair."""
-    from fashion_knowledge_graph_ray.vocab import (
-        LIST_FIELDS,
-        SCALAR_FIELDS,
-        UNKNOWN,
-    )
-
-    rows = []
-    for page in linked.to_pylist():
-        for m in page["mentions"] or []:
-            eid = m["entity_id"]
-            if not eid:
-                continue
-            attrs = m["attrs"] or {}
-            for f in SCALAR_FIELDS:
-                v = attrs.get(f)
-                if v not in (None, "", UNKNOWN):
-                    rows.append((eid, f"has_{f}", v, page["url"],
-                                 page["warc_ts"]))
-            for f in LIST_FIELDS:
-                for v in attrs.get(f) or []:
-                    rows.append((eid, f"has_{f}", v, page["url"],
-                                 page["warc_ts"]))
-    rows += [(p["src"], p["rel"], p["dst"], p["url"], p["warc_ts"])
-             for p in pairs.to_pylist()]
-    best = {}
-    for *key, ts in rows:
-        key = tuple(key)
-        best[key] = min(best.get(key, ts), ts)
-    return best
-
-
-def test_plain_build_without_dedup_dedups_triples_across_blocks(
-        ray_session, sharded_pages, tmp_path):
-    # re-crawls of the same urls in another shard, earlier and later:
-    # with dedup=False every crawl stays in linked/, and a triple seen on
-    # several crawls keeps its earliest warc_ts through the exchange
-    import datetime
-
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    shards, tax = sharded_pages
-    first = pq.read_table(list_parquet_files(shards)[0])
-    crawls = str(tmp_path / "crawls")
-    os.makedirs(crawls)
-    for k, days in enumerate((-3, 5)):
-        again = first.set_column(
-            first.schema.get_field_index("warc_ts"), "warc_ts",
-            pc.add(first["warc_ts"], pa.scalar(
-                datetime.timedelta(days=days), pa.duration("us"))))
-        pq.write_table(again, os.path.join(crawls, f"crawl-{k}.parquet"))
-    files = list_parquet_files(shards) + list_parquet_files(crawls)
-    out = str(tmp_path / "kg")
-    build_graph(rd.read_parquet(files, override_num_blocks=len(files)), tax,
-                out, link_mode="gazetteer", dedup=False)
-    linked = pq.read_table(os.path.join(out, "linked"))
-    assert linked.num_rows == N_PAGES + 2 * first.num_rows
-    want = _brute_triples(linked, pq.read_table(os.path.join(out, "pairs")))
-    got = pq.read_table(os.path.join(out, "triples")).to_pylist()
-    assert len(got) == len(want)
-    assert {(r["subj"], r["pred"], r["obj"], r["url"]): r["warc_ts"]
-            for r in got} == want
 
 
 @pytest.mark.parametrize("pages_kept", [N_PAGES, 0])

@@ -48,8 +48,9 @@ def test_skewed_corpus_edges_deterministic(ray_session):
     import ray.data as rd
 
     from fashion_knowledge_graph_ray.datagen import gen_pages_table, gen_taxonomy
-    from fashion_knowledge_graph_ray.pipelines.build_graph import build_linked
     from fashion_knowledge_graph_ray.stages.aggregate import aggregate_edges
+    from fashion_knowledge_graph_ray.stages.extract import dedup_pages
+    from fashion_knowledge_graph_ray.stages.linker import enrich_pages
     from fashion_knowledge_graph_ray.stages.pairs import generate_pairs
 
     import ray
@@ -60,8 +61,8 @@ def test_skewed_corpus_edges_deterministic(ray_session):
 
     def edges_at(nblocks: int):
         ds = rd.from_arrow(pages).repartition(nblocks)
-        linked = build_linked(ds, tax_ref, link_mode="gazetteer",
-                              concurrency=2)
+        linked = dedup_pages(enrich_pages(ds, tax_ref, link_mode="gazetteer",
+                                          concurrency=2))
         e = aggregate_edges(generate_pairs(linked, tax_ref))
         return sorted(
             ((r["src"], r["dst"], r["rel"], r["weight"],

@@ -103,10 +103,10 @@ def test_webscale_build_end_to_end(ray_session, fixture_dir, tmp_path,
     tax = _big_taxonomy(250_000)  # 500,700 forms
     pages = rd.read_parquet(os.path.join(fixture_dir, "pages.parquet"))
     res_auto = build_graph(pages, tax, str(tmp_path / "auto"),
-                           link_mode="embedding", concurrency=2)
+                           link_mode="embedding")
     monkeypatch.setattr(M, "AC_FORM_GATE", 10 ** 9)
     res_re = build_graph(pages, tax, str(tmp_path / "re"),
-                         link_mode="embedding", concurrency=2)
+                         link_mode="embedding")
 
     import pyarrow.parquet as pq
 
