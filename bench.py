@@ -4,7 +4,8 @@
   attrs -> link -> pairs -> edges/nodes/triples, embedding mode) over a
   cached 50k-page synthetic corpus, plus per-query timings over
   ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1). ``value`` = headline
-  seconds. Parallelism from ``$RAY_GRAFT_CPUS`` (default 32).
+  seconds. Parallelism from ``$RAY_GRAFT_CPUS`` (default: the CPUs this
+  process may run on, ``os.sched_getaffinity``).
 - ``python bench.py --scaling`` — the full N-vs-4N protocol: the same
   headline job in fresh subprocesses at num_cpus 4/16 (and 8/32 as the
   stress pair) on the SAME input, interleaved best-of-REPS per leg,
@@ -32,6 +33,13 @@ BENCH_CACHE = "/tmp/fkgr_bench"
 # unbenched queries made their regressions invisible). No exclusions —
 # the full sweep measured ~2.5 min of additional wall at sf0.1/32cpu.
 QUERY_NAMES: list[str] | None = None  # None -> all of queries(), dict order
+
+
+def _num_cpus() -> int:
+    """Ray's CPU count: ``$RAY_GRAFT_CPUS``, else the CPUs this process
+    may run on (a fixed default oversubscribes a smaller box)."""
+    return int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 
 def _cpu_jiffies() -> tuple[int, int]:
@@ -190,7 +198,7 @@ def run_queries(sf_dir: str) -> dict:
 
 def main() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = _num_cpus()
 
     import ray
 
@@ -304,8 +312,7 @@ def scaling() -> None:
     # materialize the cached corpus once (untimed) so all timed runs see
     # identical disk state
     subprocess.run([sys.executable, os.path.abspath(__file__), "--ensure"],
-                   env=dict(os.environ, RAY_GRAFT_CPUS="32",
-                            FKGR_BENCH_PAGES=scaling_pages),
+                   env=dict(os.environ, FKGR_BENCH_PAGES=scaling_pages),
                    capture_output=True, check=True,
                    cwd=os.path.dirname(os.path.abspath(__file__)))
     reps = max(1, int(os.environ.get("FKGR_SCALING_REPS", "2")))
@@ -427,7 +434,7 @@ def recall() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     if not ray.is_initialized():
         ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+                 num_cpus=_num_cpus(),
                  include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
@@ -516,9 +523,8 @@ def ensure_only() -> None:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=int(os.environ.get(
-            "RAY_GRAFT_CPUS", "32")), include_dashboard=False,
-            logging_level="ERROR")
+        ray.init(address="local", num_cpus=_num_cpus(),
+                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False

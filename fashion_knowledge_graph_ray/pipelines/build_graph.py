@@ -16,22 +16,23 @@ the read and the enrichment; raw Ray tasks do the rest:
         -> materialize: S non-empty blocks
       if S > 1, one routing task per block:  # S url shards; shard j holds
         hash(url) mod S                      # piece j of every block
-    one task per url shard (linked_rows):
+    one task per url shard (shard_partials), a finals map unit:
       concat -> dedup by url                 # G7 (keep earliest warc_ts)
         [-> remap_entity_ids]                # north-rule canonicalization
-        -> plain build: write_finals' map    # writes linked/, pairs/ and
-           (finals_partials per 1,024 pages: #   page-local triples, splits
-           pairs (G1), node partials (G4),   #   the partials by key hash
-           edge partials (G2/G3), triples    #   into S pieces
-           deduped in the batch)
-        -> resume: write the partition's linked/ and pairs/ part files
-    write_finals' merge task per shard       # nodes, edges (and, in a
+        -> finals_partials per 1,024 pages:  # writes linked/ and pairs/
+           pairs (G1), node partials (G4),   #   (a resume: the partition's
+           edge partials (G2/G3), triples    #   .tmp dirs), the plain build
+           deduped in the batch              #   its page-local triples too;
+                                             #   splits the partials by key
+                                             #   hash into S pieces
+    one merge task per shard                 # nodes, edges (and, in a
       -> merge whole keys, one file each     # resume, triples) at
                                              # part-{j:05d}.parquet
     embeddings + index/ on the driver meanwhile  # K2/T2/T3/K6
 
-The resumable build feeds ``write_finals`` the ``linked/`` files of every
-partition instead of url shards.
+In a resume the skipped partitions' ``linked/`` files are finals map
+units too, submitted before any partition is rebuilt
+(pipelines/resumable.py).
 
 The expensive extraction/link pass runs ONCE into the in-memory
 materialization, and pairs derive from those rows (no write-then-reread
@@ -56,6 +57,7 @@ executor (see ``resolve_pool_sizes``).
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import shutil
 from dataclasses import dataclass
@@ -327,12 +329,12 @@ def finals_partials(pages: pa.Table, tax_ref, *, triples_kind: bool):
     ``FINALS_BATCH``-page batch at a time -> ``(pairs, triples, tagged)``.
 
     Per batch: the mentions explode into the node partials and the
-    attribute triples; the ``PairGenerator`` kernel re-derives the
+    attribute triples; the ``PairGenerator`` kernel derives the
     batch's pairs (a per-page function of the linked rows and the
-    taxonomy, so they equal the narrow chain's) and gives the edge
+    taxonomy, so any batching gives the same pairs) and gives the edge
     partials and the relation triples; triples are deduped within the
     batch. ``tagged`` holds the node and edge partials, and the triples
-    when ``triples_kind``, as ``tag_kinds`` rows for ``write_finals``.
+    when ``triples_kind``, as ``tag_kinds`` rows for the exchange.
     No pages give typed empty tables (a url shard may get no rows)."""
     _, keys, schemas, _, _ = zip(*_FINALS)
     if not pages.num_rows:
@@ -355,18 +357,43 @@ def finals_partials(pages: pa.Table, tax_ref, *, triples_kind: bool):
     return tuple(pa.concat_tables(t) for t in zip(*out))
 
 
-def write_finals(out_dir: str, units, map_fn, *, meanwhile) -> None:
-    """nodes/, edges/ and triples/ under ``out_dir`` through the one
-    multi-table exchange, ``bucketed_write_kinds``: one map task per unit
-    (``map_fn(i, unit)`` returns ``finals_partials``' tagged rows), one
-    merge task per shard, and ``meanwhile()`` on the driver while they
-    run. The finals writer of both builds."""
+def reset_finals(out_dir: str):
+    """Empty ``nodes/``, ``edges/`` and ``triples/`` under ``out_dir``
+    and return what the finals exchange (``bucketed_write_kinds`` or
+    ``merge_kinds``) takes after its inputs: the partial schemas, the
+    merges of whole keys, the paths and the schemas written."""
     names, _, schemas, merges, out_schemas = zip(*_FINALS)
     paths = [os.path.join(out_dir, n) for n in names]
     for p in paths:
         shutil.rmtree(p, ignore_errors=True)
-    bucketed_write_kinds(units, map_fn, schemas, merges, paths, out_schemas,
-                         meanwhile=meanwhile)
+        os.makedirs(p)
+    return schemas, merges, paths, out_schemas
+
+
+def shard_partials(i: int, parts: list[pa.Table], *, dirs: dict, tax_ref,
+                   remap) -> pa.Table:
+    """The url-shard task of both builds, a finals map unit: the shard's
+    linked rows (``linked_rows``: url dedup, canonical remap) and their
+    pairs (``finals_partials``) written as ``part-{i:05d}.parquet`` into
+    ``dirs["linked"]`` and ``dirs["pairs"]``, each page's pairs derived
+    once; returns the shard's tagged partials.
+
+    With a ``"triples"`` dir the triples are page-local: the task writes
+    the shard's deduped triples there and tags none. That is the plain
+    build, where every url appears in one linked row. A resume's urls are
+    unique only within a partition, so its triples go through the
+    exchange."""
+    import pyarrow.parquet as pq
+
+    block = linked_rows(parts, remap=remap)
+    pairs, triples, tagged = finals_partials(
+        block, tax_ref, triples_kind="triples" not in dirs)
+    for name, t in (("linked", block), ("pairs", pairs),
+                    ("triples", triples)):
+        if name in dirs and t.num_rows:
+            pq.write_table(t, os.path.join(dirs[name],
+                                           f"part-{i:05d}.parquet"))
+    return tagged
 
 
 def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
@@ -376,43 +403,28 @@ def write_kg(out_dir: str, taxonomy: pa.Table, tax_ref, index: dict,
     — and return it. The build owns the whole directory, so an earlier
     partitioned build's ``manifests/`` and ``metrics.json`` go too.
 
-    Each url shard of ``narrow_chain`` is one unit of ``write_finals``.
-    Its map task makes the shard's linked rows (``linked_rows``: url
-    dedup, canonical remap), writes them to ``linked/``, derives their
-    pairs (``finals_partials``), writes ``pairs/`` and emits the node and
-    edge partials. Every url appears in one linked row, so every triple
-    duplicate is within one batch and the map writes the shard's deduped
-    triples itself; the triples take no part in the exchange. The
-    taxonomy tables are written on the driver while the tasks run. No Ray
-    Data execution runs here."""
-    import pyarrow.parquet as pq
-
-    paths = {k: os.path.join(out_dir, k) for k in ("linked", "pairs")}
+    Each url shard of ``narrow_chain`` is one unit of
+    ``bucketed_write_kinds``, and its map task is ``shard_partials`` with
+    page-local triples. The taxonomy tables are written on the driver
+    while the tasks run. No Ray Data execution runs here."""
+    dirs = {k: os.path.join(out_dir, k) for k in ("linked", "pairs")}
     # overwrite semantics: part files left in place would be read again
     # and double-count on re-run — the exact reference bug (SURVEY.md §4.4)
-    for p in paths.values():
+    for p in dirs.values():
         shutil.rmtree(p, ignore_errors=True)
         os.makedirs(p)
     shutil.rmtree(os.path.join(out_dir, "manifests"), ignore_errors=True)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, "metrics.json"))
-    triples_dir = os.path.join(out_dir, "triples")
-
-    def shard_map(i: int, parts: list[pa.Table]) -> pa.Table:
-        block = linked_rows(parts, remap=remap)
-        pairs, triples, tagged = finals_partials(block, tax_ref,
-                                                 triples_kind=False)
-        name = f"part-{i:05d}.parquet"
-        for path, t in ((paths["linked"], block), (paths["pairs"], pairs),
-                        (triples_dir, triples)):
-            if t.num_rows:
-                pq.write_table(t, os.path.join(path, name))
-        return tagged
-
-    write_finals(out_dir, shards, shard_map, meanwhile=lambda:
-                 write_taxonomy_tables(out_dir, taxonomy, index))
-    write_empty_if_bare(paths["linked"], _LINKED_SCHEMA)
-    write_empty_if_bare(paths["pairs"], PAIRS_SCHEMA)
+    spec = reset_finals(out_dir)
+    dirs["triples"] = os.path.join(out_dir, "triples")
+    bucketed_write_kinds(
+        shards, functools.partial(shard_partials, dirs=dirs, tax_ref=tax_ref,
+                                  remap=remap),
+        *spec, meanwhile=lambda: write_taxonomy_tables(out_dir, taxonomy,
+                                                       index))
+    write_empty_if_bare(dirs["linked"], _LINKED_SCHEMA)
+    write_empty_if_bare(dirs["pairs"], PAIRS_SCHEMA)
     return graph_result(out_dir)
 
 
@@ -431,7 +443,7 @@ def build_graph(pages_ds, taxonomy: pa.Table, out_dir: str, *,
     extract->detect->attrs->link chain ONCE into an in-memory
     materialization, the build's only Ray Data execution, and routes it
     into url shards; then ``write_kg`` writes every table from those
-    shards with raw tasks (``write_finals``), the ``linked/`` and
+    shards with raw tasks (``bucketed_write_kinds``), the ``linked/`` and
     ``pairs/`` checkpoints included. Every build keeps one crawl per url,
     so every triple duplicate is page-local and the triples take no
     exchange. Earlier rounds wrote linked/pairs to parquet and re-read

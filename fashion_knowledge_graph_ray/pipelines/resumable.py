@@ -1,27 +1,40 @@
 """Checkpoint-resumable partitioned KG build.
 
 The north-rule obligation the plain ``build_graph`` does not cover:
-``resumable from checkpoint with per-partition lineage + metrics``. This
-pipeline splits the input file list into P partitions and runs the narrow
-chain per partition — the same ``narrow_chain`` as ``build_graph``: one
-Ray Data execution (read → enrich) into memory, its rows routed by url
-hash into S shards, then one raw task per shard that dedups its urls,
-applies the canonical remap and writes its ``linked/`` rows and their
-pairs as ``out/linked/part=i/part-{j:05d}.parquet`` and
-``out/pairs/part=i/...`` — plus a lineage manifest
-(state/manifests.py). The finals then recompute the wide
-aggregations (edges, nodes, triples) from ALL partitions' ``linked/``
-with the plain build's writer, ``write_finals``: raw Ray tasks, one map
-per group of ``linked/`` files and one merge per shard, no Ray Data
-execution (``_write_finals``); ``write_taxonomy_tables`` writes the
-embeddings and ``index/`` tables on the driver while they run, as for
-``build_graph``. Resume = re-invoke with the same arguments:
-partitions whose manifest validates are skipped; everything else
-recomputes; partitions of an earlier run that this run does not have are
-deleted. Finals are always recomputed from the partials — cheap relative
-to extraction — so a resumed run can never double-count (the
-reference's re-run bug, `/root/reference/src/database/graph_database.py:196-197`,
-SURVEY.md §4.4).
+``resumable from checkpoint with per-partition lineage + metrics``. The
+input files split into P partitions, each with a lineage manifest
+(state/manifests.py); the finals (edges, nodes, triples) go through the
+plain build's one exchange on raw Ray tasks, in three steps:
+
+1. Every manifest is validated and the merge count S is fixed from the
+   inputs' parquet footers, one merge per ``FINALS_BATCH`` pages. The
+   finals maps over the skipped partitions' ``linked/`` files (groups
+   of at least ``FINALS_BATCH`` rows) are submitted first, so they run
+   while the rebuilt partitions enrich.
+2. Each rebuilt partition runs the shared ``narrow_chain`` (read →
+   enrich, routed by url hash into url shards), and each url shard's
+   task, ``shard_partials``, is a finals map unit: it writes the
+   partition's ``linked/`` and ``pairs/`` into ``.tmp`` dirs and emits
+   its partials, so each page's pairs are derived once. The driver
+   writes the taxonomy tables while it waits for the first partition's
+   tasks, then swaps the dirs in.
+3. The S merges write ``nodes/``, ``edges/`` and ``triples/``. Only then
+   are the rebuilt partitions' manifests written, so none records a
+   partition whose task failed.
+
+Resume = re-invoke with the same arguments: partitions whose manifest
+validates are skipped, the rest recompute, and partitions of an earlier
+run that this run does not have are deleted. Finals are always
+recomputed from the partials, so a resumed run can never double-count
+(the reference's re-run bug, ``src/database/graph_database.py:196-197``
+there, SURVEY.md §4.4).
+
+Sizing: S follows the input, not the units, so maps start before every
+unit is known. Grouping the skipped files keeps the task count (and the
+worker processes, each importing pyarrow, pandas and polars) low: one
+task per file measured 1,834-1,851 MB peak RSS against 1,372-1,407 MB
+grouped (``resume_one_part``, 4 CPUs); S = skipped groups + built
+partitions gave the set-up build 4 merges and 1,413 MB against 1,300.
 
 Scale shape (100 TB / 256 nodes):
 - the partition unit is the INPUT FILE (Common-Crawl shards); P defaults
@@ -37,10 +50,6 @@ Scale shape (100 TB / 256 nodes):
   pass once as its own partitioned job and feed its output here. The
   finals therefore dedup triples with the bucketed exchange, not
   page-locally.
-- a manifest's ``config`` holds ``link_mode``, ``single_product_mode``
-  and ``canonicalize``, plus ``"dedup": True`` and ``"concurrency":
-  "auto"``: fixed values, kept so that manifests written while those
-  were options stay valid.
 
 Metrics: ``out/metrics.json`` aggregates per-partition row counts, wall
 times and triples/sec — derived from manifests, as the north rule asks.
@@ -48,6 +57,7 @@ times and triples/sec — derived from manifests, as the north rule asks.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -55,10 +65,11 @@ import time
 import uuid
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from .. import __version__
-from ..stages.bucketed import write_empty_if_bare
-from ..stages.pairs import PAIRS_SCHEMA, PairGenerator
+from ..stages.bucketed import map_kinds, merge_kinds, write_empty_if_bare
+from ..stages.pairs import PAIRS_SCHEMA
 from ..state.manifests import (
     STAGE_VERSIONS,
     PartitionManifest,
@@ -75,10 +86,10 @@ from .build_graph import (
     _LINKED_SCHEMA,
     finals_partials,
     graph_result,
-    linked_rows,
     narrow_chain,
+    reset_finals,
+    shard_partials,
     taxonomy_state,
-    write_finals,
     write_taxonomy_tables,
 )
 
@@ -102,35 +113,57 @@ def list_parquet_files(path: str) -> list[str]:
             if f.endswith(".parquet")]
 
 
-def _write_shard(j: int, spec, *parts) -> None:
-    """Task of one url shard of a partition: its linked rows
-    (``linked_rows``) and their pairs, written as ``part-{j:05d}.parquet``
-    into the partition's ``.tmp`` dirs. ``spec`` is the put
-    ``(dirs, tax_ref, remap)``; ``parts`` are the shard's blocks."""
-    import pyarrow.parquet as pq
+def _part_dirs(out_dir: str, part: int) -> dict[str, str]:
+    return {t: os.path.join(out_dir, t, f"part={part}")
+            for t in ("linked", "pairs")}
 
-    dirs, tax_ref, remap = spec
-    rows = linked_rows(list(parts), remap=remap)
-    pairs = PairGenerator(tax_ref)(rows)
-    for table, t in (("linked", rows), ("pairs", pairs)):
-        if t.num_rows:
-            pq.write_table(t, os.path.join(dirs[table],
-                                           f"part-{j:05d}.parquet"))
+
+def _linked_groups(out_dir: str, parts: list[int]) -> list[list[str]]:
+    """The ``linked/`` files of partitions ``parts``, sorted, in groups of
+    at least ``FINALS_BATCH`` rows (footer counts; 0-row files left
+    out)."""
+    files = sorted(os.path.join(d, f) for d in (
+        _part_dirs(out_dir, i)["linked"] for i in parts)
+        for f in os.listdir(d) if f.endswith(".parquet"))
+    groups, group, rows = [], [], 0
+    for f in files:
+        n = pq.read_metadata(f).num_rows
+        if n:
+            group.append(f)
+            rows += n
+        if rows >= FINALS_BATCH:
+            groups.append(group)
+            group, rows = [], 0
+    return groups + [group] if group else groups
+
+
+def _group_partials(i: int, paths: list[str], *, tax_ref) -> pa.Table:
+    """Finals map task of one group of ``linked/`` files."""
+    # partitioning=None: the part=i layout must NOT hive-inject a `part`
+    # column — partition lineage lives in the manifests
+    pages = pa.concat_tables([pq.read_table(p, partitioning=None)
+                              for p in paths])
+    return finals_partials(pages, tax_ref, triples_kind=True)[2]
 
 
 def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
                      run_id: str, tax_ref, index: dict, remap,
-                     tax_digest: str) -> PartitionManifest:
-    """Run the shared narrow chain for one partition, write its
-    ``linked/`` and ``pairs/`` with one raw task per url shard, then its
-    manifest. Output dirs are rebuilt from scratch (tmp + swap) so a
-    partition is either fully present or absent — never half-appended."""
+                     tax_digest: str, s: int,
+                     meanwhile) -> tuple[list, PartitionManifest]:
+    """Run the shared narrow chain for one partition and submit one
+    ``shard_partials`` map task per url shard, writing the partition's
+    ``linked/`` and ``pairs/``; run ``meanwhile`` (None for nothing) on
+    the driver while they run. Returns the tasks' pieces and the
+    partition's manifest, not yet written. Output dirs are rebuilt from
+    scratch (tmp + swap) so a partition is either fully present or
+    absent — never half-appended."""
     import ray
     import ray.data as rd
 
+    from ..stages.metrics import mention_label_counts
+
     t0 = time.time()
-    dirs = {t: os.path.join(out_dir, t, f"part={part}")
-            for t in ("linked", "pairs")}
+    dirs = _part_dirs(out_dir, part)
     tmp = {t: d + ".tmp" for t, d in dirs.items()}
     for t, d in dirs.items():
         shutil.rmtree(d, ignore_errors=True)
@@ -142,16 +175,20 @@ def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
         link_mode=config["link_mode"],
         single_product_mode=config["single_product_mode"],
     )
-    spec = ray.put((tmp, tax_ref, remap))
-    write = ray.remote(_write_shard)
-    ray.get([write.remote(j, spec, *parts) for j, parts in enumerate(shards)])
+    pieces = map_kinds(shards, functools.partial(
+        shard_partials, dirs=tmp, tax_ref=tax_ref, remap=remap), s)
+    if meanwhile is not None:
+        meanwhile()
+    if pieces:
+        # every piece of a task is ready when the task ends; a failed
+        # task fails the merges, before any manifest is written
+        ray.wait([p[0] for p in pieces], num_returns=len(pieces),
+                 fetch_local=False)
     for name, schema in (("linked", _LINKED_SCHEMA), ("pairs", PAIRS_SCHEMA)):
         write_empty_if_bare(tmp[name], schema)
         os.replace(tmp[name], dirs[name])
 
-    from ..stages.metrics import mention_label_counts
-
-    m = PartitionManifest(
+    return pieces, PartitionManifest(
         part=part,
         inputs=describe_inputs(files),
         stage_versions=dict(STAGE_VERSIONS),
@@ -166,63 +203,18 @@ def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
         extra={"label_counts": mention_label_counts(dirs["linked"])},
         taxonomy_digest=tax_digest,
     )
-    write_manifest(out_dir, m)
-    return m
-
-
-def _write_finals(out_dir: str, tax_ref, meanwhile) -> None:
-    """nodes/, edges/ and triples/ from every partition's ``linked/``
-    through ``write_finals``, the plain build's writer: raw Ray tasks,
-    no Ray Data execution.
-
-    The units are the sorted parquet files under ``linked/`` in groups of
-    at least ``FINALS_BATCH`` rows (row counts from the parquet footers),
-    and each group's map task runs ``finals_partials`` over its pages.
-    Triples are deduped within each batch and again per shard: urls are
-    unique only within a partition. Grouping keeps the task count (and so
-    the worker processes, each importing pyarrow, pandas and polars) at
-    what the 1,024-page map had: one task per file measured 1,834-1,851 MB
-    peak RSS against 1,372-1,407 MB grouped (``resume_one_part``, 4
-    CPUs). This pass takes 0.17-0.19 s where the one Ray Data execution
-    it replaces (read, map, sort, multi-table sink) took 0.47-0.49 s,
-    mostly waiting on the streaming executor's 100 ms polls."""
-    import pyarrow.parquet as pq
-
-    files = sorted(os.path.join(d, f)
-                   for d, _, fs in os.walk(os.path.join(out_dir, "linked"))
-                   for f in fs if f.endswith(".parquet"))
-    groups, group, rows = [], [], 0
-    for f in files:
-        n = pq.read_metadata(f).num_rows
-        if n:
-            group.append(f)
-            rows += n
-        if rows >= FINALS_BATCH:
-            groups.append(group)
-            group, rows = [], 0
-    if group:
-        groups.append(group)
-
-    def group_map(i: int, paths: list[str]) -> pa.Table:
-        # partitioning=None: the part=i layout must NOT hive-inject a
-        # `part` column — partition lineage lives in the manifests
-        pages = pa.concat_tables([pq.read_table(p, partitioning=None)
-                                  for p in paths])
-        return finals_partials(pages, tax_ref, triples_kind=True)[2]
-
-    write_finals(out_dir, groups, group_map, meanwhile=meanwhile)
 
 
 def _drop_stale_partitions(out_dir: str, num_parts: int) -> None:
     """Leave only this run's partitions under ``linked/``, ``pairs/`` and
     ``manifests/``. Anything else there — the partitions of an earlier run
     with more of them, a killed write's ``.tmp`` dir — would otherwise be
-    read by the finals and by ``GraphBuildResult.dataset`` and count its
-    pages twice."""
+    read by ``GraphBuildResult.dataset`` and count its pages twice."""
     for sub, ext in (("linked", ""), ("pairs", ""), ("manifests", ".json")):
         root = os.path.join(out_dir, sub)
         keep = {f"part={i}{ext}" for i in range(num_parts)}
-        for name in set(os.listdir(root)) - keep:
+        for name in set(os.listdir(root) if os.path.isdir(root) else ()) \
+                - keep:
             path = os.path.join(root, name)
             if os.path.isdir(path):
                 shutil.rmtree(path)
@@ -261,24 +253,30 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
     tax_digest = taxonomy_digest(taxonomy)
     run_id = uuid.uuid4().hex[:12]
 
-    manifests: list[PartitionManifest] = []
-    skipped = 0
-    for i, files in enumerate(parts):
-        m = validate_manifest(out_dir, i, files, config, tax_digest)
-        if m is not None:
-            skipped += 1
-        else:
-            m = _build_partition(files, i, out_dir, config, run_id, tax_ref,
-                                 index, remap, tax_digest)
-        manifests.append(m)
+    manifests = [validate_manifest(out_dir, i, files, config, tax_digest)
+                 for i, files in enumerate(parts)]
     _drop_stale_partitions(out_dir, len(parts))
-
-    # Finals over the union of all partitions
-    _write_finals(out_dir, tax_ref, lambda: write_taxonomy_tables(
-        out_dir, taxonomy, index))
+    pages = sum(pq.read_metadata(f).num_rows for fs in parts for f in fs)
+    s = max(1, -(-pages // FINALS_BATCH))
+    pieces = map_kinds(
+        _linked_groups(out_dir, [i for i, m in enumerate(manifests) if m]),
+        functools.partial(_group_partials, tax_ref=tax_ref), s)
+    tables = functools.partial(write_taxonomy_tables, out_dir, taxonomy,
+                               index)
+    built: list[PartitionManifest] = []
+    for i, files in enumerate(parts):
+        if manifests[i] is None:
+            more, manifests[i] = _build_partition(
+                files, i, out_dir, config, run_id, tax_ref, index, remap,
+                tax_digest, s, None if built else tables)
+            pieces += more
+            built.append(manifests[i])
+    merge_kinds(pieces, *reset_finals(out_dir),
+                meanwhile=None if built else tables)
+    for m in built:
+        write_manifest(out_dir, m)
     res = graph_result(out_dir)
 
-    built = [m for m in manifests if m.run_id == run_id]
     label_counts: dict[str, int] = {}
     for m in manifests:
         for k, v in (m.extra.get("label_counts") or {}).items():
@@ -287,7 +285,7 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
         "label_counts": dict(sorted(label_counts.items())),
         "run_id": run_id,
         "partitions": len(parts),
-        "partitions_skipped": skipped,
+        "partitions_skipped": len(parts) - len(built),
         "partitions_built": len(built),
         "linked_rows": sum(m.rows["linked"] for m in manifests),
         "pairs_rows": sum(m.rows["pairs"] for m in manifests),

@@ -27,7 +27,9 @@ fan-out the same way, S shards for S input blocks or units, but route
 ``__bucket mod S`` with raw tasks that share one split (``_split_rows``):
 a build's url dedup and KG finals are a few short tasks, and Ray Data's
 streaming executor, which polls running tasks every 100 ms, made up most
-of their wall time.
+of their wall time. The halves of ``bucketed_write_kinds``,
+``map_kinds`` and ``merge_kinds``, serve a caller that fixes S from its
+input and submits maps as their units become known.
 There is one bucket hash, polars' xxhash ``Expr.hash`` with seed 0: it
 is process-stable, so every task of a run buckets a key alike and bucket
 assignment is deterministic (never use builtin ``hash``). polars is a
@@ -286,52 +288,70 @@ def _merge_kinds(j: int, spec, *pieces) -> None:
                                                   f"part-{j:05d}.parquet"))
 
 
-def bucketed_write_kinds(units, map_fn, schemas, fns, paths, out_schemas, *,
-                         meanwhile=None) -> None:
-    """The multi-table exchange, on raw Ray tasks: several tables, each
-    reduced on its own key and written under its own path.
-
-    Each unit gets one map task, ``map_fn(i, unit)``, which returns
-    ``tag_kinds`` rows and splits them by ``__bucket mod S`` into S
-    pieces, S being the number of units (as ``Dataset.sort`` makes one
-    output block per input block). Merge task
-    j concatenates its S pieces, applies ``fns[k]`` (pa.Table ->
-    pa.Table, keyed, as in ``bucketed_group_apply``) to kind ``k``'s rows
-    and writes ``paths[k]/part-{j:05d}.parquet``. Every row of a key of a
-    kind lands in one shard. A path that got no file gets a typed empty
-    one of ``out_schemas[k]``, so every output reads back with its
-    schema. ``meanwhile`` (no arguments) runs on the driver once every
-    task is submitted. An ObjectRef unit arrives resolved; a list unit
-    (a ``hash_partition`` shard, a group of files) goes to its task as
+def map_kinds(units, map_fn, s: int) -> list[list]:
+    """The map half of ``bucketed_write_kinds``: submit one map task per
+    unit, ``map_fn(i, unit)``, whose ``tag_kinds`` rows split by
+    ``__bucket mod s`` into ``s`` pieces; return each task's ``s`` piece
+    refs. An ObjectRef unit arrives resolved; a list unit (a
+    ``hash_partition`` shard, a group of files) goes to its task as
     separate arguments, so each ObjectRef in it arrives resolved too.
+    Several calls with the same ``s`` may feed one ``merge_kinds``, so
+    maps start before every unit is known."""
+    import ray
 
-    No Ray Data execution runs. Its streaming executor polls running
-    tasks every 100 ms: through it (one read, map, sort and multi-table
-    sink) the ``resume_one_part`` finals took 0.47-0.49 s on 4 CPUs, on
-    raw tasks 0.17-0.19 s (medians of 5, seeds 1-3)."""
+    if not units:
+        return []
+    split = ray.remote(_split_kinds).options(num_returns=s)
+    fn_ref = ray.put(map_fn)
+    pieces = [split.remote(i, None, fn_ref, s, *u) if isinstance(u, list)
+              else split.remote(i, u, fn_ref, s)
+              for i, u in enumerate(units)]
+    return pieces if s > 1 else [[p] for p in pieces]
+
+
+def merge_kinds(pieces, schemas, fns, paths, out_schemas, *,
+                meanwhile=None) -> None:
+    """The merge half of ``bucketed_write_kinds``: merge task j
+    concatenates piece j of every map in ``pieces`` (``map_kinds``'
+    refs), applies ``fns[k]`` (pa.Table -> pa.Table, keyed, as in
+    ``bucketed_group_apply``) to kind ``k``'s rows and writes
+    ``paths[k]/part-{j:05d}.parquet``. ``meanwhile`` (no arguments) runs
+    on the driver once every merge is submitted; then the merges are
+    awaited, and a path that got no file gets a typed empty one of
+    ``out_schemas[k]``, so every output reads back with its schema."""
     import ray
 
     for p in paths:
         os.makedirs(p, exist_ok=True)
-    s = len(units)
     done = []
-    if s:
-        split = ray.remote(_split_kinds).options(num_returns=s)
-        fn_ref = ray.put(map_fn)
-        pieces = [split.remote(i, None, fn_ref, s, *u) if isinstance(u, list)
-                  else split.remote(i, u, fn_ref, s)
-                  for i, u in enumerate(units)]
-        if s == 1:
-            pieces = [[p] for p in pieces]
+    if pieces:
         merge = ray.remote(_merge_kinds)
         spec = ray.put((list(schemas), list(fns), list(paths)))
         done = [merge.remote(j, spec, *[p[j] for p in pieces])
-                for j in range(s)]
+                for j in range(len(pieces[0]))]
     if meanwhile is not None:
         meanwhile()
     ray.get(done)
     for p, schema in zip(paths, out_schemas):
         write_empty_if_bare(p, schema)
+
+
+def bucketed_write_kinds(units, map_fn, schemas, fns, paths, out_schemas, *,
+                         meanwhile=None) -> None:
+    """The multi-table exchange, on raw Ray tasks: several tables, each
+    reduced on its own key and written under its own path.
+
+    ``map_kinds`` runs one map task per unit with S = the number of
+    units (as ``Dataset.sort`` makes one output block per input block),
+    then ``merge_kinds`` one merge task per shard. Every row of a key of
+    a kind lands in one shard.
+
+    No Ray Data execution runs. Its streaming executor polls running
+    tasks every 100 ms: through it (one read, map, sort and multi-table
+    sink) the ``resume_one_part`` finals took 0.47-0.49 s on 4 CPUs, on
+    raw tasks 0.17-0.19 s (medians of 5, seeds 1-3)."""
+    merge_kinds(map_kinds(units, map_fn, len(units)), schemas, fns, paths,
+                out_schemas, meanwhile=meanwhile)
 
 
 def bucketed_cogroup(left, right, keys: list[str], fn, *, left_schema,

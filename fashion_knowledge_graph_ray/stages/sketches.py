@@ -98,8 +98,7 @@ def hll_distinct(ds, key_cols: list[str], value_col: str, *,
 
     # null group keys are kept (they are a real group, matching SQL
     # GROUP BY): grouping uses Python dicts keyed on to_pylist() values
-    # (None stays None), and the exchange buckets on a null-safe derived
-    # string key so the crc32 fallback never sees a null
+    # (None stays None), and the bucket hash takes null keys
     def _kstr(key: tuple) -> str:
         return "\x1f".join("\x00" if kv is None else str(kv)
                            for kv in key)
@@ -109,14 +108,11 @@ def hll_distinct(ds, key_cols: list[str], value_col: str, *,
         key_rows = list(zip(*(t[c].to_pylist() for c in key_cols)))
         for key, v in zip(key_rows, t[value_col].to_pylist()):
             groups.setdefault(key, []).append(v)
-        keys_sorted = sorted(groups, key=_kstr)
-        cols = {c: pa.array([k[i] for k in keys_sorted], type=t[c].type)
+        cols = {c: pa.array([k[i] for k in groups], type=t[c].type)
                 for i, c in enumerate(key_cols)}
-        cols["__k"] = pa.array([_kstr(k) for k in keys_sorted],
-                               type=pa.string())
         cols["reg"] = pa.array(
-            [_hll_registers(_hash64(groups[k]), p).tobytes()
-             for k in keys_sorted], type=pa.binary())
+            [_hll_registers(_hash64(v), p).tobytes()
+             for v in groups.values()], type=pa.binary())
         return pa.table(cols)
 
     def merge(t: pa.Table) -> pa.Table:
@@ -136,7 +132,7 @@ def hll_distinct(ds, key_cols: list[str], value_col: str, *,
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed_group_apply(partials, ["__k"], merge)
+    return bucketed_group_apply(partials, key_cols, merge)
 
 
 def cms_counts(ds, value_col: str, query_values: list, *,

@@ -14,6 +14,11 @@ Invariants under test:
   plain build, and a resume rebuilding one partition, run no Ray Data
   sort or write (the url dedup and every write are raw tasks), and the
   resume reads only that partition's files;
+- a resume submits the skipped partitions' finals maps, over their
+  ``linked/`` files only, before it rebuilds a partition, and each url
+  shard of the rebuild is one more finals unit; a rebuilt partition
+  with a 0-row input, and a resume rebuilding every partition, equal a
+  fresh build;
 - the url dedup keeps the earliest crawl of a url whatever block each
   crawl is in: 1, 3 or 8 blocks, canonical ids on or off, give the same
   tables, and ``linked/`` equals the Dataset operators' result;
@@ -315,6 +320,12 @@ def test_no_part_column_leaks(ray_session, sharded_pages, tmp_path):
         assert "part" not in cols, which
 
 
+def _drop_partition(out_dir, part) -> None:
+    for t in ("linked", "pairs"):
+        shutil.rmtree(os.path.join(out_dir, t, f"part={part}"))
+    os.remove(mf.manifest_path(out_dir, part))
+
+
 def test_resume_one_deleted_partition_equals_fresh_build(ray_session,
                                                          sharded_pages,
                                                          tmp_path):
@@ -322,9 +333,7 @@ def test_resume_one_deleted_partition_equals_fresh_build(ray_session,
     out, fresh = str(tmp_path / "kg"), str(tmp_path / "fresh")
     build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
                           link_mode="gazetteer")
-    for t in ("linked", "pairs"):
-        shutil.rmtree(os.path.join(out, t, "part=1"))
-    os.remove(mf.manifest_path(out, 1))
+    _drop_partition(out, 1)
     build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
                           link_mode="gazetteer")
     metrics = json.load(open(os.path.join(out, "metrics.json")))
@@ -389,7 +398,7 @@ def test_finals_read_only_linked_with_no_dataset_execution(
         ray_session, sharded_pages, tmp_path, monkeypatch):
     # with every partition valid only the finals run: raw tasks over the
     # linked/ files (never pairs/), no Ray Data read, sort or write
-    from fashion_knowledge_graph_ray.pipelines import build_graph as bg
+    from fashion_knowledge_graph_ray.pipelines import resumable
 
     shards, tax = sharded_pages
     out = str(tmp_path / "kg")
@@ -398,12 +407,12 @@ def test_finals_read_only_linked_with_no_dataset_execution(
     first = _table_sets(out)
     seen, units = [], []
     _spy_dataset_runs(monkeypatch, seen)
-    real_write = bg.bucketed_write_kinds
+    real_maps = resumable.map_kinds
 
-    def write_spy(u, *a, **kw):
+    def maps_spy(u, *a, **kw):
         units.extend(u)
-        return real_write(u, *a, **kw)
-    monkeypatch.setattr(bg, "bucketed_write_kinds", write_spy)
+        return real_maps(u, *a, **kw)
+    monkeypatch.setattr(resumable, "map_kinds", maps_spy)
     build_graph_resumable(shards, tax, out, num_partitions=2,
                           link_mode="gazetteer")
     metrics = json.load(open(os.path.join(out, "metrics.json")))
@@ -451,6 +460,98 @@ def test_resume_rebuilding_one_partition_reads_once_and_sorts_nothing(
     assert seen == [("read", parts[1])]
     got = _all_tables(out)
     assert all(got[k].equals(first[k]) for k in first)
+
+
+def _split_corpus(sharded_pages, root, sizes) -> str:
+    """The fixture pages rewritten as one file per entry of ``sizes``
+    (a 0 makes a 0-row file), in a new directory under ``root``."""
+    shards, _ = sharded_pages
+    pages = pq.read_table(shards)
+    src = os.path.join(root, "pages")
+    os.makedirs(src)
+    lo = 0
+    for k, n in enumerate(sizes):
+        pq.write_table(pages.slice(lo, n),
+                       os.path.join(src, f"shard-{k:02d}.parquet"))
+        lo += n
+    return src
+
+
+def test_resume_overlaps_skipped_finals_with_the_rebuild(
+        ray_session, sharded_pages, tmp_path, monkeypatch):
+    # six files in three partitions; partition 1 is rebuilt with one url
+    # shard per input block. The skipped partitions' finals maps go
+    # first, over their linked/ files only; each url shard is one more
+    # unit
+    from fashion_knowledge_graph_ray.pipelines import resumable
+
+    _, tax = sharded_pages
+    src = _split_corpus(sharded_pages, str(tmp_path), [50] * 6)
+    out = str(tmp_path / "kg")
+    build_graph_resumable(src, tax, out, num_partitions=3,
+                          link_mode="gazetteer")
+    first = _all_tables(out)
+    _drop_partition(out, 1)
+    routed = _one_block_per_input_block(monkeypatch)
+    events = []
+    real_maps, real_chain = resumable.map_kinds, resumable.narrow_chain
+
+    def maps_spy(units, map_fn, s):
+        events.append(("maps", list(units), s))
+        return real_maps(units, map_fn, s)
+
+    def chain_spy(*a, **kw):
+        events.append(("narrow_chain",))
+        shards = real_chain(*a, **kw)
+        events.append(("shards", shards))
+        return shards
+    monkeypatch.setattr(resumable, "map_kinds", maps_spy)
+    monkeypatch.setattr(resumable, "narrow_chain", chain_spy)
+    build_graph_resumable(src, tax, out, num_partitions=3,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_built"] == 1
+    assert [e[0] for e in events] == ["maps", "narrow_chain", "shards",
+                                      "maps"]
+    (_, groups, s), (_, shards), (_, built, s_built) = (
+        events[0], events[2], events[3])
+    want = sorted(os.path.join(out, "linked", f"part={i}", f)
+                  for i in (0, 2)
+                  for f in os.listdir(os.path.join(out, "linked",
+                                                   f"part={i}")))
+    assert sorted(f for g in groups for f in g) == want
+    assert routed == [len(shards)] and len(shards) > 1
+    assert built == shards
+    assert s == s_built == 1  # 300 input pages, one merge per 1,024
+    got = _all_tables(out)
+    assert all(got[k].equals(first[k]) for k in first)
+
+
+@pytest.mark.parametrize("rebuild", ["empty_input", "every_partition"])
+def test_resume_edge_cases_equal_a_fresh_build(ray_session, sharded_pages,
+                                               tmp_path, rebuild):
+    # the only rebuilt partition reads a 0-row file (no url shard, no
+    # unit), or every partition is rebuilt (no skipped unit); both write
+    # the tables a fresh build writes, typed
+    _, tax = sharded_pages
+    src = _split_corpus(sharded_pages, str(tmp_path), [100, 0, 100, 100])
+    out, fresh = str(tmp_path / "kg"), str(tmp_path / "fresh")
+    build_graph_resumable(src, tax, out, num_partitions=4,
+                          link_mode="gazetteer")
+    for part in ((1,) if rebuild == "empty_input" else range(4)):
+        _drop_partition(out, part)
+    build_graph_resumable(src, tax, out, num_partitions=4,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert metrics["partitions_built"] == (1 if rebuild == "empty_input"
+                                           else 4)
+    assert pq.read_table(os.path.join(out, "linked", "part=1")).num_rows \
+        == 0
+    build_graph_resumable(src, tax, fresh, num_partitions=4,
+                          link_mode="gazetteer")
+    got, want = _all_tables(out), _all_tables(fresh)
+    for name in want:
+        assert got[name].num_rows > 0 and got[name].equals(want[name]), name
 
 
 def _one_block_per_input_block(monkeypatch) -> list:

@@ -73,3 +73,18 @@ def test_hll_keeps_null_group_keys(ray_session):
     got = {(None if isinstance(k, float) or k is None else k): n
            for k, n in zip(out["k"], out["approx_distinct"])}
     assert got == {"a": 2, None: 3}  # null-key values {2,4,9}
+
+
+def test_hll_keeps_null_keys_across_several_key_columns(ray_session):
+    # the exchange buckets on the key columns themselves: a null in any
+    # of them is still one group, whichever block its rows are in
+    k1 = ["a", None, "a", None, "a", None, "b", None]
+    k2 = [1, 1, None, None, 1, 1, None, None]
+    tbl = pa.table({"k1": pa.array(k1, type=pa.string()),
+                    "k2": pa.array(k2, type=pa.int64()),
+                    "v": pa.array([1, 2, 3, 4, 5, 2, 7, 8], type=pa.int64())})
+    out = hll_distinct(rd.from_arrow(tbl).repartition(4), ["k1", "k2"],
+                       "v").take_all()
+    got = {(r["k1"], r["k2"]): r["approx_distinct"] for r in out}
+    assert got == {("a", 1): 2, (None, 1): 1, ("a", None): 1,
+                   (None, None): 2, ("b", None): 1}
