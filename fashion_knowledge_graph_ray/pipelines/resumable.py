@@ -15,12 +15,12 @@ plain build's one exchange on raw Ray tasks, in three steps:
    enrich, routed by url hash into url shards), and each url shard's
    task, ``shard_partials``, is a finals map unit: it writes the
    partition's ``linked/`` and ``pairs/`` into ``.tmp`` dirs and emits
-   its partials, so each page's pairs are derived once. The driver
-   writes the taxonomy tables while it waits for the first partition's
-   tasks, then swaps the dirs in.
-3. The S merges write ``nodes/``, ``edges/`` and ``triples/``. Only then
-   are the rebuilt partitions' manifests written, so none records a
-   partition whose task failed.
+   its partials, so each page's pairs are derived once. Once every task
+   has ended (the driver gets their done objects, not their partials;
+   a failed task raises here), the dirs are swapped in and the
+   partition's manifest is written: a later failure keeps it.
+3. The S merges write ``nodes/``, ``edges/`` and ``triples/`` while the
+   driver writes the taxonomy tables.
 
 Resume = re-invoke with the same arguments: partitions whose manifest
 validates are skipped, the rest recompute, and partitions of an earlier
@@ -148,13 +148,12 @@ def _group_partials(i: int, paths: list[str], *, tax_ref) -> pa.Table:
 
 def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
                      run_id: str, tax_ref, index: dict, remap,
-                     tax_digest: str, s: int,
-                     meanwhile) -> tuple[list, PartitionManifest]:
-    """Run the shared narrow chain for one partition and submit one
+                     tax_digest: str,
+                     s: int) -> tuple[list, PartitionManifest]:
+    """Run the shared narrow chain for one partition and one
     ``shard_partials`` map task per url shard, writing the partition's
-    ``linked/`` and ``pairs/``; run ``meanwhile`` (None for nothing) on
-    the driver while they run. Returns the tasks' pieces and the
-    partition's manifest, not yet written. Output dirs are rebuilt from
+    ``linked/`` and ``pairs/``, then its manifest. Returns the tasks'
+    refs (``map_kinds``) and the manifest. Output dirs are rebuilt from
     scratch (tmp + swap) so a partition is either fully present or
     absent — never half-appended."""
     import ray
@@ -177,18 +176,12 @@ def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
     )
     pieces = map_kinds(shards, functools.partial(
         shard_partials, dirs=tmp, tax_ref=tax_ref, remap=remap), s)
-    if meanwhile is not None:
-        meanwhile()
-    if pieces:
-        # every piece of a task is ready when the task ends; a failed
-        # task fails the merges, before any manifest is written
-        ray.wait([p[0] for p in pieces], num_returns=len(pieces),
-                 fetch_local=False)
+    ray.get([p[-1] for p in pieces])  # raises if a shard task failed
     for name, schema in (("linked", _LINKED_SCHEMA), ("pairs", PAIRS_SCHEMA)):
         write_empty_if_bare(tmp[name], schema)
         os.replace(tmp[name], dirs[name])
 
-    return pieces, PartitionManifest(
+    m = PartitionManifest(
         part=part,
         inputs=describe_inputs(files),
         stage_versions=dict(STAGE_VERSIONS),
@@ -203,6 +196,8 @@ def _build_partition(files: list[str], part: int, out_dir: str, config: dict,
         extra={"label_counts": mention_label_counts(dirs["linked"])},
         taxonomy_digest=tax_digest,
     )
+    write_manifest(out_dir, m)
+    return pieces, m
 
 
 def _drop_stale_partitions(out_dir: str, num_parts: int) -> None:
@@ -261,20 +256,16 @@ def build_graph_resumable(pages_path: str, taxonomy: pa.Table, out_dir: str, *,
     pieces = map_kinds(
         _linked_groups(out_dir, [i for i, m in enumerate(manifests) if m]),
         functools.partial(_group_partials, tax_ref=tax_ref), s)
-    tables = functools.partial(write_taxonomy_tables, out_dir, taxonomy,
-                               index)
     built: list[PartitionManifest] = []
     for i, files in enumerate(parts):
         if manifests[i] is None:
             more, manifests[i] = _build_partition(
                 files, i, out_dir, config, run_id, tax_ref, index, remap,
-                tax_digest, s, None if built else tables)
+                tax_digest, s)
             pieces += more
             built.append(manifests[i])
-    merge_kinds(pieces, *reset_finals(out_dir),
-                meanwhile=None if built else tables)
-    for m in built:
-        write_manifest(out_dir, m)
+    merge_kinds(pieces, *reset_finals(out_dir), meanwhile=functools.partial(
+        write_taxonomy_tables, out_dir, taxonomy, index))
     res = graph_result(out_dir)
 
     label_counts: dict[str, int] = {}

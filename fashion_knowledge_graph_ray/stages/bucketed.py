@@ -240,10 +240,11 @@ def _split_rows(t: pa.Table, s: int) -> list[pa.Table]:
 
 def _split_kinds(i: int, unit, map_fn, s: int, *parts):
     """Map task of ``bucketed_write_kinds``: ``map_fn(i, unit)`` (rows of
-    ``tag_kinds``) in ``s`` pieces by ``__bucket mod s``. A list unit
-    arrives as ``parts`` (``unit`` None), each ObjectRef in it resolved."""
-    pieces = _split_rows(map_fn(i, list(parts) if unit is None else unit), s)
-    return pieces if s > 1 else pieces[0]
+    ``tag_kinds``) in ``s`` pieces by ``__bucket mod s``, then None, the
+    task's done object. A list unit arrives as ``parts`` (``unit`` None),
+    each ObjectRef in it resolved."""
+    return [*_split_rows(map_fn(i, list(parts) if unit is None else unit),
+                         s), None]
 
 
 def _route(t: pa.Table, keys: list[str], s: int):
@@ -291,22 +292,25 @@ def _merge_kinds(j: int, spec, *pieces) -> None:
 def map_kinds(units, map_fn, s: int) -> list[list]:
     """The map half of ``bucketed_write_kinds``: submit one map task per
     unit, ``map_fn(i, unit)``, whose ``tag_kinds`` rows split by
-    ``__bucket mod s`` into ``s`` pieces; return each task's ``s`` piece
-    refs. An ObjectRef unit arrives resolved; a list unit (a
-    ``hash_partition`` shard, a group of files) goes to its task as
-    separate arguments, so each ObjectRef in it arrives resolved too.
+    ``__bucket mod s`` into ``s`` pieces; return each task's refs: its
+    ``s`` pieces, then its done object. An ObjectRef unit arrives
+    resolved; a list unit (a ``hash_partition`` shard, a group of files)
+    goes to its task as separate arguments, so each ObjectRef in it
+    arrives resolved too.
     Several calls with the same ``s`` may feed one ``merge_kinds``, so
-    maps start before every unit is known."""
+    maps start before every unit is known.
+
+    The done object is None: ``ray.get`` on the done refs raises if a
+    task failed and fetches no piece to the driver."""
     import ray
 
     if not units:
         return []
-    split = ray.remote(_split_kinds).options(num_returns=s)
+    split = ray.remote(_split_kinds).options(num_returns=s + 1)
     fn_ref = ray.put(map_fn)
-    pieces = [split.remote(i, None, fn_ref, s, *u) if isinstance(u, list)
-              else split.remote(i, u, fn_ref, s)
-              for i, u in enumerate(units)]
-    return pieces if s > 1 else [[p] for p in pieces]
+    return [split.remote(i, None, fn_ref, s, *u) if isinstance(u, list)
+            else split.remote(i, u, fn_ref, s)
+            for i, u in enumerate(units)]
 
 
 def merge_kinds(pieces, schemas, fns, paths, out_schemas, *,
@@ -328,7 +332,7 @@ def merge_kinds(pieces, schemas, fns, paths, out_schemas, *,
         merge = ray.remote(_merge_kinds)
         spec = ray.put((list(schemas), list(fns), list(paths)))
         done = [merge.remote(j, spec, *[p[j] for p in pieces])
-                for j in range(len(pieces[0]))]
+                for j in range(len(pieces[0]) - 1)]
     if meanwhile is not None:
         meanwhile()
     ray.get(done)

@@ -19,6 +19,9 @@ Invariants under test:
   shard of the rebuild is one more finals unit; a rebuilt partition
   with a 0-row input, and a resume rebuilding every partition, equal a
   fresh build;
+- a failed shard task stops the build at its partition, whose dirs are
+  never swapped in; the partitions rebuilt before it keep their
+  manifests, and the next run skips them;
 - the url dedup keeps the earliest crawl of a url whatever block each
   crawl is in: 1, 3 or 8 blocks, canonical ids on or off, give the same
   tables, and ``linked/`` equals the Dataset operators' result;
@@ -552,6 +555,42 @@ def test_resume_edge_cases_equal_a_fresh_build(ray_session, sharded_pages,
     got, want = _all_tables(out), _all_tables(fresh)
     for name in want:
         assert got[name].num_rows > 0 and got[name].equals(want[name]), name
+
+
+def test_failed_shard_task_keeps_the_partitions_before_it(
+        ray_session, sharded_pages, tmp_path, monkeypatch):
+    # partition 2's shard task raises: the build stops there, partitions
+    # 0 and 1 are checkpointed, and the next run rebuilds only 2 and 3
+    from fashion_knowledge_graph_ray.pipelines import resumable
+
+    shards, tax = sharded_pages
+    out, fresh = str(tmp_path / "kg"), str(tmp_path / "fresh")
+    real = resumable.shard_partials
+
+    def failing(i, parts, *, dirs, **kw):
+        if os.path.basename(dirs["linked"]).startswith("part=2"):
+            raise RuntimeError("shard task failed")
+        return real(i, parts, dirs=dirs, **kw)
+    monkeypatch.setattr(resumable, "shard_partials", failing)
+    with pytest.raises(RuntimeError, match="shard task failed"):
+        build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
+                              link_mode="gazetteer")
+    assert [os.path.exists(mf.manifest_path(out, i))
+            for i in range(N_PARTS)] == [True, True, False, False]
+    assert sorted(os.listdir(os.path.join(out, "linked"))) == \
+        ["part=0", "part=1", "part=2.tmp"]
+    monkeypatch.setattr(resumable, "shard_partials", real)
+    build_graph_resumable(shards, tax, out, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    metrics = json.load(open(os.path.join(out, "metrics.json")))
+    assert [p["skipped"] for p in metrics["per_partition"]] == \
+        [True, True, False, False]
+    assert sorted(os.listdir(os.path.join(out, "linked"))) == \
+        [f"part={i}" for i in range(N_PARTS)]
+    build_graph_resumable(shards, tax, fresh, num_partitions=N_PARTS,
+                          link_mode="gazetteer")
+    got, want = _all_tables(out), _all_tables(fresh)
+    assert all(got[k].equals(want[k]) for k in want)
 
 
 def _one_block_per_input_block(monkeypatch) -> list:
